@@ -18,6 +18,7 @@ from .permutations import (
     permutation_with_cycle_lengths,
 )
 from .pipeline import (
+    CertificationError,
     ExperimentResult,
     GoodObservableError,
     PipelineConfig,

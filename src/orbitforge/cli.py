@@ -52,6 +52,11 @@ def _cmd_pipeline(args) -> int:
     return 0 if result.all_bounds_held else 1
 
 
+def _json_line(payload: dict) -> str:
+    # a NaN or infinity in a report is an error, not a token for the reader
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_or_print(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text)
@@ -72,7 +77,7 @@ def _cmd_lemma_rearrange(args) -> int:
     else:
         sys.stdout.write("\n".join(str(int(v)) for v in sigma.sigma) + "\n")
     payload = {"schema_version": 1, **asdict(report)}
-    _write_or_print(args.out_report, json.dumps(payload, sort_keys=True) + "\n")
+    _write_or_print(args.out_report, _json_line(payload))
     return 0
 
 
@@ -91,7 +96,7 @@ def _cmd_rewire(args) -> int:
         sys.stdout.write("\n".join(str(int(v)) for v in t_new) + "\n")
     payload = {"schema_version": 1, **asdict(report)}
     payload["per_cycle"] = [list(row.values()) for row in payload["per_cycle"]]
-    _write_or_print(args.out_report, json.dumps(payload, sort_keys=True) + "\n")
+    _write_or_print(args.out_report, _json_line(payload))
     return 0
 
 

@@ -39,8 +39,12 @@ def cycle_min_labels(p: np.ndarray) -> np.ndarray:
     """Smallest point on each cycle, as a per-point label array.
 
     Two points get the same label iff they lie on the same cycle of ``p``,
-    and the label is the minimum of that cycle.  Runs in O(n log n) via
-    pointer doubling, with no Python-level loop over points.
+    and the label is the minimum of that cycle.  Pointer doubling: after k
+    rounds each point holds the minimum of its next 2^k images.  Doubling
+    stops at the first round that changes no label; that is exact, because
+    then every label is at most the label 2^k steps ahead, so labels are
+    constant along each cycle of ``p^(2^k)``, whose windows cover the cycle.
+    O(n log L) for longest cycle L, with no Python-level loop over points.
     """
     p = np.asarray(p)
     n = p.shape[0]
@@ -48,12 +52,13 @@ def cycle_min_labels(p: np.ndarray) -> np.ndarray:
         return p.copy()
     labels = np.arange(n, dtype=np.int64)
     jump = p.astype(np.int64, copy=True)
-    # after k rounds each point has seen 2^k successive images
-    rounds = max(1, int(np.ceil(np.log2(n))) if n > 1 else 1)
-    for _ in range(rounds):
-        labels = np.minimum(labels, labels[jump])
+    while True:
+        ahead = labels[jump]
+        if not (ahead < labels).any():
+            return labels
+        np.minimum(labels, ahead, out=labels)
+        del ahead
         jump = jump[jump]
-    return labels
 
 
 def permutation_with_cycle_lengths(lengths, rng: np.random.Generator) -> np.ndarray:
@@ -62,15 +67,15 @@ def permutation_with_cycle_lengths(lengths, rng: np.random.Generator) -> np.ndar
     Points are shuffled once and then chained into consecutive cycles of the
     requested lengths; ``sum(lengths)`` is the number of points.
     """
-    lengths = [int(v) for v in lengths]
-    if any(v < 1 for v in lengths):
+    lengths = np.asarray([int(v) for v in lengths], dtype=np.int64)
+    if (lengths < 1).any():
         raise ValueError("cycle lengths must be positive")
-    n = sum(lengths)
+    n = int(lengths.sum())
     pts = rng.permutation(n)
+    # each shuffled point maps to the next one, the last of a run to its first
+    ends = np.cumsum(lengths)
+    succ = np.arange(1, n + 1)
+    succ[ends - 1] = ends - lengths
     perm = np.empty(n, dtype=np.int64)
-    start = 0
-    for length in lengths:
-        block = pts[start : start + length]
-        perm[block] = np.roll(block, -1)
-        start += length
+    perm[pts] = pts[succ]
     return perm

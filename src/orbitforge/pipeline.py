@@ -39,6 +39,7 @@ from .spaces import (
 from .weak import kechris_distance
 
 __all__ = [
+    "CertificationError",
     "GoodObservableError",
     "PipelineConfig",
     "GeneratorOutcome",
@@ -58,6 +59,14 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+
+class CertificationError(RuntimeError):
+    """A certified inequality failed on a computed result.
+
+    Raised by explicit checks, never by ``assert``, so it also fires under
+    ``python -O``; the message names the certificate and its numbers.
+    """
 
 
 class GoodObservableError(RuntimeError):
@@ -185,8 +194,9 @@ def oe_approximate(
 
     Returns the rewired action (same orbits as ``a``, generator-wise), the
     observable used on the source side, and a per-generator report.  The
-    triangle decomposition achieved <= rewire_error + mixture_gap and the
-    mixture bound mixture_gap <= eps are asserted on every run.
+    triangle decomposition achieved <= rewire_error + mixture_gap, the
+    mixture bound mixture_gap <= eps and orbit preservation are checked on
+    every run; a failure raises ``CertificationError``.
     """
     if a.rank != b.rank or a.n != b.n:
         raise ValueError("actions must share rank and space size")
@@ -218,8 +228,15 @@ def oe_approximate(
         pair_target = joint_pair_distribution(phi, b.perms[s])
         achieved = linf(pair_new, pair_target)
         mixture_gap = linf(targets[s], pair_target)
-        assert mixture_gap <= eps + 1e-12
-        assert achieved <= rep.achieved_error + mixture_gap + 1e-12
+        if not mixture_gap <= eps + 1e-12:
+            raise CertificationError(
+                f"generator {s}: mixture gap {mixture_gap!r} exceeds eps={eps!r}"
+            )
+        if not achieved <= rep.achieved_error + mixture_gap + 1e-12:
+            raise CertificationError(
+                f"generator {s}: achieved error {achieved!r} exceeds rewire error "
+                f"{rep.achieved_error!r} + mixture gap {mixture_gap!r}"
+            )
         same = verify_same_orbits(a.perms[s], t_new)
         new_perms.append(t_new)
         outcomes.append(
@@ -238,7 +255,8 @@ def oe_approximate(
         )
     a_new = FiniteAction(a.space, np.vstack(new_perms))
     oe = verify_oe(a, a_new)
-    assert oe, "rewiring must preserve orbits generator-wise"
+    if not oe:
+        raise CertificationError("rewiring did not preserve orbits generator-wise")
     kech = kechris_distance(b, a_new, phi, psi, ball(a.rank, 2))
     report = PipelineReport(
         eps=eps,

@@ -18,7 +18,12 @@ Stages (each deterministic, each with its own certified drift):
 4. ``close_line``       - cyclically re-route one representative edge per
                           component, producing a single line.
 
-Everything is vectorized; instances with N up to 10^6 run in milliseconds.
+The stages run on a segmented input: B labeled lines laid back to back,
+with counts and cells keyed by (segment, label pair).  ``rewire``
+rearranges all of its good cycles in one such pass; the single-line
+functions here are the case B = 1.  Everything but the merge loop over
+candidate edges is vectorized.  One line of N = 10^6 points with two labels
+takes about 0.16 s on one core of a 2-core x86 host (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -115,13 +120,15 @@ def _component_count(tau: np.ndarray) -> int:
     return int(np.unique(_line_components(tau)).shape[0])
 
 
-def _margin_gap(j: Coupling, pi: Dist) -> float:
-    target = pi.real
-    return float(
-        max(
-            np.max(np.abs(j.row_margin() - target)),
-            np.max(np.abs(j.col_margin() - target)),
-        )
+def _margin_gap(j: Coupling, target: np.ndarray):
+    """Sup-norm distance from both margins of ``j`` to ``target``.
+
+    ``target`` is one distribution (a float comes back) or a stack of them
+    along the last axis (one gap per row).
+    """
+    return np.maximum(
+        np.abs(j.row_margin() - target).max(axis=-1),
+        np.abs(j.col_margin() - target).max(axis=-1),
     )
 
 
@@ -148,6 +155,32 @@ def _repair_nonnegative(counts: np.ndarray) -> np.ndarray:
         counts[rr, cc] += delta
 
 
+# ---------------------------------------------------------------------------
+# segmented stages
+#
+# B lines are laid out back to back: segment s owns the flat points
+# offsets[s] .. offsets[s+1]-1, in its own order.  A line is held closed, as
+# the permutation ``ext`` with the missing edge from its last point back to
+# its first, so its components are exactly the cycles of ``ext``.  The
+# public single-line stages are the case B = 1.
+# ---------------------------------------------------------------------------
+
+
+def _round_counts(j: Coupling, pi: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Stage 1 on B segments: ``(B, |A|, |A|)`` rounded counts of ``j``.
+
+    Segment ``s`` has ``lengths[s]`` points with label counts ``pi[s]``,
+    which become both margins of its counts exactly.
+    """
+    counts = np.ceil(j.real[None] * lengths[:, None, None] - 0.5).astype(np.int64)
+    counts[:, 0, 1:] = pi[:, 1:] - counts[:, 1:, 1:].sum(axis=1)
+    counts[:, 1:, 0] = pi[:, 1:] - counts[:, 1:, 1:].sum(axis=2)
+    counts[:, 0, 0] = pi[:, 0] - counts[:, 0, 1:].sum(axis=1)
+    for s in np.flatnonzero((counts < 0).any(axis=(1, 2))):
+        _repair_nonnegative(counts[s])
+    return counts
+
+
 def round_coupling(
     j: Coupling, pi_prime: Dist, eps: float, *, check: bool = True
 ) -> Coupling:
@@ -164,7 +197,7 @@ def round_coupling(
         raise ValueError("alphabet mismatch between coupling and margins")
     n = pi_prime.denom
     if check:
-        gap = _margin_gap(j, pi_prime)
+        gap = float(_margin_gap(j, pi_prime.real))
         if not gap < eps:
             raise PreconditionError(
                 f"margin distance {gap:.6g} is not below eps={eps:.6g}"
@@ -176,15 +209,161 @@ def round_coupling(
                 f"min coupling entry {jmin:.6g} is not above "
                 f"2|A|eps + |A|^2/N = {need:.6g}"
             )
-    pi = pi_prime.counts.astype(np.int64)
-    if a == 1:
-        return Coupling.from_counts(np.array([[n]], dtype=np.int64), n)
-    counts = np.ceil(j.real * n - 0.5).astype(np.int64)
-    counts[0, 1:] = pi[1:] - counts[1:, 1:].sum(axis=0)
-    counts[1:, 0] = pi[1:] - counts[1:, 1:].sum(axis=1)
-    counts[0, 0] = pi[0] - counts[0, 1:].sum()
-    counts = _repair_nonnegative(counts)
-    return Coupling.from_counts(counts, n)
+    counts = _round_counts(j, pi_prime.counts[None], np.array([n]))
+    return Coupling.from_counts(counts[0], n)
+
+
+def _build_lines(
+    labels: np.ndarray, seg: np.ndarray, offsets: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Stage 2 on B segments: realize each segment's counts as a closed line.
+
+    ``seg`` is the segment of each flat point; both margins of
+    ``counts[s]`` must equal the label counts of segment ``s``.
+    """
+    b, a, _ = counts.shape
+    m = labels.shape[0]
+    sort_key = seg * a
+    sort_key += labels
+    by_label = np.argsort(sort_key, kind="stable")
+    del sort_key
+    # flat start of the (segment, label) run in by_label
+    sizes = counts.sum(axis=1).ravel()
+    group_start = (np.cumsum(sizes) - sizes).reshape(b, a)
+    # cell (s, r, c): its sources are the next counts[s, r, c] label-r points
+    # of s; its targets sit among the label-c points, after the cells (r', c)
+    # with r' < r
+    target = (group_start[:, None, :] + np.cumsum(counts, axis=1) - counts).ravel()
+    size = counts.ravel()
+    source = np.cumsum(size) - size
+    # each source takes the target after its own, the last the first
+    slot = np.repeat(target - source + 1, size)
+    slot += np.arange(m)
+    full = size > 0
+    slot[(source + size - 1)[full]] = target[full]
+    beta = np.empty(m, dtype=np.int64)
+    beta[by_label] = by_label[slot]
+    del slot
+    # close the line: the preimage of the first point takes the image of the
+    # last, and the last maps to the first.  The first point of a segment
+    # heads its label run, so the first nonempty cell into that label sends
+    # its last source there.
+    first, last = offsets[:-1], offsets[1:] - 1
+    segs = np.arange(b)
+    c = labels[first]
+    r = np.argmax(counts[segs, :, c] > 0, axis=1)
+    cell = (segs * a + r) * a + c
+    to_first = by_label[source[cell] + size[cell] - 1]
+    beta[to_first] = beta[last]
+    beta[last] = first
+    return beta
+
+
+def _merge_cycles(perm: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Join cycles of ``perm`` by image swaps inside buckets of equal key.
+
+    Points with a negative key keep their image.  In each bucket, in
+    increasing key order, the smallest point of every cycle present is a
+    candidate; the smallest candidate is the anchor, and each later one
+    swaps images with it if their cycles are still apart, which joins them.
+    Works in place on ``perm`` and overwrites ``keys``.
+    """
+    n = perm.shape[0]
+    comp = cycle_min_labels(perm)
+    # one code per (bucket, cycle) pair, negative off the buckets; no
+    # overflow, since keys stay below the cells of a count array in memory
+    keys *= n
+    keys += comp
+    codes, points = np.unique(keys, return_index=True)
+    # np.unique sorts stably, so each pair keeps its smallest point
+    on = codes >= 0
+    codes, points = codes[on], points[on]
+    key = codes // n
+    # buckets that meet at least two cycles, candidates by point
+    head = np.ones(key.shape[0], dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    bucket = np.cumsum(head) - 1
+    keep = np.bincount(bucket)[bucket] >= 2
+    key, points = key[keep], points[keep]
+    order = np.lexsort((points, key))
+    key, points = key[order], points[order]
+    anchors = np.ones(key.shape[0], dtype=bool)
+    anchors[1:] = key[1:] != key[:-1]
+    # union-find over the candidate cycles, numbered 0..k-1
+    _, cyc = np.unique(comp[points], return_inverse=True)
+    parent = list(range(cyc.shape[0]))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    anchor = anchor_root = 0
+    for x, c, is_anchor in zip(points.tolist(), cyc.tolist(), anchors.tolist()):
+        root = find(c)
+        if is_anchor:
+            anchor, anchor_root = x, root
+        elif root != anchor_root:
+            perm[anchor], perm[x] = perm[x], perm[anchor]
+            parent[root] = anchor_root
+    return perm
+
+
+def _close_cycles(perm: np.ndarray, offsets: np.ndarray):
+    """Chain the cycles of each segment into one through their minima.
+
+    The minima of a segment, in increasing order, take each other's images
+    cyclically.  Works in place on ``perm``; returns it and the number of
+    cycles each segment had.
+    """
+    reps = np.flatnonzero(cycle_min_labels(perm) == np.arange(perm.shape[0]))
+    seg = np.searchsorted(offsets, reps, side="right") - 1
+    # the next minimum of the same segment; the last one wraps to the first
+    nxt = np.arange(1, reps.shape[0] + 1)
+    is_tail = np.ones(reps.shape[0], dtype=bool)
+    is_tail[:-1] = seg[1:] != seg[:-1]
+    nxt[is_tail] = np.flatnonzero(np.roll(is_tail, 1))
+    perm[reps] = perm[reps[nxt]]
+    return perm, np.bincount(seg, minlength=offsets.shape[0] - 1)
+
+
+def _rearrange_lines(
+    labels: np.ndarray, offsets: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build, merge and close B labeled segments against rounded counts.
+
+    Returns the closed lines (flat point -> flat point) and each segment's
+    component count after merging.  The lines pass the checks of
+    ``LineBijection``: images stay inside their segment and are injective.
+    """
+    b, a, _ = counts.shape
+    lengths = np.diff(offsets)
+    seg = np.repeat(np.arange(b), lengths)
+    ext = _build_lines(labels, seg, offsets, counts)
+    # merge buckets: (segment, label pair) of each edge; the last point of
+    # a segment has no edge
+    keys = seg
+    keys *= a
+    keys += labels
+    keys *= a
+    keys += labels[ext]
+    keys[offsets[1:] - 1] = -1
+    del seg, labels
+    ext = _merge_cycles(ext, keys)
+    del keys
+    ext, n_comp = _close_cycles(ext, offsets)
+    m = ext.shape[0]
+    if m:
+        seg = np.repeat(np.arange(b), lengths)
+        if (
+            ext.min() < 0
+            or ext.max() >= m
+            or not np.array_equal(seg[ext], seg)
+            or np.bincount(ext, minlength=m).max() > 1
+            or not np.array_equal(ext[offsets[1:] - 1], offsets[:-1])
+        ):
+            raise ValueError("rearranged lines are not bijections onto their segments")
+    return ext, n_comp
 
 
 def build_tau(phi: Observable, j_prime: Coupling) -> np.ndarray:
@@ -200,7 +379,6 @@ def build_tau(phi: Observable, j_prime: Coupling) -> np.ndarray:
     distribution sits within ``2/(N-1)`` of ``J'``.
     """
     n = phi.n
-    a = phi.alphabet_size
     if not j_prime.is_exact or j_prime.denom != n:
         raise ValueError("need an exact coupling with denominator N")
     counts = j_prime.counts
@@ -210,76 +388,20 @@ def build_tau(phi: Observable, j_prime: Coupling) -> np.ndarray:
         and np.array_equal(counts.sum(axis=0), sizes)
     ):
         raise PreconditionError("coupling margins must equal the label counts")
-    by_label = np.argsort(phi.labels, kind="stable")
-    block_start = np.concatenate(([0], np.cumsum(sizes)))
-    # target block of cell (a,b) sits inside label-b points, after the cells
-    # (a', b) with a' < a
-    col_offsets = block_start[:-1][None, :] + np.vstack(
-        (np.zeros(a, dtype=np.int64), np.cumsum(counts, axis=0)[:-1])
+    ext = _build_lines(
+        phi.labels, np.zeros(n, dtype=np.int64), np.array([0, n]), counts[None]
     )
-    pieces = [
-        np.roll(by_label[col_offsets[r, c] : col_offsets[r, c] + counts[r, c]], -1)
-        for r in range(a)
-        for c in range(a)
-    ]
-    target = np.concatenate(pieces) if pieces else by_label[:0]
-    beta = np.empty(n, dtype=np.int64)
-    beta[by_label] = target
-    if n == 1:
-        return beta[:0]
-    tau = beta[: n - 1].copy()
-    i0 = int(np.flatnonzero(beta == 0)[0])
-    if i0 != n - 1:
-        tau[i0] = beta[n - 1]
-    return tau
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
+    return ext[: n - 1]
 
 
 def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
     m = tau.shape[0]
-    tau = tau.copy()
-    if m == 0:
-        return tau, 1
-    comp = _line_components(tau)
-    n_comp = int(np.unique(comp).shape[0])
-    cells = phi_labels[:m] * a + phi_labels[tau]
-    order = np.argsort(cells, kind="stable")
-    cuts = np.flatnonzero(np.diff(cells[order])) + 1
-    uf = _UnionFind()
-    for group in np.split(order, cuts):
-        if group.shape[0] < 2:
-            continue
-        uniq, first = np.unique(comp[group], return_index=True)
-        if uniq.shape[0] < 2:
-            continue
-        candidates = sorted(
-            (int(group[f]), int(c)) for f, c in zip(first, uniq)
-        )
-        anchor_edge, anchor_comp = candidates[0]
-        for edge, c in candidates[1:]:
-            if uf.find(c) != uf.find(anchor_comp):
-                tau[anchor_edge], tau[edge] = tau[edge], tau[anchor_edge]
-                uf.union(c, anchor_comp)
-                n_comp -= 1
-    return tau, n_comp
+    ext = np.append(np.asarray(tau, dtype=np.int64), 0)
+    keys = phi_labels[: m + 1] * a
+    keys += phi_labels[ext]
+    keys[m] = -1
+    tau_star = _merge_cycles(ext, keys)[:m]
+    return tau_star, _component_count(tau_star)
 
 
 def merge_components(phi: Observable, tau: np.ndarray) -> np.ndarray:
@@ -296,17 +418,10 @@ def merge_components(phi: Observable, tau: np.ndarray) -> np.ndarray:
 
 def _close(tau: np.ndarray):
     m = tau.shape[0]
-    if m == 0:
-        return tau.copy(), 1, 0
-    comp = _line_components(tau)
-    uniq, first = np.unique(comp[:m], return_index=True)
-    k = int(uniq.shape[0])
-    if k == 1:
-        return tau.copy(), 1, 0
-    reps = np.sort(first)
-    sigma = tau.copy()
-    sigma[reps] = tau[np.roll(reps, -1)]
-    return sigma, k, k
+    ext = np.append(np.asarray(tau, dtype=np.int64), 0)
+    sigma, k = _close_cycles(ext, np.array([0, m + 1]))
+    k = int(k[0])
+    return sigma[:m], k, (k if k > 1 else 0)
 
 
 def close_line(tau: np.ndarray) -> LineBijection:
@@ -338,10 +453,9 @@ def rearrange_line(
         raise ValueError("alphabet mismatch between labels and coupling")
     pi_prime = empirical_distribution(phi)
     j_rounded = round_coupling(j, pi_prime, eps, check=check)
-    tau = build_tau(phi, j_rounded)
-    tau_star, n_comp = _merge(phi.labels, a, tau)
-    sigma_arr, _, edges_changed = _close(tau_star)
-    sigma = LineBijection(n, sigma_arr)
+    ext, n_comp = _rearrange_lines(phi.labels, np.array([0, n]), j_rounded.counts[None])
+    k = int(n_comp[0])
+    sigma = LineBijection(n, ext[: n - 1])
     achieved = linf(empirical_pair_distribution(phi, sigma), j)
     bound = 2 * a * eps + 3 * a * a / n
-    return sigma, RearrangeReport(achieved, bound, n_comp, edges_changed)
+    return sigma, RearrangeReport(achieved, bound, k, k if k > 1 else 0)

@@ -13,14 +13,23 @@ distribution lands within ``9*|A|*eps`` of the target coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .permutations import cycle_min_labels, is_permutation
-from .rearrange import PreconditionError, _UnionFind, rearrange_line
+from .rearrange import (
+    PreconditionError,
+    _close_cycles,
+    _margin_gap,
+    _merge_cycles,
+    _rearrange_lines,
+    _round_counts,
+)
 from .spaces import (
     Coupling,
     Observable,
+    _frozen,
     empirical_distribution,
     joint_pair_distribution,
     linf,
@@ -44,14 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Cycles of a permutation, ordered by smallest element.
+    """Cycles of a permutation, ordered by smallest element, as flat arrays.
 
-    Each cycle is listed in traversal order starting at its smallest point;
-    lengths weighted by 1/n give the finite ergodic decomposition of the
-    uniform measure.
+    ``order`` lists all n points cycle after cycle, each cycle in traversal
+    order starting at its smallest point: cycle ``c`` is
+    ``order[offsets[c]:offsets[c + 1]]``, and ``cycle_of[x]`` is the index
+    of the cycle holding ``x``.  ``cycles`` is the same data as a list of
+    read-only views, built on first use.  Lengths weighted by 1/n give the
+    finite ergodic decomposition of the uniform measure.
     """
 
-    cycles: list[np.ndarray]
+    order: np.ndarray
+    offsets: np.ndarray
     cycle_of: np.ndarray
 
     @property
@@ -59,7 +72,12 @@ class CycleDecomposition:
         return int(self.cycle_of.shape[0])
 
     def lengths(self) -> np.ndarray:
-        return np.array([c.shape[0] for c in self.cycles], dtype=np.int64)
+        return np.diff(self.offsets)
+
+    @cached_property
+    def cycles(self) -> list[np.ndarray]:
+        bounds = self.offsets.tolist()
+        return [self.order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -105,34 +123,51 @@ class RewireReport:
 
 
 def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
-    """Cycle decomposition with deterministic ordering and traversal."""
+    """Cycle decomposition with deterministic ordering and traversal.
+
+    Cycle ids come from the cycle minima.  Each point's position comes from
+    list ranking by pointer jumping (Wyllie): every cycle is cut just before
+    its minimum, and each point counts its steps to the end of the cut
+    cycle.  No Python-level loop over points or cycles.
+    """
     t = np.asarray(t, dtype=np.int64)
     if not is_permutation(t):
         raise ValueError("input is not a permutation")
     n = t.shape[0]
-    images = t.tolist()
-    seen = bytearray(n)
-    cycles: list[np.ndarray] = []
-    cycle_of = np.empty(n, dtype=np.int64)
-    for start in range(n):
-        if seen[start]:
-            continue
-        buf = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            buf.append(cur)
-            cur = images[cur]
-        arr = np.asarray(buf, dtype=np.int64)
-        cycle_of[arr] = len(cycles)
-        cycles.append(arr)
-    return CycleDecomposition(cycles, cycle_of)
+    low = cycle_min_labels(t)
+    # the last point of a traversal is the one mapping to the cycle minimum;
+    # it points at itself, and every other point some steps ahead
+    last = t == low
+    ahead = np.where(last, np.arange(n), t)
+    steps_left = (~last).astype(np.int64)
+    del last
+    while True:
+        further = ahead[ahead]
+        if np.array_equal(further, ahead):
+            break
+        steps_left += steps_left[ahead]
+        ahead = further
+    del ahead, further
+    is_base = low == np.arange(n)
+    cycle_of = np.cumsum(is_base)
+    cycle_of -= 1
+    cycle_of = cycle_of[low]
+    del low
+    offsets = np.zeros(int(np.count_nonzero(is_base)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cycle_of, minlength=offsets.shape[0] - 1), out=offsets[1:])
+    pos = offsets[1:][cycle_of]
+    pos -= 1
+    pos -= steps_left
+    del steps_left
+    order = np.empty(n, dtype=np.int64)
+    order[pos] = np.arange(n)
+    return CycleDecomposition(_frozen(order), _frozen(offsets), _frozen(cycle_of))
 
 
 def _label_counts_per_cycle(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
-    counts = np.zeros((len(dec.cycles), psi.alphabet_size), dtype=np.int64)
-    np.add.at(counts, (dec.cycle_of, psi.labels), 1)
-    return counts
+    a = psi.alphabet_size
+    cells = dec.cycle_of * a + psi.labels
+    return np.bincount(cells, minlength=(dec.offsets.shape[0] - 1) * a).reshape(-1, a)
 
 
 def _deviations(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
@@ -163,7 +198,7 @@ def ergodic_profile(t: np.ndarray, psi: Observable, eps: float):
 
 def choose_section(dec: CycleDecomposition) -> Section:
     """Mark the smallest point of each cycle as its base."""
-    return Section(np.array([int(c[0]) for c in dec.cycles], dtype=np.int64))
+    return Section(dec.order[dec.offsets[:-1]])
 
 
 def tower_blocks(dec: CycleDecomposition, psi: Observable) -> list[TowerBlock]:
@@ -175,15 +210,6 @@ def tower_blocks(dec: CycleDecomposition, psi: Observable) -> list[TowerBlock]:
         order = np.concatenate((cycle[1:], cycle[:1]))
         blocks.append(TowerBlock(idx, int(cycle[0]), order, psi.labels[order]))
     return blocks
-
-
-def _coupling_margin_gap(j: Coupling, target: np.ndarray) -> float:
-    return float(
-        max(
-            np.max(np.abs(j.row_margin() - target)),
-            np.max(np.abs(j.col_margin() - target)),
-        )
-    )
 
 
 def rewire(
@@ -202,6 +228,9 @@ def rewire(
     knobs on purpose.  Orbits are preserved unconditionally.  Whenever the
     off-hypothesis mass is below ``eps`` and every good cycle passes the
     length condition, the achieved error is at most ``9*|A|*eps``.
+
+    All good cycles are rearranged in one segmented pass: each is one
+    segment of the line stages of ``rearrange``.
     """
     t = np.asarray(t, dtype=np.int64)
     if not is_permutation(t):
@@ -220,7 +249,7 @@ def rewire(
             raise PreconditionError(
                 f"min coupling entry {jmin:.6g} is not above 2|A|eps={2 * a * eps:.6g}"
             )
-        margin_gap = _coupling_margin_gap(j, empirical_distribution(psi).real)
+        margin_gap = float(_margin_gap(j, empirical_distribution(psi).real))
         if not margin_gap < eps:
             raise PreconditionError(
                 f"coupling margins sit {margin_gap:.6g} from the label "
@@ -230,44 +259,54 @@ def rewire(
         goodness_eps = eps
 
     dec = cycle_decomposition(t)
-    dev = _deviations(dec, psi)
     lengths = dec.lengths()
-    jmin = float(j.real.min())
-    jreal = j.real
-
-    t_new = t.copy()
-    good_flags = np.zeros(len(dec.cycles), dtype=bool)
-    for idx, cycle in enumerate(dec.cycles):
-        length = int(lengths[idx])
-        if length < 3 or dev[idx] > goodness_eps:
-            continue
+    label_counts = _label_counts_per_cycle(dec, psi)
+    good = (lengths >= 3) & (_deviations(dec, psi) <= goodness_eps)
+    if check:
         # the rounding hypothesis must hold against the block's own margin
         # gap, which picks up the coupling's global margin slack; with
         # checks waived the gate is dropped and rounding self-repairs
-        block = np.concatenate((cycle[1:], cycle[:1]))
-        phi_block = Observable(psi.labels[block], a)
-        eps_block = _coupling_margin_gap(j, empirical_distribution(phi_block).real)
-        if check and not jmin > 2 * a * eps_block + a * a / length:
-            continue
-        good_flags[idx] = True
-        sigma, _ = rearrange_line(phi_block, j, eps_block, check=False)
-        t_new[block[: length - 1]] = block[sigma.sigma]
-        t_new[block[length - 1]] = block[0]
+        jmin = float(j.real.min())
+        eps_block = _margin_gap(j, label_counts[good] / lengths[good, None])
+        good[good] = jmin > 2 * a * eps_block + a * a / lengths[good]
+
+    t_new = t.copy()
+    sel = np.flatnonzero(good)
+    if sel.shape[0]:
+        # the block of a cycle runs Ty, T^2y, ..., y over its base y: flat
+        # point i of a segment is traversal position i+1 of its cycle
+        seg_len = lengths[sel]
+        offsets = np.zeros(sel.shape[0] + 1, dtype=np.int64)
+        np.cumsum(seg_len, out=offsets[1:])
+        src = np.repeat(dec.offsets[sel] - offsets[:-1] + 1, seg_len)
+        src += np.arange(offsets[-1])
+        src[offsets[1:] - 1] = dec.offsets[sel]
+        pts = dec.order[src]
+        del src
+        counts = _round_counts(j, label_counts[sel], seg_len)
+        lines, _ = _rearrange_lines(psi.labels[pts], offsets, counts)
+        # the closed line maps the block's last point, its base, to the
+        # first, which is where T sends the base
+        t_new[pts] = pts[lines]
+        del pts, lines
 
     # per-cycle pair statistics of the rewired permutation, incl. the
     # closure edge through each base point
-    cell = psi.labels * a + psi.labels[t_new]
-    cycle_cells = np.zeros((len(dec.cycles), a * a), dtype=np.int64)
-    np.add.at(cycle_cells, (dec.cycle_of, cell), 1)
-    flat = jreal.reshape(1, -1)
+    cells = dec.cycle_of * a
+    cells += psi.labels
+    cells *= a
+    cells += psi.labels[t_new]
+    cycle_cells = np.bincount(cells, minlength=lengths.shape[0] * a * a)
+    del cells
+    cycle_cells = cycle_cells.reshape(-1, a * a)
+    flat = j.real.reshape(1, -1)
     per_cycle_err = np.abs(cycle_cells / lengths[:, None] - flat).max(axis=1)
 
     outcomes = tuple(
-        CycleOutcome(int(L), bool(g), float(e))
-        for L, g, e in zip(lengths, good_flags, per_cycle_err)
+        map(CycleOutcome, lengths.tolist(), good.tolist(), per_cycle_err.tolist())
     )
     report = RewireReport(
-        good_mass=float(lengths[good_flags].sum() / n),
+        good_mass=float(lengths[good].sum() / n),
         achieved_error=linf(joint_pair_distribution(psi, t_new), j),
         bound=9 * a * eps,
         per_cycle=outcomes,
@@ -288,8 +327,7 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     if not is_permutation(t):
         raise ValueError("input is not a permutation")
     n = t.shape[0]
-    dec = cycle_decomposition(t)
-    if len(dec.cycles) != 1:
+    if cycle_decomposition(t).lengths().shape[0] != 1:
         raise ValueError("input must be a single cycle")
     if c.n != n or d.n != n:
         raise ValueError("partition size does not match the permutation")
@@ -302,32 +340,11 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     by_d = np.argsort(d.labels, kind="stable")
     beta = np.empty(n, dtype=np.int64)
     beta[by_c] = by_d
-
     # merge within labels: edges x -> beta(x) all map C_i into D_i, so
-    # swapping two images with the same source label keeps that property
-    comp = cycle_min_labels(beta)
-    order = np.argsort(c.labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(c.labels[order])) + 1
-    uf = _UnionFind()
-    for group in np.split(order, cuts):
-        if group.shape[0] < 2:
-            continue
-        uniq, first = np.unique(comp[group], return_index=True)
-        if uniq.shape[0] < 2:
-            continue
-        candidates = sorted((int(group[f]), int(cid)) for f, cid in zip(first, uniq))
-        anchor_pt, anchor_comp = candidates[0]
-        for pt, cid in candidates[1:]:
-            if uf.find(cid) != uf.find(anchor_comp):
-                beta[anchor_pt], beta[pt] = beta[pt], beta[anchor_pt]
-                uf.union(cid, anchor_comp)
-
-    # chain the remaining cycles into one through their smallest points
-    comp = cycle_min_labels(beta)
-    uniq, first = np.unique(comp, return_index=True)
-    if uniq.shape[0] > 1:
-        reps = np.sort(first)
-        beta[reps] = beta[np.roll(reps, -1)]
+    # swapping two images with the same source label keeps that property;
+    # then chain the remaining cycles into one through their smallest points
+    beta = _merge_cycles(beta, c.labels.copy())
+    beta, _ = _close_cycles(beta, np.array([0, n]))
     return beta
 
 

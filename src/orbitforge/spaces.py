@@ -32,6 +32,14 @@ __all__ = [
 REAL_TOL = 1e-12
 
 
+def _require_finite(values, what: str) -> None:
+    # NaN passes every comparison-based check, and casting it to an integer
+    # count is undefined, so non-finite input is refused before both
+    values = np.asarray(values)
+    if values.dtype.kind in "fc" and not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -117,6 +125,7 @@ class Dist:
     denom: int
 
     def __post_init__(self):
+        _require_finite(self.counts, "counts")
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a nonempty 1-d array")
@@ -157,9 +166,11 @@ class Coupling:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("coupling must be a square matrix")
+        _require_finite(entries, "coupling entries")
         if entries.size and entries.min() < 0:
             raise ValueError("coupling entries must be nonnegative")
         if self.counts is not None:
+            _require_finite(self.counts, "counts")
             counts = np.asarray(self.counts, dtype=np.int64)
             if counts.shape != entries.shape or self.denom is None or self.denom < 1:
                 raise ValueError("count view inconsistent with entries")

@@ -128,3 +128,26 @@ def test_pipeline_cli_malformed_config(tmp_path, capsys):
     code = main(["pipeline", "--config", str(config)])
     assert code == 2
     assert "unknown key 'what'" in capsys.readouterr().err
+
+
+def test_lemma_rearrange_rejects_nan_coupling(tmp_path, balanced_labels, capsys):
+    coupling = tmp_path / "j.csv"
+    coupling.write_text("nan,0.5\n0.25,0.25\n")
+    out_report = tmp_path / "report.json"
+    code = main(
+        [
+            "lemma-rearrange",
+            "--labels",
+            str(balanced_labels),
+            "--coupling",
+            str(coupling),
+            "--eps",
+            "0.01",
+            "--no-check",
+            "--out-report",
+            str(out_report),
+        ]
+    )
+    assert code != 0
+    assert "finite" in capsys.readouterr().err
+    assert not out_report.exists()

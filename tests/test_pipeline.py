@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import orbitforge
 from orbitforge import (
     Coupling,
     Dist,
@@ -232,3 +238,74 @@ def test_file_roundtrips(tmp_path):
     write_coupling_csv(tmp_path / "j.csv", j)
     back = read_coupling_csv(tmp_path / "j.csv")
     assert np.array_equal(back.real, j.real)
+
+
+CERTIFICATION_SCRIPT = """
+import dataclasses
+import numpy as np
+import orbitforge as of
+from orbitforge import pipeline
+
+if __debug__:
+    raise SystemExit("assertions are on; run under python -O")
+rng = np.random.default_rng(6)
+n = 2000
+a = of.FiniteAction.from_perms(
+    [of.permutation_with_cycle_lengths([n], rng) for _ in range(2)]
+)
+fixed = of.FiniteAction.from_perms([np.arange(n), np.arange(n)])
+phi = of.Observable(np.arange(n) % 2, 2)
+
+
+def run(name, target):
+    try:
+        pipeline.oe_approximate(a, target, phi, 0.05, psi=phi)
+    except of.CertificationError as exc:
+        print(name, "raised:", exc)
+    else:
+        print(name, "passed")
+
+
+run("honest", a)
+real_verify_oe = pipeline.verify_oe
+pipeline.verify_oe = lambda x, y: False
+run("orbits", a)
+pipeline.verify_oe = real_verify_oe
+# the product coupling is far from the diagonal statistics of the identity
+real_targets = pipeline.target_couplings
+pipeline.target_couplings = lambda b, p, eps: [
+    of.product_coupling(of.empirical_distribution(p))
+] * b.rank
+run("mixture", fixed)
+pipeline.target_couplings = real_targets
+real_rewire = pipeline.rewire
+
+
+def understated(*args, **kwargs):
+    t_new, report = real_rewire(*args, **kwargs)
+    return t_new, dataclasses.replace(report, achieved_error=-1.0)
+
+
+pipeline.rewire = understated
+run("triangle", a)
+"""
+
+
+def test_certification_checks_survive_optimize_flag():
+    src = str(Path(orbitforge.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATION_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "honest passed"
+    assert lines[1] == "orbits raised: rewiring did not preserve orbits generator-wise"
+    assert lines[2].startswith("mixture raised: generator 0: mixture gap")
+    assert lines[3].startswith("triangle raised: generator 0: achieved error")
+    assert len(lines) == 4

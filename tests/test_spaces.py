@@ -170,3 +170,13 @@ def test_empirical_distribution_sums_to_one(labels):
     phi = Observable.from_labels(labels, 4)
     d = empirical_distribution(phi)
     assert int(d.counts.sum()) == d.denom == phi.n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Coupling.from_probs([[bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError, match="finite"):
+        Coupling(np.full((2, 2), 0.25), np.array([[bad, 1.0], [1.0, 1.0]]), 4)
+    with pytest.raises(ValueError, match="finite"):
+        Dist(np.array([bad, 1.0]), 2)
