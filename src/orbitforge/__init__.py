@@ -12,6 +12,8 @@ from .freegroup import (
     refine_partition,
 )
 from .permutations import (
+    CycleDecomposition,
+    cycle_decomposition,
     cycle_min_labels,
     inverse_permutation,
     is_permutation,
@@ -41,12 +43,10 @@ from .rearrange import (
     round_coupling,
 )
 from .rewire import (
-    CycleDecomposition,
     RewireReport,
     Section,
     TowerBlock,
     choose_section,
-    cycle_decomposition,
     ergodic_profile,
     rewire,
     rewire_ergodic,

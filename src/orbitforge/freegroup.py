@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .permutations import inverse_permutation, is_permutation
-from .spaces import FiniteSpace, Observable
+from .permutations import (
+    CycleDecomposition,
+    cycle_decomposition,
+    inverse_permutation,
+    is_permutation,
+)
+from .spaces import FiniteSpace, Observable, _frozen
 
 __all__ = [
     "GeneratorSet",
@@ -122,7 +128,14 @@ def ball(gens: GeneratorSet | int, radius: int) -> list[ReducedWord]:
 
 @dataclass(frozen=True)
 class FiniteAction:
-    """One permutation of ``{0..n-1}`` per free generator."""
+    """One permutation of ``{0..n-1}`` per free generator.
+
+    The generators' cycle decompositions and inverses are read-only and
+    built on first use, once per action: rewiring keeps orbits, so one
+    source action serves a whole eps schedule.  Threads that meet an empty
+    cache at once may each build it; the results are equal, as they depend
+    on the immutable ``perms`` alone.
+    """
 
     space: FiniteSpace
     perms: np.ndarray
@@ -160,8 +173,15 @@ class FiniteAction:
         k = abs(letter)
         if not 1 <= k <= self.rank:
             raise ValueError(f"letter {letter} outside rank {self.rank}")
-        p = self.perms[k - 1]
-        return p if letter > 0 else inverse_permutation(p)
+        return self.perms[k - 1] if letter > 0 else self.inverses[k - 1]
+
+    @cached_property
+    def inverses(self) -> tuple[np.ndarray, ...]:
+        return tuple(_frozen(inverse_permutation(p)) for p in self.perms)
+
+    @cached_property
+    def cycle_decompositions(self) -> tuple[CycleDecomposition, ...]:
+        return tuple(cycle_decomposition(p) for p in self.perms)
 
 
 def evaluate(a: FiniteAction, w: ReducedWord) -> np.ndarray:

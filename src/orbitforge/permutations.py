@@ -6,14 +6,50 @@ point ``x``.  All helpers here are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
+from .spaces import _frozen
+
 __all__ = [
+    "CycleDecomposition",
     "is_permutation",
     "inverse_permutation",
     "cycle_min_labels",
+    "cycle_decomposition",
     "permutation_with_cycle_lengths",
 ]
+
+
+@dataclass(frozen=True)
+class CycleDecomposition:
+    """Cycles of a permutation, ordered by smallest element, as flat arrays.
+
+    ``order`` lists all n points cycle after cycle, each cycle in traversal
+    order starting at its smallest point: cycle ``c`` is
+    ``order[offsets[c]:offsets[c + 1]]``, and ``cycle_of[x]`` is the index
+    of the cycle holding ``x``.  ``cycles`` is the same data as a list of
+    read-only views, built on first use.  Lengths weighted by 1/n give the
+    finite ergodic decomposition of the uniform measure.
+    """
+
+    order: np.ndarray
+    offsets: np.ndarray
+    cycle_of: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.cycle_of.shape[0])
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def cycles(self) -> list[np.ndarray]:
+        bounds = self.offsets.tolist()
+        return [self.order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def is_permutation(p: np.ndarray) -> bool:
@@ -59,6 +95,90 @@ def cycle_min_labels(p: np.ndarray) -> np.ndarray:
         np.minimum(labels, ahead, out=labels)
         del ahead
         jump = jump[jump]
+
+
+def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
+    """Cycle decomposition with deterministic ordering and traversal.
+
+    Cycle ids come from the cycle minima.  Each point's position comes from
+    list ranking by pointer jumping (Wyllie): every cycle is cut just before
+    its minimum, and each point counts its steps to the end of the cut
+    cycle.  No Python-level loop over points or cycles.
+    """
+    t = np.asarray(t, dtype=np.int64)
+    if not is_permutation(t):
+        raise ValueError("input is not a permutation")
+    n = t.shape[0]
+    low = cycle_min_labels(t)
+    # the last point of a traversal is the one mapping to the cycle minimum;
+    # it points at itself, and every other point some steps ahead
+    last = t == low
+    ahead = np.where(last, np.arange(n), t)
+    steps_left = (~last).astype(np.int64)
+    del last
+    while True:
+        further = ahead[ahead]
+        if np.array_equal(further, ahead):
+            break
+        steps_left += steps_left[ahead]
+        ahead = further
+    del ahead, further
+    is_base = low == np.arange(n)
+    cycle_of = np.cumsum(is_base)
+    cycle_of -= 1
+    cycle_of = cycle_of[low]
+    del low
+    offsets = np.zeros(int(np.count_nonzero(is_base)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cycle_of, minlength=offsets.shape[0] - 1), out=offsets[1:])
+    pos = offsets[1:][cycle_of]
+    pos -= 1
+    pos -= steps_left
+    del steps_left
+    order = np.empty(n, dtype=np.int64)
+    order[pos] = np.arange(n)
+    return CycleDecomposition(_frozen(order), _frozen(offsets), _frozen(cycle_of))
+
+
+def _check_decomposition(t: np.ndarray, dec: CycleDecomposition) -> None:
+    """Raise ``ValueError`` unless ``dec`` equals ``cycle_decomposition(t)``.
+
+    O(n), without pointer jumping: ``order`` is a permutation, each segment
+    is a cycle of ``t`` in traversal order, segments start at their minimum
+    in increasing order, and ``cycle_of`` matches ``offsets``.  Together
+    these leave only the canonical decomposition.
+    """
+    n = t.shape[0]
+    order, offsets = np.asarray(dec.order), np.asarray(dec.offsets)
+    if (
+        order.shape != (n,)
+        or np.shape(dec.cycle_of) != (n,)
+        or not is_permutation(order)
+    ):
+        raise ValueError("cycle decomposition does not list the points of t")
+    if (
+        offsets.ndim != 1
+        or offsets.shape[0] < 2
+        or offsets[0] != 0
+        or offsets[-1] != n
+        or (np.diff(offsets) < 1).any()
+    ):
+        raise ValueError("cycle offsets must cut 0..n into nonempty segments")
+    starts = offsets[:-1]
+    heads = order[starts]
+    # each point maps to the next one of its segment, the last to the head
+    succ = np.empty(n, dtype=order.dtype)
+    succ[:-1] = order[1:]
+    succ[offsets[1:] - 1] = heads
+    if not np.array_equal(t[order], succ):
+        raise ValueError("a segment of the decomposition is not a cycle of t")
+    del succ
+    if (np.diff(heads) < 1).any() or not np.array_equal(
+        np.minimum.reduceat(order, starts), heads
+    ):
+        raise ValueError("segments must start at their minimum, in increasing order")
+    cycles = np.repeat(np.arange(starts.shape[0]), np.diff(offsets))
+    if not np.array_equal(np.asarray(dec.cycle_of)[order], cycles):
+        raise ValueError("cycle_of does not match the offsets")
 
 
 def permutation_with_cycle_lengths(lengths, rng: np.random.Generator) -> np.ndarray:

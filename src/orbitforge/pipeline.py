@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .freegroup import FiniteAction, ball
+from .permutations import cycle_min_labels
 from .rearrange import PreconditionError
-from .rewire import _deviations, cycle_decomposition, rewire, verify_same_orbits
+from .rewire import _deviations, rewire
 from .spaces import (
     Coupling,
     Dist,
@@ -100,15 +101,13 @@ def good_observable(
         raise ValueError("need at least one attempt")
     cum = np.cumsum(pi.real)
     cum[-1] = 1.0
-    # the cycles of each generator do not change between attempts
-    decs = [cycle_decomposition(a.perms[s]) for s in range(a.rank)]
     worst: list[float] | None = None
     for attempt in range(1, retries + 1):
         rng = _rng(seed, 1, attempt)
         labels = np.searchsorted(cum, rng.random(a.n), side="right")
         psi = Observable(labels, pi.alphabet_size)
         masses = []
-        for dec in decs:
+        for dec in a.cycle_decompositions:
             dev = _deviations(dec, psi)
             lengths = dec.lengths()
             masses.append(float(lengths[dev > 3 * eps].sum() / a.n))
@@ -196,7 +195,9 @@ def oe_approximate(
     observable used on the source side, and a per-generator report.  The
     triangle decomposition achieved <= rewire_error + mixture_gap, the
     mixture bound mixture_gap <= eps and orbit preservation are checked on
-    every run; a failure raises ``CertificationError``.
+    every run; a failure raises ``CertificationError``.  The cycles of
+    ``a`` are decomposed once, on the action, and shared by sampling,
+    rewiring and the orbit check.
     """
     if a.rank != b.rank or a.n != b.n:
         raise ValueError("actions must share rank and space size")
@@ -216,14 +217,16 @@ def oe_approximate(
             raise ValueError("provided observable does not match")
 
     new_perms = []
-    outcomes = []
+    checked = []
     for s in range(a.rank):
         jmin = float(targets[s].real.min())
         min_ok = jmin > 2 * alpha * eps
         # when the min-entry check fails, shrink the working eps until it
         # holds; the 10|A|eps bound only loosens, so it stays valid
         eps_s = eps if min_ok else min(eps, 0.45 * jmin / alpha)
-        t_new, rep = rewire(a.perms[s], psi, targets[s], eps_s)
+        t_new, rep = rewire(
+            a.perms[s], psi, targets[s], eps_s, cycles=a.cycle_decompositions[s]
+        )
         pair_new = joint_pair_distribution(psi, t_new)
         pair_target = joint_pair_distribution(phi, b.perms[s])
         achieved = linf(pair_new, pair_target)
@@ -237,26 +240,30 @@ def oe_approximate(
                 f"generator {s}: achieved error {achieved!r} exceeds rewire error "
                 f"{rep.achieved_error!r} + mixture gap {mixture_gap!r}"
             )
-        same = verify_same_orbits(a.perms[s], t_new)
         new_perms.append(t_new)
-        outcomes.append(
-            GeneratorOutcome(
-                generator=s,
-                achieved_error=achieved,
-                bound=10 * alpha * eps,
-                rewire_error=rep.achieved_error,
-                mixture_gap=mixture_gap,
-                rewire_bound=rep.bound,
-                good_mass=rep.good_mass,
-                same_orbits=same,
-                min_entry_ok=min_ok,
-                eps_used=eps_s,
-            )
-        )
+        checked.append((s, achieved, rep, mixture_gap, min_ok, eps_s))
     a_new = FiniteAction(a.space, np.vstack(new_perms))
+    # the rows of a_new are copies; drop the originals before the checks
+    del new_perms, t_new
     oe = verify_oe(a, a_new)
     if not oe:
         raise CertificationError("rewiring did not preserve orbits generator-wise")
+    # verify_oe checked every generator, so each one keeps its orbits
+    outcomes = [
+        GeneratorOutcome(
+            generator=s,
+            achieved_error=achieved,
+            bound=10 * alpha * eps,
+            rewire_error=rep.achieved_error,
+            mixture_gap=mixture_gap,
+            rewire_bound=rep.bound,
+            good_mass=rep.good_mass,
+            same_orbits=oe,
+            min_entry_ok=min_ok,
+            eps_used=eps_s,
+        )
+        for s, achieved, rep, mixture_gap, min_ok, eps_s in checked
+    ]
     kech = kechris_distance(b, a_new, phi, psi, ball(a.rank, 2))
     report = PipelineReport(
         eps=eps,
@@ -271,12 +278,18 @@ def oe_approximate(
 
 
 def verify_oe(a: FiniteAction, a2: FiniteAction) -> bool:
-    """Generator-wise equal orbits (which forces equal orbit relations)."""
+    """Generator-wise equal orbits (which forces equal orbit relations).
+
+    The cycle minima of ``a`` come from its cached decompositions; those of
+    ``a2`` are computed once per generator.
+    """
     if a.rank != a2.rank or a.n != a2.n:
         raise ValueError("actions must share rank and space size")
-    return all(
-        verify_same_orbits(a.perms[s], a2.perms[s]) for s in range(a.rank)
-    )
+    for dec, p2 in zip(a.cycle_decompositions, a2.perms):
+        minima = dec.order[dec.offsets[dec.cycle_of]]
+        if not np.array_equal(minima, cycle_min_labels(p2)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +494,9 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     a = _build_action(config.source, config.n, config.rank, config.seed, 101)
     b = _build_action(config.target, config.n, config.rank, config.seed, 202)
     phi = _build_phi(config.phi, config.n, config.alphabet)
+    # every schedule entry reads the cycles of a and the inverses of b;
+    # building them before the entries start leaves workers only reading
+    _ = (a.cycle_decompositions, b.inverses)
 
     def entry(idx_eps: tuple[int, float]) -> PipelineReport:
         idx, eps = idx_eps

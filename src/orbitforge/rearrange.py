@@ -259,14 +259,16 @@ def _build_lines(
     return beta
 
 
-def _merge_cycles(perm: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _merge_cycles(perm: np.ndarray, keys: np.ndarray):
     """Join cycles of ``perm`` by image swaps inside buckets of equal key.
 
     Points with a negative key keep their image.  In each bucket, in
     increasing key order, the smallest point of every cycle present is a
     candidate; the smallest candidate is the anchor, and each later one
     swaps images with it if their cycles are still apart, which joins them.
-    Works in place on ``perm`` and overwrites ``keys``.
+    Works in place on ``perm`` and overwrites ``keys``.  Returns ``perm``
+    and the minima of its cycles after merging, in increasing order, read
+    off the union-find: a joined cycle keeps the least minimum of its parts.
     """
     n = perm.shape[0]
     comp = cycle_min_labels(perm)
@@ -289,9 +291,10 @@ def _merge_cycles(perm: np.ndarray, keys: np.ndarray) -> np.ndarray:
     key, points = key[order], points[order]
     anchors = np.ones(key.shape[0], dtype=bool)
     anchors[1:] = key[1:] != key[:-1]
-    # union-find over the candidate cycles, numbered 0..k-1
-    _, cyc = np.unique(comp[points], return_inverse=True)
-    parent = list(range(cyc.shape[0]))
+    # union-find over the candidate cycles, numbered 0..k-1 by increasing
+    # minimum
+    mins, cyc = np.unique(comp[points], return_inverse=True)
+    parent = list(range(mins.shape[0]))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -306,17 +309,30 @@ def _merge_cycles(perm: np.ndarray, keys: np.ndarray) -> np.ndarray:
         elif root != anchor_root:
             perm[anchor], perm[x] = perm[x], perm[anchor]
             parent[root] = anchor_root
-    return perm
+    # resolve each candidate cycle to the root of its class
+    roots = np.array(parent, dtype=np.int64)
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            break
+        roots = up
+    # the first cycle of each class has the least minimum; the minima of the
+    # others are no longer minima
+    _, first = np.unique(roots, return_index=True)
+    absorbed = np.delete(mins, first)
+    minima = np.flatnonzero(comp == np.arange(n))
+    del comp
+    return perm, minima[~np.isin(minima, absorbed, assume_unique=True)]
 
 
-def _close_cycles(perm: np.ndarray, offsets: np.ndarray):
+def _close_cycles(perm: np.ndarray, offsets: np.ndarray, reps: np.ndarray):
     """Chain the cycles of each segment into one through their minima.
 
-    The minima of a segment, in increasing order, take each other's images
-    cyclically.  Works in place on ``perm``; returns it and the number of
-    cycles each segment had.
+    ``reps`` are the minima of the cycles of ``perm`` in increasing order,
+    as ``_merge_cycles`` returns them.  The minima of a segment take each
+    other's images cyclically.  Works in place on ``perm``; returns it and
+    the number of cycles each segment had.
     """
-    reps = np.flatnonzero(cycle_min_labels(perm) == np.arange(perm.shape[0]))
     seg = np.searchsorted(offsets, reps, side="right") - 1
     # the next minimum of the same segment; the last one wraps to the first
     nxt = np.arange(1, reps.shape[0] + 1)
@@ -349,9 +365,9 @@ def _rearrange_lines(
     keys += labels[ext]
     keys[offsets[1:] - 1] = -1
     del seg, labels
-    ext = _merge_cycles(ext, keys)
+    ext, reps = _merge_cycles(ext, keys)
     del keys
-    ext, n_comp = _close_cycles(ext, offsets)
+    ext, n_comp = _close_cycles(ext, offsets, reps)
     m = ext.shape[0]
     if m:
         seg = np.repeat(np.arange(b), lengths)
@@ -400,8 +416,8 @@ def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
     keys = phi_labels[: m + 1] * a
     keys += phi_labels[ext]
     keys[m] = -1
-    tau_star = _merge_cycles(ext, keys)[:m]
-    return tau_star, _component_count(tau_star)
+    ext, reps = _merge_cycles(ext, keys)
+    return ext[:m], int(reps.shape[0])
 
 
 def merge_components(phi: Observable, tau: np.ndarray) -> np.ndarray:
@@ -419,7 +435,8 @@ def merge_components(phi: Observable, tau: np.ndarray) -> np.ndarray:
 def _close(tau: np.ndarray):
     m = tau.shape[0]
     ext = np.append(np.asarray(tau, dtype=np.int64), 0)
-    sigma, k = _close_cycles(ext, np.array([0, m + 1]))
+    reps = np.flatnonzero(_line_components(tau) == np.arange(m + 1))
+    sigma, k = _close_cycles(ext, np.array([0, m + 1]), reps)
     k = int(k[0])
     return sigma[:m], k, (k if k > 1 else 0)
 

@@ -13,11 +13,16 @@ distribution lands within ``9*|A|*eps`` of the target coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .permutations import cycle_min_labels, is_permutation
+from .permutations import (
+    CycleDecomposition,
+    _check_decomposition,
+    cycle_decomposition,
+    cycle_min_labels,
+    is_permutation,
+)
 from .rearrange import (
     PreconditionError,
     _close_cycles,
@@ -29,19 +34,16 @@ from .rearrange import (
 from .spaces import (
     Coupling,
     Observable,
-    _frozen,
     empirical_distribution,
     joint_pair_distribution,
     linf,
 )
 
 __all__ = [
-    "CycleDecomposition",
     "Section",
     "TowerBlock",
     "CycleOutcome",
     "RewireReport",
-    "cycle_decomposition",
     "ergodic_profile",
     "choose_section",
     "tower_blocks",
@@ -49,35 +51,6 @@ __all__ = [
     "rewire_ergodic",
     "verify_same_orbits",
 ]
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycles of a permutation, ordered by smallest element, as flat arrays.
-
-    ``order`` lists all n points cycle after cycle, each cycle in traversal
-    order starting at its smallest point: cycle ``c`` is
-    ``order[offsets[c]:offsets[c + 1]]``, and ``cycle_of[x]`` is the index
-    of the cycle holding ``x``.  ``cycles`` is the same data as a list of
-    read-only views, built on first use.  Lengths weighted by 1/n give the
-    finite ergodic decomposition of the uniform measure.
-    """
-
-    order: np.ndarray
-    offsets: np.ndarray
-    cycle_of: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.cycle_of.shape[0])
-
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @cached_property
-    def cycles(self) -> list[np.ndarray]:
-        bounds = self.offsets.tolist()
-        return [self.order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -122,63 +95,33 @@ class RewireReport:
     per_cycle: tuple[CycleOutcome, ...]
 
 
-def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
-    """Cycle decomposition with deterministic ordering and traversal.
-
-    Cycle ids come from the cycle minima.  Each point's position comes from
-    list ranking by pointer jumping (Wyllie): every cycle is cut just before
-    its minimum, and each point counts its steps to the end of the cut
-    cycle.  No Python-level loop over points or cycles.
-    """
-    t = np.asarray(t, dtype=np.int64)
-    if not is_permutation(t):
-        raise ValueError("input is not a permutation")
-    n = t.shape[0]
-    low = cycle_min_labels(t)
-    # the last point of a traversal is the one mapping to the cycle minimum;
-    # it points at itself, and every other point some steps ahead
-    last = t == low
-    ahead = np.where(last, np.arange(n), t)
-    steps_left = (~last).astype(np.int64)
-    del last
-    while True:
-        further = ahead[ahead]
-        if np.array_equal(further, ahead):
-            break
-        steps_left += steps_left[ahead]
-        ahead = further
-    del ahead, further
-    is_base = low == np.arange(n)
-    cycle_of = np.cumsum(is_base)
-    cycle_of -= 1
-    cycle_of = cycle_of[low]
-    del low
-    offsets = np.zeros(int(np.count_nonzero(is_base)) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cycle_of, minlength=offsets.shape[0] - 1), out=offsets[1:])
-    pos = offsets[1:][cycle_of]
-    pos -= 1
-    pos -= steps_left
-    del steps_left
-    order = np.empty(n, dtype=np.int64)
-    order[pos] = np.arange(n)
-    return CycleDecomposition(_frozen(order), _frozen(offsets), _frozen(cycle_of))
-
-
 def _label_counts_per_cycle(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
     a = psi.alphabet_size
     cells = dec.cycle_of * a + psi.labels
     return np.bincount(cells, minlength=(dec.offsets.shape[0] - 1) * a).reshape(-1, a)
 
 
+# Largest n for which _deviations is exact: its products are at most n^2,
+# and float64 holds every integer up to 2^53.
+EXACT_DEVIATION_N = 2**26
+
+
 def _deviations(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
     """Per-cycle sup-norm gap between internal and global label frequencies.
 
-    Exact: numerators are integer, and all products stay below 2^53.
+    Exact: numerators and denominators are integers of at most n^2, which
+    float64 holds exactly for n up to ``EXACT_DEVIATION_N``; above that the
+    gap is refused rather than rounded.
     """
+    n = psi.n
+    if n > EXACT_DEVIATION_N:
+        raise ValueError(
+            f"n={n} exceeds {EXACT_DEVIATION_N}, the largest size for which "
+            "cycle deviations are computed exactly"
+        )
     counts = _label_counts_per_cycle(dec, psi)
     lengths = dec.lengths()
     total = psi.atom_sizes()
-    n = psi.n
     num = np.abs(counts * n - total[None, :] * lengths[:, None])
     return num.max(axis=1) / (lengths * n)
 
@@ -220,6 +163,7 @@ def rewire(
     *,
     goodness_eps: float | None = None,
     check: bool = True,
+    cycles: CycleDecomposition | None = None,
 ) -> tuple[np.ndarray, RewireReport]:
     """Rewire ``t`` within its cycles toward the pair statistics of ``j``.
 
@@ -230,12 +174,16 @@ def rewire(
     length condition, the achieved error is at most ``9*|A|*eps``.
 
     All good cycles are rearranged in one segmented pass: each is one
-    segment of the line stages of ``rearrange``.
+    segment of the line stages of ``rearrange``.  ``cycles`` may hand in
+    ``cycle_decomposition(t)`` computed earlier; it is checked in O(n) and
+    a decomposition of anything else raises ``ValueError``.
     """
     t = np.asarray(t, dtype=np.int64)
     if not is_permutation(t):
         raise ValueError("input is not a permutation")
     n = t.shape[0]
+    if n == 0:
+        raise ValueError("cannot rewire an empty permutation")
     if psi.n != n:
         raise ValueError("observable size does not match the permutation")
     a = j.alphabet_size
@@ -258,7 +206,11 @@ def rewire(
     if goodness_eps is None:
         goodness_eps = eps
 
-    dec = cycle_decomposition(t)
+    if cycles is None:
+        dec = cycle_decomposition(t)
+    else:
+        _check_decomposition(t, cycles)
+        dec = cycles
     lengths = dec.lengths()
     label_counts = _label_counts_per_cycle(dec, psi)
     good = (lengths >= 3) & (_deviations(dec, psi) <= goodness_eps)
@@ -343,8 +295,8 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     # merge within labels: edges x -> beta(x) all map C_i into D_i, so
     # swapping two images with the same source label keeps that property;
     # then chain the remaining cycles into one through their smallest points
-    beta = _merge_cycles(beta, c.labels.copy())
-    beta, _ = _close_cycles(beta, np.array([0, n]))
+    beta, reps = _merge_cycles(beta, c.labels.copy())
+    beta, _ = _close_cycles(beta, np.array([0, n]), reps)
     return beta
 
 

@@ -62,8 +62,14 @@ def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> StatsMatrix:
     return StatsMatrix(counts, p.n, g)
 
 
-def _sparse_pair_counts(left: np.ndarray, right: np.ndarray, k: int):
-    keys = left.astype(np.int64) * k + right
+def _sparse_pair_counts(a: FiniteAction, p: Observable, g: ReducedWord, k: int):
+    """Cells ``(P(x), (g·P)(x))`` that occur, as sorted codes, with counts.
+
+    The word's permutation is freed before the sort, which keeps the peak
+    memory of the word loops low.
+    """
+    keys = _translated_labels(p, evaluate(a, g))
+    keys += p.labels * k
     return np.unique(keys, return_counts=True)
 
 
@@ -95,10 +101,8 @@ def kechris_distance(
     k = p.alphabet_size
     worst = Fraction(0)
     for g in words:
-        mv = _translated_labels(p, evaluate(v, g))
-        mw = _translated_labels(q, evaluate(w, g))
-        kp, cp = _sparse_pair_counts(p.labels, mv, k)
-        kq, cq = _sparse_pair_counts(q.labels, mw, k)
+        kp, cp = _sparse_pair_counts(v, p, g, k)
+        kq, cq = _sparse_pair_counts(w, q, g, k)
         worst = max(worst, _max_cell_diff(kp, cp, p.n, kq, cq, q.n))
     return float(worst)
 
@@ -253,10 +257,8 @@ def ball_transport_certificate(
         letters.extend((ReducedWord((k,)), ReducedWord((-k,))))
     hyp = Fraction(0)
     for s in letters:
-        mv = _translated_labels(pprime, evaluate(v, s))
-        mw = _translated_labels(qprime, evaluate(w, s))
-        kp, cp = _sparse_pair_counts(pprime.labels, mv, kref)
-        kq, cq = _sparse_pair_counts(qprime.labels, mw, kref)
+        kp, cp = _sparse_pair_counts(v, pprime, s, kref)
+        kq, cq = _sparse_pair_counts(w, qprime, s, kref)
         hyp = max(hyp, _max_cell_diff(kp, cp, n, kq, cq, n))
     bound = eps / (kref * kref * len(words) * 4)
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from orbitforge import (
     ball,
     evaluate,
     format_word,
+    inverse_permutation,
     parse_word,
     reduce_word,
     refine_partition,
@@ -142,3 +146,48 @@ def test_reduce_idempotent_and_valid(letters):
     assert reduce_word(w.letters).letters == w.letters
     for x, y in zip(w.letters, w.letters[1:]):
         assert x != -y
+
+
+def test_generator_inverses_cached_read_only():
+    rng = np.random.default_rng(8)
+    a = FiniteAction.from_perms([rng.permutation(30), rng.permutation(30)])
+    for k in (1, 2):
+        inv = a.generator(-k)
+        assert inv is a.generator(-k)
+        assert not inv.flags.writeable
+        assert np.array_equal(inv, inverse_permutation(a.perms[k - 1]))
+        assert np.array_equal(evaluate(a, ReducedWord((-k,))), inv)
+
+
+def test_cycle_decompositions_cached_per_generator():
+    a = FiniteAction.from_perms([[1, 0, 3, 4, 2], [0, 1, 2, 3, 4]])
+    decs = a.cycle_decompositions
+    assert decs is a.cycle_decompositions
+    assert [[c.tolist() for c in d.cycles] for d in decs] == [
+        [[0, 1], [2, 3, 4]],
+        [[0], [1], [2], [3], [4]],
+    ]
+
+
+def test_cached_structure_is_consistent_across_threads():
+    # the caches are filled on first use, possibly by several threads at once
+    rng = np.random.default_rng(9)
+    perms = [rng.permutation(5000), rng.permutation(5000)]
+    want = FiniteAction.from_perms(perms)
+    want_orders = [d.order for d in want.cycle_decompositions]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            a = FiniteAction.from_perms(perms)
+
+            def read(_):
+                return a.generator(-2), [d.order for d in a.cycle_decompositions]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(read, range(16), timeout=60))
+            for inv, orders in results:
+                assert np.array_equal(inv, want.generator(-2))
+                assert all(map(np.array_equal, orders, want_orders))
+    finally:
+        sys.setswitchinterval(interval)

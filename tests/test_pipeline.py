@@ -1,6 +1,8 @@
+import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -309,3 +311,33 @@ def test_certification_checks_survive_optimize_flag():
     assert lines[2].startswith("mixture raised: generator 0: mixture gap")
     assert lines[3].startswith("triangle raised: generator 0: achieved error")
     assert len(lines) == 4
+
+
+def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
+    # wrap each function in every orbitforge namespace that binds it, so
+    # calls made through a from-import are counted too
+    calls = Counter()
+    for module, name in (
+        ("orbitforge.permutations", "cycle_min_labels"),
+        ("orbitforge.rewire", "cycle_decomposition"),
+    ):
+        original = getattr(importlib.import_module(module), name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "orbitforge":
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    config = PipelineConfig(
+        n=20_000, rank=2, alphabet=2, eps_schedule=(0.1, 0.05, 0.03), seed=9
+    )
+    result = run_experiment(config)
+    assert all(r.orbit_equivalent for r in result.reports)
+    assert all(g.same_orbits for r in result.reports for g in r.generators)
+    assert calls["cycle_decomposition"] == 2
+    assert calls["cycle_min_labels"] <= 14

@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitforge import (
     Coupling,
@@ -12,6 +14,7 @@ from orbitforge import (
     PreconditionError,
     build_tau,
     close_line,
+    cycle_min_labels,
     empirical_distribution,
     empirical_pair_distribution,
     linf,
@@ -19,7 +22,12 @@ from orbitforge import (
     rearrange_line,
     round_coupling,
 )
-from orbitforge.rearrange import _close, _component_count, _line_components
+from orbitforge.rearrange import (
+    _close,
+    _component_count,
+    _line_components,
+    _merge_cycles,
+)
 
 
 def random_target(rng, alphabet, eps, n, headroom=0.25):
@@ -288,3 +296,20 @@ def test_line_components_path_plus_cycles():
     comps = _line_components(tau)
     assert comps[0] == comps[1] == comps[2] == comps[4]
     assert comps[3] != comps[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 80).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(n)),
+            st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+        )
+    )
+)
+def test_merge_returns_cycle_minima_of_merged(perm_keys):
+    perm, keys = perm_keys
+    perm = np.asarray(perm, dtype=np.int64)
+    merged, minima = _merge_cycles(perm.copy(), np.asarray(keys, dtype=np.int64))
+    want = np.flatnonzero(cycle_min_labels(merged) == np.arange(perm.shape[0]))
+    assert minima.dtype == want.dtype and minima.tobytes() == want.tobytes()

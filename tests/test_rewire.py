@@ -1,10 +1,16 @@
+import importlib
+import re
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitforge import (
     Coupling,
+    CycleDecomposition,
     Observable,
     PreconditionError,
     choose_section,
@@ -287,3 +293,97 @@ def test_verify_same_orbits_examples():
     inv[t] = np.arange(5)
     assert verify_same_orbits(t, inv)
     assert not verify_same_orbits(np.array([1, 0, 3, 2]), np.array([1, 2, 3, 0]))
+
+
+def _rewire_instance(lengths, seed, a):
+    rng = np.random.default_rng(seed)
+    t = permutation_with_cycle_lengths(lengths, rng)
+    psi = Observable(rng.integers(0, a, size=t.shape[0]), a)
+    w = rng.random((a, a)) + 0.1
+    j = Coupling.from_probs((w + w.T) / (w + w.T).sum())
+    return t, psi, j
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_rewire_with_precomputed_cycles_is_identical(lengths, seed, a, check):
+    t, psi, j = _rewire_instance(lengths, seed, a)
+    kwargs = dict(check=check, goodness_eps=0.3)
+    try:
+        want = rewire(t, psi, j, 0.15, **kwargs)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            rewire(t, psi, j, 0.15, cycles=cycle_decomposition(t), **kwargs)
+        return
+    got = rewire(t, psi, j, 0.15, cycles=cycle_decomposition(t), **kwargs)
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+)
+def test_rewire_rejects_foreign_and_rotated_cycles(lengths, seed, shift):
+    t, psi, j = _rewire_instance(lengths, seed, 2)
+    # t after a shift of all points: another permutation whenever n > 1
+    other = t[np.roll(np.arange(t.shape[0]), 1)]
+    if not np.array_equal(other, t):
+        with pytest.raises(ValueError):
+            rewire(t, psi, j, 0.15, check=False, cycles=cycle_decomposition(other))
+    dec = cycle_decomposition(t)
+    lo, hi = dec.offsets[:2].tolist()
+    if hi - lo > 1:
+        order = dec.order.copy()
+        order[lo:hi] = np.roll(order[lo:hi], shift % (hi - lo - 1) + 1)
+        rotated = CycleDecomposition(order, dec.offsets, dec.cycle_of)
+        with pytest.raises(ValueError, match="minimum"):
+            rewire(t, psi, j, 0.15, check=False, cycles=rotated)
+
+
+def test_rewire_rejects_malformed_cycles():
+    t = np.array([1, 0, 3, 4, 2])
+    psi = Observable(np.array([0, 1, 0, 1, 0]), 2)
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    dec = cycle_decomposition(t)
+    order, offsets, cycle_of = dec.order, dec.offsets, dec.cycle_of
+    bad = {
+        "points": ([0, 1, 2, 3, 3], offsets, cycle_of),
+        "offsets": (order, [0, 2, 2, 5], cycle_of),
+        "not a cycle": (order, [0, 3, 5], cycle_of),
+        "minimum": ([2, 3, 4, 0, 1], [0, 3, 5], cycle_of),
+        "cycle_of": (order, offsets, [0, 0, 1, 1, 0]),
+    }
+    for what, fields in bad.items():
+        cycles = CycleDecomposition(*map(np.asarray, fields))
+        with pytest.raises(ValueError, match=what):
+            rewire(t, psi, j, 0.05, check=False, cycles=cycles)
+
+
+def test_rewire_rejects_empty_permutation():
+    empty = np.empty(0, dtype=np.int64)
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty permutation"):
+            rewire(empty, Observable(empty, 2), j, 0.05)
+
+
+def test_deviations_refuse_sizes_beyond_exact_range(monkeypatch):
+    rewire_module = importlib.import_module("orbitforge.rewire")
+    t = np.roll(np.arange(12), -1)
+    psi = Observable(np.arange(12) % 2, 2)
+    monkeypatch.setattr(rewire_module, "EXACT_DEVIATION_N", 12)
+    assert ergodic_profile(t, psi, 0.1)[0] == 0.0
+    monkeypatch.setattr(rewire_module, "EXACT_DEVIATION_N", 11)
+    with pytest.raises(ValueError, match="exactly"):
+        ergodic_profile(t, psi, 0.1)
+    with pytest.raises(ValueError, match="exactly"):
+        rewire(t, psi, Coupling.from_probs(np.full((2, 2), 0.25)), 0.05)
