@@ -10,6 +10,7 @@ from .freegroup import (
     parse_word,
     reduce_word,
     refine_partition,
+    translated_labels,
 )
 from .permutations import (
     CycleDecomposition,

@@ -32,6 +32,7 @@ __all__ = [
     "ball",
     "evaluate",
     "refine_partition",
+    "translated_labels",
     "parse_word",
     "format_word",
 ]
@@ -193,35 +194,89 @@ def evaluate(a: FiniteAction, w: ReducedWord) -> np.ndarray:
     return result
 
 
-def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
+def _label_dtype(alphabet_size: int) -> np.dtype:
+    """Smallest unsigned dtype holding ``alphabet_size - 1`` (int64 past 32 bits)."""
+    dt = np.min_scalar_type(alphabet_size - 1)
+    return dt if dt.kind == "u" and dt.itemsize <= 4 else np.dtype(np.int64)
+
+
+def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
+    """Labels of each translate ``g·P``: point x gets ``P(g^{-1}x)``.
+
+    Words are built in order of length from their suffix parents: for
+    ``g = s·h``, ``(g·P)(x) = (h·P)(s^{-1}x)``, one gather through the cached
+    inverse of ``s``.  Suffixes missing from ``words`` are built on the way;
+    the identity maps to the labels themselves.  Arrays are read-only, in the
+    smallest unsigned dtype that holds every label.
+    """
+    if p.n != a.n:
+        raise ValueError("partition size does not match the action")
+    words = list(words)
+    needed = set()
+    for g in words:
+        for i in range(len(g) + 1):
+            needed.add(g.letters[i:])
+    table = {(): _frozen(p.labels.astype(_label_dtype(p.alphabet_size)))}
+    for letters in sorted(needed, key=len):
+        if letters:
+            table[letters] = _frozen(table[letters[1:]][a.generator(-letters[0])])
+    return {g: table[g.letters] for g in words}
+
+
+# codes stay below this bound, so code * radix + digit never overflows int64
+_PACK_LIMIT = 2**62
+
+
+def refine_partition(
+    p: Observable, words, a: FiniteAction, *, translated=None
+) -> Observable:
     """Common refinement of the translated partitions ``{g·P : g in words}``.
 
     Point x lands in the atom determined by its translated-label signature
-    ``(P(g^{-1}x))_{g}``.  Atom ids are dense, numbered by first occurrence
-    in point order, so the output is reproducible.
+    ``(P(g^{-1}x))_{g}``, packed into one int64 code in mixed radix
+    ``|A|``; the code is dense-ranked whenever another digit could pass
+    2^62.  Atom ids are dense, numbered by first occurrence in point order,
+    so the output is reproducible.  ``translated`` is the table of
+    ``translated_labels(a, p, words)`` when the caller already has it.
     """
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
-    n = p.n
-    sig = np.empty((n, len(words)), dtype=np.int64)
-    for col, g in enumerate(words):
-        inv = inverse_permutation(evaluate(a, g))
-        sig[:, col] = p.labels[inv]
-    _, first_pos, inverse = np.unique(
-        sig, axis=0, return_index=True, return_inverse=True
-    )
+    if p.n != a.n:
+        raise ValueError("partition size does not match the action")
+    if translated is None:
+        translated = translated_labels(a, p, words)
+    k = p.alphabet_size
+    code = np.zeros(p.n, dtype=np.int64)
+    bound = 1  # every code is below bound
+    for g in dict.fromkeys(words):
+        digits, radix = translated[g], k
+        if bound * radix > _PACK_LIMIT:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = distinct.shape[0]
+        if bound * radix > _PACK_LIMIT:
+            # only alphabets wider than 2^62 / n get here: rank the digits too
+            distinct, digits = np.unique(digits, return_inverse=True)
+            radix = distinct.shape[0]
+        code *= radix
+        code += digits
+        bound *= radix
+    _, first_pos, inverse = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first_pos, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
-    return Observable(rank[inverse.ravel()], int(order.shape[0]))
+    return Observable(rank[inverse], int(order.shape[0]))
 
 
-_LOWER = string.ascii_lowercase
+# "e" spells the identity, so no generator takes it: a, b, c, d, f, ..., z
+_LOWER = string.ascii_lowercase.replace("e", "")
 
 
 def parse_word(text: str, rank: int) -> ReducedWord:
-    """Parse ``"a B a"`` style words: lowercase generator, uppercase inverse."""
+    """Parse ``"a B a"`` style words: lowercase generator, uppercase inverse.
+
+    Generators 1..25 are named ``a b c d f ... z``; ``e`` is the identity.
+    """
     text = text.strip()
     if text in ("", "e"):
         return ReducedWord()

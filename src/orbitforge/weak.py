@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .freegroup import FiniteAction, ReducedWord, ball, evaluate, refine_partition
+from .freegroup import (
+    FiniteAction,
+    GeneratorSet,
+    ReducedWord,
+    ball,
+    refine_partition,
+    translated_labels,
+)
 from .spaces import Observable
 
 __all__ = [
@@ -44,32 +51,23 @@ class StatsMatrix:
         return Fraction(int(self.counts[i, j]), self.denom)
 
 
-def _translated_labels(p: Observable, perm: np.ndarray) -> np.ndarray:
-    """Labels of the translated partition: point x gets ``P(perm^{-1} x)``."""
-    out = np.empty_like(p.labels)
-    out[perm] = p.labels
-    return out
-
-
 def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> StatsMatrix:
     """Intersection counts of ``P`` with its translate ``g·P`` under ``a``."""
     if p.n != a.n:
         raise ValueError("partition size does not match the action")
     k = p.alphabet_size
-    moved = _translated_labels(p, evaluate(a, g))
-    cells = p.labels * k + moved
+    cells = p.labels * k + translated_labels(a, p, [g])[g]
     counts = np.bincount(cells, minlength=k * k).reshape(k, k)
     return StatsMatrix(counts, p.n, g)
 
 
-def _sparse_pair_counts(a: FiniteAction, p: Observable, g: ReducedWord, k: int):
+def _sparse_pair_counts(p: Observable, moved: np.ndarray):
     """Cells ``(P(x), (g·P)(x))`` that occur, as sorted codes, with counts.
 
-    The word's permutation is freed before the sort, which keeps the peak
-    memory of the word loops low.
+    ``moved`` holds the labels of the translate ``g·P``.
     """
-    keys = _translated_labels(p, evaluate(a, g))
-    keys += p.labels * k
+    keys = p.labels * p.alphabet_size
+    keys += moved
     return np.unique(keys, return_counts=True)
 
 
@@ -90,21 +88,35 @@ def kechris_distance(
     p: Observable,
     q: Observable,
     words,
+    *,
+    translated=None,
 ) -> float:
     """Largest disagreement of intersection statistics over a word set.
 
     Zero iff the statistics of ``(v, P)`` and ``(w, Q)`` agree exactly for
-    every word; computed in exact integer arithmetic.
+    every word; computed in exact integer arithmetic.  ``translated`` is the
+    pair of tables ``translated_labels(v, p, words)`` and
+    ``translated_labels(w, q, words)`` when the caller already has them.
     """
     if p.alphabet_size != q.alphabet_size:
         raise ValueError("partitions must have the same atom count")
-    k = p.alphabet_size
+    if p.n != v.n or q.n != w.n:
+        raise ValueError("partition size does not match the action")
+    words = list(words)
+    if translated is None:
+        translated = (translated_labels(v, p, words), translated_labels(w, q, words))
+    moved_p, moved_q = translated
+    return float(_max_stats_gap(p, moved_p, q, moved_q, words))
+
+
+def _max_stats_gap(p: Observable, moved_p, q: Observable, moved_q, words) -> Fraction:
+    """Largest cell disagreement over ``words``, read from translate tables."""
     worst = Fraction(0)
     for g in words:
-        kp, cp = _sparse_pair_counts(v, p, g, k)
-        kq, cq = _sparse_pair_counts(w, q, g, k)
+        kp, cp = _sparse_pair_counts(p, moved_p[g])
+        kq, cq = _sparse_pair_counts(q, moved_q[g])
         worst = max(worst, _max_cell_diff(kp, cp, p.n, kq, cq, q.n))
-    return float(worst)
+    return worst
 
 
 def weak_distance(t: np.ndarray, u: np.ndarray, sets, weights=None) -> float:
@@ -155,13 +167,18 @@ def _beta_partition(pprime: Observable, beta) -> Observable:
     return Observable(inv[pprime.labels], k)
 
 
-def _atom_parents(p: Observable, pprime: Observable) -> np.ndarray:
-    """For each refinement atom, the coarse atom containing it."""
+def _transport(p: Observable, pprime: Observable, beta):
+    """Transported partition ``Q``, the aligned image ``Q'`` and atom firsts.
+
+    ``first[i]`` is the first point of refinement atom ``i``, so
+    ``p.labels[first]`` names the coarse atom containing each refinement atom.
+    """
+    qprime = _beta_partition(pprime, beta)
     _, first = np.unique(pprime.labels, return_index=True)
     parents = p.labels[first]
     if np.any(p.labels != parents[pprime.labels]):
         raise ValueError("partition does not refine the coarse partition")
-    return parents
+    return Observable(parents[qprime.labels], p.alphabet_size), qprime, first
 
 
 def transport_partition(p: Observable, pprime: Observable, beta) -> Observable:
@@ -170,9 +187,7 @@ def transport_partition(p: Observable, pprime: Observable, beta) -> Observable:
     The transported atom ``Q_i`` is the union of beta-images of the
     refinement atoms inside ``P_i``.
     """
-    qprime = _beta_partition(pprime, beta)
-    parents = _atom_parents(p, pprime)
-    return Observable(parents[qprime.labels], p.alphabet_size)
+    return _transport(p, pprime, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -217,11 +232,13 @@ def ball_transport_certificate(
     """
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
+    if p.n != v.n:
+        raise ValueError("partition size does not match the action")
     words = tuple(ball(v.rank, radius))
-    pprime = refine_partition(p, words, v)
-    qprime = _beta_partition(pprime, beta)
-    parents = _atom_parents(p, pprime)
-    q = Observable(parents[qprime.labels], p.alphabet_size)
+    moved_p = translated_labels(v, p, words)
+    pprime = refine_partition(p, words, v, translated=moved_p)
+    q, qprime, first = _transport(p, pprime, beta)
+    moved_q = translated_labels(w, q, words)
     n = p.n
     kref = pprime.alphabet_size
 
@@ -237,29 +254,25 @@ def ball_transport_certificate(
 
     # Claim 2: beta extends to unions of refinement atoms, so beta(g·P_i) is
     # the union of image atoms whose preimages tile g·P_i.
-    _, first = np.unique(pprime.labels, return_index=True)
     claim2: dict[ReducedWord, float] = {}
     kcoarse = p.alphabet_size
     for g in words:
-        moved_p = _translated_labels(p, evaluate(v, g))
-        atom_translate = moved_p[first]
-        beta_image = atom_translate[qprime.labels]
-        moved_q = _translated_labels(q, evaluate(w, g))
-        mismatch = beta_image != moved_q
+        beta_image = moved_p[g][first][qprime.labels]
+        mismatch = beta_image != moved_q[g]
         lost = np.bincount(beta_image[mismatch], minlength=kcoarse)
-        gained = np.bincount(moved_q[mismatch], minlength=kcoarse)
+        gained = np.bincount(moved_q[g][mismatch], minlength=kcoarse)
         worst = int(np.max(lost + gained)) if mismatch.any() else 0
         claim2[g] = worst / n
 
     # Generator-level hypothesis over the symmetric letter set.
-    letters = []
-    for k in range(1, v.rank + 1):
-        letters.extend((ReducedWord((k,)), ReducedWord((-k,))))
-    hyp = Fraction(0)
-    for s in letters:
-        kp, cp = _sparse_pair_counts(v, pprime, s, kref)
-        kq, cq = _sparse_pair_counts(w, qprime, s, kref)
-        hyp = max(hyp, _max_cell_diff(kp, cp, n, kq, cq, n))
+    letters = [ReducedWord((s,)) for s in GeneratorSet(v.rank).letters]
+    hyp = _max_stats_gap(
+        pprime,
+        translated_labels(v, pprime, letters),
+        qprime,
+        translated_labels(w, qprime, letters),
+        letters,
+    )
     bound = eps / (kref * kref * len(words) * 4)
 
     return TransportCertificate(
@@ -270,6 +283,8 @@ def ball_transport_certificate(
         hypothesis_max=float(hyp),
         hypothesis_bound=bound,
         hypothesis_ok=float(hyp) < bound,
-        final_discrepancy=kechris_distance(v, w, p, q, words),
+        final_discrepancy=kechris_distance(
+            v, w, p, q, words, translated=(moved_p, moved_q)
+        ),
         refinement_atoms=kref,
     )

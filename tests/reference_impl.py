@@ -5,17 +5,25 @@ decomposes a permutation into cycles point by point, and a loop over good
 cycles that runs the single-line rearrangement once per cycle.  The
 differential tests require the segmented implementation to reproduce its
 outputs byte for byte.  Do not edit it to follow the library.
+
+The word-ball section at the end is the evaluate-based statistics path that
+the translated-label tables replaced: every ball word is rebuilt letter by
+letter, and ``refine_partition`` sorts the full ``(n, |words|)`` signature
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from orbitforge.permutations import is_permutation
+from orbitforge.freegroup import FiniteAction, ReducedWord, ball
+from orbitforge.permutations import inverse_permutation, is_permutation
 from orbitforge.rearrange import LineBijection, PreconditionError, RearrangeReport
 from orbitforge.rewire import CycleOutcome, RewireReport
+from orbitforge.weak import TransportCertificate
 from orbitforge.spaces import (
     Coupling,
     Dist,
@@ -521,3 +529,168 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     return beta
 
 
+
+
+# ---------------------------------------------------------------------------
+# word-ball statistics: one evaluate per word and use
+# ---------------------------------------------------------------------------
+
+
+def evaluate(a: FiniteAction, w: ReducedWord) -> np.ndarray:
+    """Permutation of a word under the action (identity for the empty word)."""
+    result = np.arange(a.n, dtype=np.int64)
+    for letter in w.letters:
+        # extend on the right: result := result ∘ generator
+        result = result[a.generator(letter)]
+    return result
+
+
+def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
+    """Common refinement of the translated partitions ``{g·P : g in words}``.
+
+    Point x lands in the atom determined by its translated-label signature
+    ``(P(g^{-1}x))_{g}``.  Atom ids are dense, numbered by first occurrence
+    in point order, so the output is reproducible.
+    """
+    words = list(words)
+    if not words:
+        raise ValueError("need at least one word")
+    n = p.n
+    sig = np.empty((n, len(words)), dtype=np.int64)
+    for col, g in enumerate(words):
+        inv = inverse_permutation(evaluate(a, g))
+        sig[:, col] = p.labels[inv]
+    _, first_pos, inverse = np.unique(
+        sig, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_pos, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return Observable(rank[inverse.ravel()], int(order.shape[0]))
+
+
+def _translated_labels(p: Observable, perm: np.ndarray) -> np.ndarray:
+    """Labels of the translated partition: point x gets ``P(perm^{-1} x)``."""
+    out = np.empty_like(p.labels)
+    out[perm] = p.labels
+    return out
+
+
+def _sparse_pair_counts(a: FiniteAction, p: Observable, g: ReducedWord, k: int):
+    keys = _translated_labels(p, evaluate(a, g))
+    keys += p.labels * k
+    return np.unique(keys, return_counts=True)
+
+
+def _max_cell_diff(keys_p, cnt_p, n_p, keys_q, cnt_q, n_q) -> Fraction:
+    all_keys = np.union1d(keys_p, keys_q)
+    cp = np.zeros(all_keys.shape[0], dtype=np.int64)
+    cq = np.zeros(all_keys.shape[0], dtype=np.int64)
+    cp[np.searchsorted(all_keys, keys_p)] = cnt_p
+    cq[np.searchsorted(all_keys, keys_q)] = cnt_q
+    num = np.abs(cp * int(n_q) - cq * int(n_p))
+    return Fraction(int(num.max()) if num.size else 0, int(n_p) * int(n_q))
+
+
+def kechris_distance(
+    v: FiniteAction,
+    w: FiniteAction,
+    p: Observable,
+    q: Observable,
+    words,
+) -> float:
+    if p.alphabet_size != q.alphabet_size:
+        raise ValueError("partitions must have the same atom count")
+    k = p.alphabet_size
+    worst = Fraction(0)
+    for g in words:
+        kp, cp = _sparse_pair_counts(v, p, g, k)
+        kq, cq = _sparse_pair_counts(w, q, g, k)
+        worst = max(worst, _max_cell_diff(kp, cp, p.n, kq, cq, q.n))
+    return float(worst)
+
+
+def _beta_partition(pprime: Observable, beta) -> Observable:
+    k = pprime.alphabet_size
+    if isinstance(beta, Observable):
+        if beta.n != pprime.n or beta.alphabet_size != k:
+            raise ValueError("beta is not a bijection on the refinement atoms")
+        return beta
+    beta = np.asarray(beta, dtype=np.int64)
+    if beta.shape != (k,) or np.bincount(beta, minlength=k).max() != 1:
+        raise ValueError("beta is not a bijection on the refinement atoms")
+    inv = np.empty(k, dtype=np.int64)
+    inv[beta] = np.arange(k)
+    return Observable(inv[pprime.labels], k)
+
+
+def _atom_parents(p: Observable, pprime: Observable) -> np.ndarray:
+    _, first = np.unique(pprime.labels, return_index=True)
+    parents = p.labels[first]
+    if np.any(p.labels != parents[pprime.labels]):
+        raise ValueError("partition does not refine the coarse partition")
+    return parents
+
+
+def ball_transport_certificate(
+    v: FiniteAction,
+    w: FiniteAction,
+    p: Observable,
+    radius: int,
+    beta,
+    eps: float,
+) -> TransportCertificate:
+    if v.rank != w.rank or v.n != w.n:
+        raise ValueError("actions must share rank and space")
+    words = tuple(ball(v.rank, radius))
+    pprime = refine_partition(p, words, v)
+    qprime = _beta_partition(pprime, beta)
+    parents = _atom_parents(p, pprime)
+    q = Observable(parents[qprime.labels], p.alphabet_size)
+    n = p.n
+    kref = pprime.alphabet_size
+
+    sizes_p = pprime.atom_sizes()
+    sizes_q = qprime.atom_sizes()
+    coarse_p = p.atom_sizes()
+    coarse_q = q.atom_sizes()
+    claim1 = max(
+        int(np.max(np.abs(sizes_p - sizes_q))),
+        int(np.max(np.abs(coarse_p - coarse_q))),
+    )
+
+    _, first = np.unique(pprime.labels, return_index=True)
+    claim2: dict[ReducedWord, float] = {}
+    kcoarse = p.alphabet_size
+    for g in words:
+        moved_p = _translated_labels(p, evaluate(v, g))
+        atom_translate = moved_p[first]
+        beta_image = atom_translate[qprime.labels]
+        moved_q = _translated_labels(q, evaluate(w, g))
+        mismatch = beta_image != moved_q
+        lost = np.bincount(beta_image[mismatch], minlength=kcoarse)
+        gained = np.bincount(moved_q[mismatch], minlength=kcoarse)
+        worst = int(np.max(lost + gained)) if mismatch.any() else 0
+        claim2[g] = worst / n
+
+    letters = []
+    for k in range(1, v.rank + 1):
+        letters.extend((ReducedWord((k,)), ReducedWord((-k,))))
+    hyp = Fraction(0)
+    for s in letters:
+        kp, cp = _sparse_pair_counts(v, pprime, s, kref)
+        kq, cq = _sparse_pair_counts(w, qprime, s, kref)
+        hyp = max(hyp, _max_cell_diff(kp, cp, n, kq, cq, n))
+    bound = eps / (kref * kref * len(words) * 4)
+
+    return TransportCertificate(
+        eps=eps,
+        words=words,
+        claim1_max=claim1 / n,
+        claim2_max_per_word=claim2,
+        hypothesis_max=float(hyp),
+        hypothesis_bound=bound,
+        hypothesis_ok=float(hyp) < bound,
+        final_discrepancy=kechris_distance(v, w, p, q, words),
+        refinement_atoms=kref,
+    )

@@ -127,6 +127,17 @@ def test_refine_refines_and_atom_count():
             assert np.unique(labels).size == 1
 
 
+def test_fifth_generator_is_not_the_identity():
+    # "e" spells the identity, so generator 5 is named "f"
+    w = ReducedWord((5, -4, 6))
+    assert format_word(w) == "f D g"
+    assert parse_word("f D g", 6) == w
+    assert parse_word("f", 5) == ReducedWord((5,))
+    assert parse_word("e", 5).is_identity
+    with pytest.raises(ValueError):
+        parse_word("a e", 5)
+
+
 def test_word_parse_format_roundtrip():
     w = parse_word("a B a", 2)
     assert w.letters == (1, -2, 1)
@@ -137,6 +148,15 @@ def test_word_parse_format_roundtrip():
         parse_word("c", 2)
     with pytest.raises(ValueError):
         parse_word("ab", 2)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_inverts_format(data):
+    rank = data.draw(st.integers(1, 25))
+    letter = st.integers(1, rank).flatmap(lambda k: st.sampled_from([k, -k]))
+    w = reduce_word(data.draw(st.lists(letter, max_size=20)))
+    assert parse_word(format_word(w), rank) == w
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))

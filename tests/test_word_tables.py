@@ -1,0 +1,246 @@
+"""Translated-label tables against the frozen evaluate-based oracle.
+
+``reference_impl`` holds the word-ball statistics as they were before the
+tables: each word's permutation rebuilt letter by letter and a row sort of
+the full signature matrix.  Refinements, Kechris distances and transport
+certificates must agree with it byte for byte, including on word lists that
+repeat a word or miss a suffix, on empty atoms and on a single point.
+"""
+
+import importlib
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impl as ref
+from orbitforge import (
+    FiniteAction,
+    Observable,
+    ReducedWord,
+    ball,
+    ball_transport_certificate,
+    kechris_distance,
+    reduce_word,
+    refine_partition,
+    translated_labels,
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "raised", (type(exc), str(exc))
+
+
+@st.composite
+def actions(draw, rank, n):
+    perms = [draw(st.permutations(range(n))) for _ in range(rank)]
+    return FiniteAction.from_perms(np.array(perms, dtype=np.int64).reshape(rank, n))
+
+
+@st.composite
+def partitions(draw, n, k):
+    # labels from a prefix of the alphabet, so trailing atoms may be empty
+    used = draw(st.integers(1, k))
+    labels = draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n))
+    return Observable(np.array(labels, dtype=np.int64), k)
+
+
+@st.composite
+def word_lists(draw, rank):
+    letter = st.sampled_from([s for k in range(1, rank + 1) for s in (k, -k)])
+    words = st.lists(letter, max_size=5).map(reduce_word)
+    return draw(st.lists(words, min_size=1, max_size=10))
+
+
+def balls_or_word_lists(rank):
+    return st.one_of(st.integers(0, 3).map(lambda r: ball(rank, r)), word_lists(rank))
+
+
+@st.composite
+def instances(draw, max_n=24):
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 4))
+    return rank, n, k, draw(actions(rank, n)), draw(partitions(n, k))
+
+
+def assert_same_partition(new, old):
+    assert new.alphabet_size == old.alphabet_size
+    assert new.labels.dtype == old.labels.dtype
+    assert new.labels.tobytes() == old.labels.tobytes()
+
+
+@given(instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_translated_labels_match_oracle(inst, data):
+    rank, n, k, a, p = inst
+    words = data.draw(word_lists(rank))
+    table = translated_labels(a, p, words)
+    assert set(table) == set(words)
+    for g in words:
+        want = ref._translated_labels(p, ref.evaluate(a, g))
+        assert table[g].dtype == np.uint8
+        assert not table[g].flags.writeable
+        assert np.array_equal(table[g], want)
+
+
+def test_translated_labels_dtype_fits_alphabet():
+    a = FiniteAction.from_perms([[1, 0]])
+    cases = ((1, np.uint8), (256, np.uint8), (257, np.uint16), (2**17, np.uint32))
+    for k, dtype in cases:
+        p = Observable(np.array([0, k - 1]), k)
+        table = translated_labels(a, p, [ReducedWord((1,))])
+        assert table[ReducedWord((1,))].dtype == dtype
+        assert table[ReducedWord((1,))].tolist() == [k - 1, 0]
+
+
+@given(instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_refine_partition_matches_oracle(inst, data):
+    rank, n, k, a, p = inst
+    words = data.draw(balls_or_word_lists(rank))
+    new = refine_partition(p, words, a)
+    assert_same_partition(new, ref.refine_partition(p, words, a))
+
+
+@given(instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kechris_distance_matches_oracle(inst, data):
+    rank, n, k, v, p = inst
+    w = data.draw(actions(rank, n))
+    q = data.draw(partitions(n, k))
+    words = data.draw(balls_or_word_lists(rank))
+    new = kechris_distance(v, w, p, q, words)
+    old = ref.kechris_distance(v, w, p, q, words)
+    assert repr(new) == repr(old)
+
+
+@given(instances(), st.integers(0, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_certificate_matches_oracle(inst, radius, data):
+    rank, n, k, v, p = inst
+    w = data.draw(st.one_of(st.just(v), actions(rank, n)))
+    atoms = ref.refine_partition(p, ball(rank, radius), v).alphabet_size
+    beta = np.array(data.draw(st.permutations(range(atoms))), dtype=np.int64)
+    eps = data.draw(st.sampled_from([0.01, 0.2, 0.5]))
+    new = _outcome(ball_transport_certificate, v, w, p, radius, beta, eps)
+    old = _outcome(ref.ball_transport_certificate, v, w, p, radius, beta, eps)
+    assert repr(new) == repr(old)
+
+
+def test_certificate_with_image_partition_matches_oracle():
+    rng = np.random.default_rng(21)
+    n = 300
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    p = Observable(rng.integers(0, 3, size=n), 4)
+    pprime = ref.refine_partition(p, ball(2, 1), v)
+    beta = Observable(pprime.labels[rng.permutation(n)], pprime.alphabet_size)
+    new = ball_transport_certificate(v, w, p, 1, beta, 0.3)
+    old = ref.ball_transport_certificate(v, w, p, 1, beta, 0.3)
+    assert repr(new) == repr(old)
+
+
+def test_wide_signatures_are_reranked(monkeypatch):
+    # |A| = 4 over the rank-3 radius-3 ball: 187 columns of 2 bits each, so
+    # the packed code is dense-ranked several times on the way
+    rng = np.random.default_rng(4)
+    n = 200
+    a = FiniteAction.from_perms([rng.permutation(n) for _ in range(3)])
+    p = Observable(rng.integers(0, 4, size=n), 4)
+    words = ball(3, 3)
+    assert len(words) == 187
+    reranks = Counter()
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        if kwargs.get("return_inverse") and not kwargs.get("return_index"):
+            reranks["calls"] += 1
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    new = refine_partition(p, words, a)
+    monkeypatch.setattr(np, "unique", unique)
+    assert reranks["calls"] >= 2
+    assert_same_partition(new, ref.refine_partition(p, words, a))
+
+
+def test_refine_partition_with_alphabet_wider_than_codes():
+    # the radix alone passes 2^62 / n, so the digits are ranked as well
+    n, k = 12, 2**62
+    a = FiniteAction.from_perms([np.roll(np.arange(n), 1)])
+    p = Observable(np.array([0, k - 1, k // 3])[np.arange(n) ** 2 % 7 % 3], k)
+    words = ball(1, 3)
+    assert translated_labels(a, p, words)[words[0]].dtype == np.int64
+    new = refine_partition(p, words, a)
+    assert_same_partition(new, ref.refine_partition(p, words, a))
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_partition_size_must_match_action(m):
+    n = 6
+    a = FiniteAction.from_perms([np.roll(np.arange(n), 1), np.arange(n)[::-1]])
+    good = Observable(np.arange(n) % 2, 2)
+    bad = Observable(np.arange(m) % 2, 2)
+    msg = "partition size does not match the action"
+    with pytest.raises(ValueError, match=msg):
+        translated_labels(a, bad, ball(2, 1))
+    with pytest.raises(ValueError, match=msg):
+        refine_partition(bad, ball(2, 1), a)
+    with pytest.raises(ValueError, match=msg):
+        kechris_distance(a, a, bad, good, ball(2, 1))
+    with pytest.raises(ValueError, match=msg):
+        kechris_distance(a, a, good, bad, ball(2, 1))
+    with pytest.raises(ValueError, match=msg):
+        ball_transport_certificate(a, a, bad, 1, np.arange(2), 0.1)
+
+
+def _count_calls(monkeypatch, targets):
+    # wrap each function in every orbitforge namespace that binds it, so
+    # calls made through a from-import are counted too
+    calls = Counter()
+    for module, name in targets:
+        original = getattr(importlib.import_module(module), name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "orbitforge":
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_certificate_evaluates_no_word(monkeypatch):
+    rng = np.random.default_rng(6)
+    n = 2000
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    # counted on a copy, so that v's cache of inverses stays empty
+    atoms = ref.refine_partition(p, ball(2, 3), FiniteAction.from_perms(v.perms))
+    beta = np.arange(atoms.alphabet_size)
+    calls = _count_calls(
+        monkeypatch,
+        [
+            ("orbitforge.freegroup", "evaluate"),
+            ("orbitforge.permutations", "inverse_permutation"),
+        ],
+    )
+    first = ball_transport_certificate(v, w, p, 3, beta, 0.2)
+    # the first call fills each action's cache of generator inverses
+    assert calls == Counter({"inverse_permutation": 4})
+    calls.clear()
+    second = ball_transport_certificate(v, w, p, 3, beta, 0.2)
+    assert calls == Counter()
+    assert repr(first) == repr(second)
