@@ -12,14 +12,12 @@ import numpy as np
 from orbitforge import (
     Coupling,
     Observable,
-    choose_section,
     cycle_decomposition,
     empirical_distribution,
     ergodic_profile,
     joint_pair_distribution,
     permutation_with_cycle_lengths,
     rewire,
-    tower_blocks,
     verify_same_orbits,
 )
 
@@ -32,10 +30,8 @@ t = permutation_with_cycle_lengths(lengths, rng)
 psi = Observable(rng.integers(0, 2, size=N), 2)
 
 dec = cycle_decomposition(t)
-section = choose_section(dec)
-blocks = tower_blocks(dec, psi)
-print(f"cycles: {[len(c) for c in dec.cycles]}, bases: {section.points.tolist()}")
-print(f"return-time blocks end at their base: {[int(b.order[-1]) for b in blocks]}")
+bases = dec.order[dec.offsets[:-1]]
+print(f"cycles: {dec.lengths().tolist()}, bases: {bases.tolist()}")
 
 bad_mass, dev = ergodic_profile(t, psi, EPS)
 print(f"per-cycle label deviation from global: {np.round(dev, 4)} (off-mass {bad_mass})")

@@ -45,19 +45,14 @@ from .rearrange import (
 )
 from .rewire import (
     RewireReport,
-    Section,
-    TowerBlock,
-    choose_section,
     ergodic_profile,
     rewire,
     rewire_ergodic,
-    tower_blocks,
     verify_same_orbits,
 )
 from .spaces import (
     Coupling,
     Dist,
-    FiniteSpace,
     Observable,
     coupling_margins_check,
     diagonal_coupling,

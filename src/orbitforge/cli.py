@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,14 +27,9 @@ from .pipeline import (
 )
 from .rearrange import PreconditionError, rearrange_line
 from .rewire import rewire
-from .spaces import (
-    Observable,
-    diagonal_coupling,
-    empirical_distribution,
-    joint_pair_distribution,
-    mixture_coupling,
-)
 from .weak import stats_matrix
+
+__all__ = ["build_parser", "main"]
 
 
 def _cmd_pipeline(args) -> int:
@@ -113,27 +107,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    sys.stdout.write("op,n,seconds\n")
-    for n in (10_000, 100_000, 1_000_000):
-        phi = Observable(rng.integers(0, 2, size=n), 2)
-        pi = empirical_distribution(phi)
-        j = mixture_coupling(diagonal_coupling(pi), 0.8, pi)
-        start = time.perf_counter()
-        rearrange_line(phi, j, 0.02)
-        sys.stdout.write(f"rearrange_line,{n},{time.perf_counter() - start:.4f}\n")
-    n = 100_000
-    t = rng.permutation(n)
-    psi = Observable(rng.integers(0, 2, size=n), 2)
-    pi = empirical_distribution(psi)
-    j = mixture_coupling(joint_pair_distribution(psi, t), 0.2, pi)
-    start = time.perf_counter()
-    rewire(t, psi, j, 0.02)
-    sys.stdout.write(f"rewire,{n},{time.perf_counter() - start:.4f}\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbit-forge")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--word", required=True)
     p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("bench", help="time the core operations on seeded inputs")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -22,7 +22,7 @@ from .permutations import (
     inverse_permutation,
     is_permutation,
 )
-from .spaces import FiniteSpace, Observable, _frozen
+from .spaces import Observable, _as_int64, _frozen
 
 __all__ = [
     "GeneratorSet",
@@ -138,15 +138,14 @@ class FiniteAction:
     on the immutable ``perms`` alone.
     """
 
-    space: FiniteSpace
     perms: np.ndarray
 
     def __post_init__(self):
-        perms = np.asarray(self.perms, dtype=np.int64)
+        perms = _as_int64(self.perms, "generator images")
         if perms.ndim != 2:
             raise ValueError("perms must be a (rank, n) array")
-        if perms.shape[1] != self.space.n:
-            raise ValueError("permutation size does not match the space")
+        if perms.shape[1] < 1:
+            raise ValueError("an action needs at least one point")
         for row in perms:
             if not is_permutation(row):
                 raise ValueError("every generator image must be a permutation")
@@ -156,10 +155,10 @@ class FiniteAction:
 
     @classmethod
     def from_perms(cls, perms) -> "FiniteAction":
-        perms = np.asarray(perms, dtype=np.int64)
+        perms = np.asarray(perms)
         if perms.ndim == 1:
             perms = perms[None, :]
-        return cls(FiniteSpace(perms.shape[1]), perms)
+        return cls(perms)
 
     @property
     def rank(self) -> int:
@@ -167,7 +166,7 @@ class FiniteAction:
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return int(self.perms.shape[1])
 
     def generator(self, letter: int) -> np.ndarray:
         """Permutation of a signed letter (negative = inverse)."""

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import _frozen
+from .spaces import _as_int64, _frozen
 
 __all__ = [
     "CycleDecomposition",
@@ -53,8 +53,14 @@ class CycleDecomposition:
 
 
 def is_permutation(p: np.ndarray) -> bool:
-    """True iff ``p`` is a one-line permutation of ``{0..len(p)-1}``."""
-    p = np.asarray(p)
+    """True iff ``p`` is a one-line permutation of ``{0..len(p)-1}``.
+
+    Non-integral values, such as ``0.5``, make it false.
+    """
+    try:
+        p = _as_int64(p, "permutation images")
+    except ValueError:
+        return False
     n = p.shape[0]
     if p.ndim != 1 or n == 0:
         return n == 0 and p.ndim == 1
@@ -105,7 +111,7 @@ def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
     its minimum, and each point counts its steps to the end of the cut
     cycle.  No Python-level loop over points or cycles.
     """
-    t = np.asarray(t, dtype=np.int64)
+    t = _as_int64(t, "permutation images")
     if not is_permutation(t):
         raise ValueError("input is not a permutation")
     n = t.shape[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .freegroup import FiniteAction, ball
 from .permutations import cycle_min_labels
 from .rearrange import PreconditionError
-from .rewire import _deviations, rewire
+from .rewire import _bad_mass, rewire
 from .spaces import (
     Coupling,
     Dist,
@@ -41,6 +41,7 @@ from .weak import kechris_distance
 
 __all__ = [
     "CertificationError",
+    "ConfigError",
     "GoodObservableError",
     "PipelineConfig",
     "GeneratorOutcome",
@@ -106,11 +107,7 @@ def good_observable(
         rng = _rng(seed, 1, attempt)
         labels = np.searchsorted(cum, rng.random(a.n), side="right")
         psi = Observable(labels, pi.alphabet_size)
-        masses = []
-        for dec in a.cycle_decompositions:
-            dev = _deviations(dec, psi)
-            lengths = dec.lengths()
-            masses.append(float(lengths[dev > 3 * eps].sum() / a.n))
+        masses = [_bad_mass(dec, psi, 3 * eps)[0] for dec in a.cycle_decompositions]
         if all(m < eps for m in masses):
             return psi, attempt
         if worst is None or max(masses) > max(worst):
@@ -242,7 +239,7 @@ def oe_approximate(
             )
         new_perms.append(t_new)
         checked.append((s, achieved, rep, mixture_gap, min_ok, eps_s))
-    a_new = FiniteAction(a.space, np.vstack(new_perms))
+    a_new = FiniteAction(np.vstack(new_perms))
     # the rows of a_new are copies; drop the originals before the checks
     del new_perms, t_new
     oe = verify_oe(a, a_new)
@@ -296,22 +293,6 @@ def verify_oe(a: FiniteAction, a2: FiniteAction) -> bool:
 # experiment runner: config, file formats, CSV/JSON reports
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n",
-    "rank",
-    "alphabet",
-    "eps",
-    "seed",
-    "retries",
-    "source",
-    "target",
-    "phi",
-    "out_csv",
-    "out_json",
-    "workers",
-}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     n: int
@@ -343,6 +324,12 @@ class PipelineConfig:
                 raise ValueError(f"eps={e} outside (0, 1/6)")
 
 
+# config key -> PipelineConfig field; the key ``eps`` fills ``eps_schedule``
+_CONFIG_FIELDS = {
+    "eps" if f.name == "eps_schedule" else f.name: f for f in fields(PipelineConfig)
+}
+
+
 class ConfigError(ValueError):
     """Malformed config file; the message names the line and field."""
 
@@ -358,16 +345,11 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-
-    def need(key: str) -> str:
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-        return raw[key]
 
     def as_int(key: str, value: str) -> int:
         try:
@@ -375,34 +357,32 @@ def parse_config(text: str) -> PipelineConfig:
         except ValueError:
             raise ConfigError(f"field {key!r}: {value!r} is not an integer") from None
 
-    eps_text = need("eps")
-    schedule = []
-    for part in eps_text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            schedule.append(float(part))
-        except ValueError:
-            raise ConfigError(f"field 'eps': {part!r} is not a number") from None
+    def as_schedule(value: str) -> tuple[float, ...]:
+        schedule = []
+        for part in value.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            try:
+                schedule.append(float(part))
+            except ValueError:
+                raise ConfigError(f"field 'eps': {part!r} is not a number") from None
+        return tuple(schedule)
+
+    values = {}
+    for key, f in _CONFIG_FIELDS.items():
+        if key not in raw:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+        elif key == "eps":
+            values[f.name] = as_schedule(raw[key])
+        elif f.type == "int":
+            values[f.name] = as_int(key, raw[key])
+        else:
+            values[f.name] = raw[key]
     try:
-        return PipelineConfig(
-            n=as_int("n", need("n")),
-            rank=as_int("rank", need("rank")),
-            alphabet=as_int("alphabet", need("alphabet")),
-            eps_schedule=tuple(schedule),
-            seed=as_int("seed", need("seed")),
-            retries=as_int("retries", raw.get("retries", "5")),
-            source=raw.get("source", "random"),
-            target=raw.get("target", "random"),
-            phi=raw.get("phi", "balanced"),
-            out_csv=raw.get("out_csv"),
-            out_json=raw.get("out_json"),
-            workers=as_int("workers", raw.get("workers", "1")),
-        )
+        return PipelineConfig(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from None
 
 

@@ -34,48 +34,20 @@ from .rearrange import (
 from .spaces import (
     Coupling,
     Observable,
+    _as_int64,
     empirical_distribution,
     joint_pair_distribution,
     linf,
 )
 
 __all__ = [
-    "Section",
-    "TowerBlock",
     "CycleOutcome",
     "RewireReport",
     "ergodic_profile",
-    "choose_section",
-    "tower_blocks",
     "rewire",
     "rewire_ergodic",
     "verify_same_orbits",
 ]
-
-
-@dataclass(frozen=True)
-class Section:
-    """One marked base point per cycle (the cycle minimum)."""
-
-    points: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-
-@dataclass(frozen=True)
-class TowerBlock:
-    """Return-time block of one cycle: ``(Ty, T^2 y, ..., y)`` with labels."""
-
-    cycle_index: int
-    base: int
-    order: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return int(self.order.shape[0])
 
 
 @dataclass(frozen=True)
@@ -126,33 +98,19 @@ def _deviations(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
     return num.max(axis=1) / (lengths * n)
 
 
+def _bad_mass(dec: CycleDecomposition, psi: Observable, eps: float):
+    """``(mass of the cycles deviating beyond eps, per-cycle deviations)``."""
+    dev = _deviations(dec, psi)
+    return float(dec.lengths()[dev > eps].sum() / psi.n), dev
+
+
 def ergodic_profile(t: np.ndarray, psi: Observable, eps: float):
     """Mass of cycles whose label statistics stray beyond ``eps``.
 
     Returns ``(bad_mass, deviations)`` where ``deviations`` holds each
     cycle's sup-norm gap to the global distribution, in cycle order.
     """
-    dec = cycle_decomposition(t)
-    dev = _deviations(dec, psi)
-    lengths = dec.lengths()
-    bad = dev > eps
-    return float(lengths[bad].sum() / psi.n), dev
-
-
-def choose_section(dec: CycleDecomposition) -> Section:
-    """Mark the smallest point of each cycle as its base."""
-    return Section(dec.order[dec.offsets[:-1]])
-
-
-def tower_blocks(dec: CycleDecomposition, psi: Observable) -> list[TowerBlock]:
-    """Return-time blocks over the canonical section, one per cycle."""
-    if psi.n != dec.n:
-        raise ValueError("observable size does not match the decomposition")
-    blocks = []
-    for idx, cycle in enumerate(dec.cycles):
-        order = np.concatenate((cycle[1:], cycle[:1]))
-        blocks.append(TowerBlock(idx, int(cycle[0]), order, psi.labels[order]))
-    return blocks
+    return _bad_mass(cycle_decomposition(t), psi, eps)
 
 
 def rewire(
@@ -178,7 +136,7 @@ def rewire(
     ``cycle_decomposition(t)`` computed earlier; it is checked in O(n) and
     a decomposition of anything else raises ``ValueError``.
     """
-    t = np.asarray(t, dtype=np.int64)
+    t = _as_int64(t, "permutation images")
     if not is_permutation(t):
         raise ValueError("input is not a permutation")
     n = t.shape[0]
@@ -275,7 +233,7 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     ``k`` edges leave their target set and every symmetric difference
     ``|T'(C_i) Δ D_i|`` stays at most ``2k``.
     """
-    t = np.asarray(t, dtype=np.int64)
+    t = _as_int64(t, "permutation images")
     if not is_permutation(t):
         raise ValueError("input is not a permutation")
     n = t.shape[0]

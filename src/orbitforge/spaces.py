@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "FiniteSpace",
     "Observable",
     "Dist",
     "Coupling",
@@ -40,25 +39,26 @@ def _require_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; a value the cast would change is refused.
+
+    Truncating ``1.7`` to ``1`` would silently run on other input, so a
+    non-integer dtype is accepted only when every value is integral.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(np.int64)
+    if not np.array_equal(cast, values):
+        raise ValueError(f"{what} must be integers")
+    return cast
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class FiniteSpace:
-    """Uniform probability space on ``{0..n-1}``; each point has mass 1/n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("a finite space needs at least one point")
-
-    def measure(self, subset) -> Fraction:
-        """Exact measure |S|/n of a subset given as an index array."""
-        return Fraction(len(np.unique(np.asarray(subset))), self.n)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class Observable:
     alphabet_size: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _as_int64(self.labels, "labels")
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-d array")
         if self.alphabet_size < 1:
@@ -84,7 +84,7 @@ class Observable:
 
     @classmethod
     def from_labels(cls, labels, alphabet_size: int | None = None) -> "Observable":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _as_int64(labels, "labels")
         if alphabet_size is None:
             alphabet_size = int(labels.max()) + 1 if labels.size else 1
         return cls(labels, alphabet_size)
@@ -145,9 +145,6 @@ class Dist:
     def real(self) -> np.ndarray:
         return self.counts / self.denom
 
-    def fraction(self, a: int) -> Fraction:
-        return Fraction(int(self.counts[a]), self.denom)
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -207,16 +204,6 @@ class Coupling:
 
     def col_margin(self) -> np.ndarray:
         return self.entries.sum(axis=0)
-
-    def row_counts(self) -> Dist:
-        if not self.is_exact:
-            raise ValueError("real coupling has no count view")
-        return Dist(self.counts.sum(axis=1), self.denom)
-
-    def col_counts(self) -> Dist:
-        if not self.is_exact:
-            raise ValueError("real coupling has no count view")
-        return Dist(self.counts.sum(axis=0), self.denom)
 
 
 def empirical_distribution(phi: Observable) -> Dist:

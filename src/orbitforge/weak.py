@@ -47,9 +47,6 @@ class StatsMatrix:
     def real(self) -> np.ndarray:
         return self.counts / self.denom
 
-    def fraction(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.counts[i, j]), self.denom)
-
 
 def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> StatsMatrix:
     """Intersection counts of ``P`` with its translate ``g·P`` under ``a``."""

@@ -13,7 +13,6 @@ from orbitforge import (
     CycleDecomposition,
     Observable,
     PreconditionError,
-    choose_section,
     cycle_decomposition,
     empirical_distribution,
     ergodic_profile,
@@ -22,7 +21,6 @@ from orbitforge import (
     permutation_with_cycle_lengths,
     rewire,
     rewire_ergodic,
-    tower_blocks,
     verify_same_orbits,
 )
 
@@ -66,44 +64,6 @@ def test_ergodic_profile_long_cycle_concentrates():
         psi = Observable(rng.integers(0, 2, size=n), 2)
         bad_mass, _ = ergodic_profile(t, psi, 0.05)
         assert bad_mass == 0.0
-
-
-def test_choose_section_marks_cycle_minima():
-    dec = cycle_decomposition(np.array([1, 0, 3, 4, 2]))
-    section = choose_section(dec)
-    assert section.points.tolist() == [0, 2]
-    # for cycles of length >= 2 the image of the base is never marked
-    t = np.array([1, 0, 3, 4, 2])
-    marked = set(section.points.tolist())
-    for y in section.points:
-        if dec.cycles[dec.cycle_of[y]].shape[0] >= 2:
-            assert int(t[y]) not in marked
-
-
-def test_tower_blocks_end_at_base():
-    t = np.array([1, 0, 3, 4, 2])
-    dec = cycle_decomposition(t)
-    psi = Observable.from_labels([0, 1, 0, 1, 1], 2)
-    blocks = tower_blocks(dec, psi)
-    assert blocks[0].order.tolist() == [1, 0]
-    assert blocks[1].order.tolist() == [3, 4, 2]
-    for blk in blocks:
-        assert blk.order[-1] == blk.base
-        assert np.array_equal(blk.labels, psi.labels[blk.order])
-
-
-def test_tower_blocks_return_times_sum_to_n():
-    # the return-time identity is exact per cycle: blocks tile the space
-    rng = np.random.default_rng(19)
-    for _ in range(50):
-        n = int(rng.integers(1, 60))
-        t = rng.permutation(n)
-        dec = cycle_decomposition(t)
-        psi = Observable(rng.integers(0, 2, size=n), 2)
-        blocks = tower_blocks(dec, psi)
-        assert sum(b.length for b in blocks) == n
-        covered = np.sort(np.concatenate([b.order for b in blocks])) if blocks else []
-        assert np.array_equal(covered, np.arange(n))
 
 
 def test_rewire_six_cycle_hand_trace():

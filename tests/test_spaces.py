@@ -6,15 +6,20 @@ from hypothesis import strategies as st
 from orbitforge import (
     Coupling,
     Dist,
+    FiniteAction,
     Observable,
     coupling_margins_check,
+    cycle_decomposition,
     diagonal_coupling,
     empirical_distribution,
     empirical_pair_distribution,
+    is_permutation,
     joint_pair_distribution,
     linf,
     mixture_coupling,
     product_coupling,
+    rewire,
+    rewire_ergodic,
 )
 
 
@@ -180,3 +185,41 @@ def test_non_finite_inputs_rejected(bad):
         Coupling(np.full((2, 2), 0.25), np.array([[bad, 1.0], [1.0, 1.0]]), 4)
     with pytest.raises(ValueError, match="finite"):
         Dist(np.array([bad, 1.0]), 2)
+
+
+_LABELS3 = Observable([0, 1, 0], 2)
+_UNIFORM2 = Coupling.from_probs(np.full((2, 2), 0.25))
+
+# entry point, a non-integral input an int64 cast would truncate into a
+# valid one, and the same input as integral floats
+INTEGER_INPUTS = {
+    "FiniteAction": (FiniteAction.from_perms, [[1.7, 0.2, 2.9]], [[1.0, 0.0, 2.0]]),
+    "cycle_decomposition": (cycle_decomposition, [1.7, 0.2, 2.9], [1.0, 0.0, 2.0]),
+    "rewire": (
+        lambda t: rewire(t, _LABELS3, _UNIFORM2, 0.05, check=False),
+        [1.7, 2.2, 0.9],
+        [1.0, 2.0, 0.0],
+    ),
+    "rewire_ergodic": (
+        lambda t: rewire_ergodic(t, _LABELS3, _LABELS3),
+        [1.7, 2.2, 0.9],
+        [1.0, 2.0, 0.0],
+    ),
+    "Observable": (lambda v: Observable(v, 2), [0.6, 1.4], [0.0, 1.0]),
+    "from_labels": (Observable.from_labels, [0.6, 1.4], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_INPUTS))
+def test_non_integer_input_rejected_not_truncated(entry):
+    call, bad, integral = INTEGER_INPUTS[entry]
+    with pytest.raises(ValueError, match="must be integers"):
+        call(np.array(bad))
+    call(np.array(integral))
+
+
+def test_is_permutation_false_on_non_integer_values():
+    assert not is_permutation(np.array([0.5, 1.2]))
+    assert not is_permutation(np.array([1.7, 0.2, 2.9]))
+    assert not is_permutation(np.array([np.nan, 0.0]))
+    assert is_permutation(np.array([1.0, 0.0]))
