@@ -18,12 +18,12 @@ import numpy as np
 from .freegroup import FiniteAction, parse_word
 from .pipeline import (
     ConfigError,
+    _permutation_text,
     parse_config,
     read_coupling_csv,
     read_labels,
     read_permutation,
     run_experiment,
-    write_permutation,
 )
 from .rearrange import PreconditionError, rearrange_line
 from .rewire import rewire
@@ -61,15 +61,8 @@ def _write_or_print(path: str | None, text: str) -> None:
 def _cmd_lemma_rearrange(args) -> int:
     phi, _ = read_labels(args.labels)
     j = read_coupling_csv(args.coupling)
-    try:
-        sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
-    if args.out_sigma:
-        write_permutation(args.out_sigma, sigma.sigma)
-    else:
-        sys.stdout.write("\n".join(str(int(v)) for v in sigma.sigma) + "\n")
+    sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
+    _write_or_print(args.out_sigma, _permutation_text(sigma.sigma))
     payload = {"schema_version": 1, **asdict(report)}
     _write_or_print(args.out_report, _json_line(payload))
     return 0
@@ -79,16 +72,10 @@ def _cmd_rewire(args) -> int:
     t = read_permutation(args.perm)
     psi, _ = read_labels(args.labels)
     j = read_coupling_csv(args.coupling)
-    try:
-        t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
-    if args.out_perm:
-        write_permutation(args.out_perm, t_new)
-    else:
-        sys.stdout.write("\n".join(str(int(v)) for v in t_new) + "\n")
+    t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
+    _write_or_print(args.out_perm, _permutation_text(t_new))
     payload = {"schema_version": 1, **asdict(report)}
+    del payload["pairs"]
     payload["per_cycle"] = [list(row.values()) for row in payload["per_cycle"]]
     _write_or_print(args.out_report, _json_line(payload))
     return 0
@@ -149,6 +136,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except PreconditionError as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

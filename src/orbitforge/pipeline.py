@@ -33,7 +33,6 @@ from .spaces import (
     Dist,
     Observable,
     empirical_distribution,
-    joint_pair_distribution,
     linf,
     mixture_coupling,
 )
@@ -130,10 +129,7 @@ def target_couplings(b: FiniteAction, phi: Observable, eps: float) -> list[Coupl
             "to its range first"
         )
     pi = empirical_distribution(phi)
-    return [
-        mixture_coupling(joint_pair_distribution(phi, b.perms[s]), eps, pi)
-        for s in range(b.rank)
-    ]
+    return [mixture_coupling(j, eps, pi) for j in b._pair_distributions(phi)]
 
 
 @dataclass(frozen=True)
@@ -224,9 +220,8 @@ def oe_approximate(
         t_new, rep = rewire(
             a.perms[s], psi, targets[s], eps_s, cycles=a.cycle_decompositions[s]
         )
-        pair_new = joint_pair_distribution(psi, t_new)
-        pair_target = joint_pair_distribution(phi, b.perms[s])
-        achieved = linf(pair_new, pair_target)
+        pair_target = b._pair_distributions(phi)[s]
+        achieved = linf(rep.pairs, pair_target)
         mixture_gap = linf(targets[s], pair_target)
         if not mixture_gap <= eps + 1e-12:
             raise CertificationError(
@@ -386,18 +381,53 @@ def parse_config(text: str) -> PipelineConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _parse_lines(path, parse, what: str) -> list:
+    """``(line number, parse(line))`` for each nonblank line of ``path``.
+
+    A line ``parse`` refuses raises ``ValueError`` naming the file and line.
+    """
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line := line.strip():
+            try:
+                rows.append((lineno, parse(line)))
+            except ValueError:
+                message = f"{path}: line {lineno}: {line!r} is not {what}"
+                raise ValueError(message) from None
+    return rows
+
+
+def _symbol(text: str) -> str:
+    if len(text.split()) != 1:
+        raise ValueError(text)
+    return text
+
+
+def _finite_row(text: str) -> list[float]:
+    row = [float(v) for v in text.split(",")]
+    if not np.isfinite(row).all():
+        raise ValueError(text)
+    return row
+
+
 def read_permutation(path) -> np.ndarray:
-    values = [int(line) for line in Path(path).read_text().split()]
-    return np.asarray(values, dtype=np.int64)
+    rows = _parse_lines(path, int, "an integer image")
+    return np.asarray([v for _, v in rows], dtype=np.int64)
+
+
+def _permutation_text(perm: np.ndarray) -> str:
+    return "\n".join(str(int(v)) for v in perm) + "\n"
 
 
 def write_permutation(path, perm: np.ndarray) -> None:
-    Path(path).write_text("\n".join(str(int(v)) for v in perm) + "\n")
+    Path(path).write_text(_permutation_text(perm))
 
 
 def read_labels(path) -> tuple[Observable, list[str]]:
     """Read one symbol per line; symbols index alphabets in sorted order."""
-    tokens = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    tokens = [t for _, t in _parse_lines(path, _symbol, "one symbol")]
+    if not tokens:
+        raise ValueError(f"{path}: no symbols")
     symbols = sorted(set(tokens))
     index = {sym: i for i, sym in enumerate(symbols)}
     labels = np.asarray([index[t] for t in tokens], dtype=np.int64)
@@ -405,13 +435,12 @@ def read_labels(path) -> tuple[Observable, list[str]]:
 
 
 def read_coupling_csv(path) -> Coupling:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    return Coupling.from_probs(np.asarray(rows, dtype=np.float64))
+    rows = _parse_lines(path, _finite_row, "a row of finite numbers")
+    for lineno, row in rows:
+        if len(row) != len(rows):
+            message = f"{len(row)} values in a {len(rows)}-row coupling"
+            raise ValueError(f"{path}: line {lineno}: {message}")
+    return Coupling.from_probs(np.asarray([r for _, r in rows], dtype=np.float64))
 
 
 def write_coupling_csv(path, j: Coupling) -> None:

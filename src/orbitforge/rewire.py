@@ -12,7 +12,7 @@ distribution lands within ``9*|A|*eps`` of the target coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +59,17 @@ class CycleOutcome:
 
 @dataclass(frozen=True)
 class RewireReport:
-    """Mass actually rewired, achieved sup-norm error and its budget."""
+    """Mass actually rewired, achieved sup-norm error and its budget.
+
+    ``pairs`` is the pair distribution of the rewired permutation, which
+    ``achieved_error`` measures against the target coupling.
+    """
 
     good_mass: float
     achieved_error: float
     bound: float
     per_cycle: tuple[CycleOutcome, ...]
+    pairs: Coupling | None = field(default=None, compare=False, repr=False)
 
 
 def _label_counts_per_cycle(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
@@ -215,11 +220,13 @@ def rewire(
     outcomes = tuple(
         map(CycleOutcome, lengths.tolist(), good.tolist(), per_cycle_err.tolist())
     )
+    pairs = joint_pair_distribution(psi, t_new)
     report = RewireReport(
         good_mass=float(lengths[good].sum() / n),
-        achieved_error=linf(joint_pair_distribution(psi, t_new), j),
+        achieved_error=linf(pairs, j),
         bound=9 * a * eps,
         per_cycle=outcomes,
+        pairs=pairs,
     )
     return t_new, report
 
@@ -260,8 +267,10 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
 
 def verify_same_orbits(t: np.ndarray, t2: np.ndarray) -> bool:
     """True iff the cycle partitions coincide as set partitions."""
-    t = np.asarray(t, dtype=np.int64)
-    t2 = np.asarray(t2, dtype=np.int64)
+    t, t2 = _as_int64(t, "t"), _as_int64(t2, "t2")
+    for name, perm in (("t", t), ("t2", t2)):
+        if not is_permutation(perm):
+            raise ValueError(f"{name} is not a permutation")
     if t.shape != t2.shape:
         raise ValueError("permutations must act on the same space")
     return bool(np.array_equal(cycle_min_labels(t), cycle_min_labels(t2)))

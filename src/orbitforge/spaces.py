@@ -126,7 +126,7 @@ class Dist:
 
     def __post_init__(self):
         _require_finite(self.counts, "counts")
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _as_int64(self.counts, "counts")
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a nonempty 1-d array")
         if self.denom < 1:
@@ -168,11 +168,13 @@ class Coupling:
             raise ValueError("coupling entries must be nonnegative")
         if self.counts is not None:
             _require_finite(self.counts, "counts")
-            counts = np.asarray(self.counts, dtype=np.int64)
+            counts = _as_int64(self.counts, "counts")
             if counts.shape != entries.shape or self.denom is None or self.denom < 1:
                 raise ValueError("count view inconsistent with entries")
             if int(counts.sum()) != self.denom:
                 raise ValueError("counts must sum to the denominator")
+            if np.abs(entries - counts / self.denom).max() > REAL_TOL:
+                raise ValueError("entries differ from counts / denom")
             object.__setattr__(self, "counts", _frozen(counts))
         elif abs(float(entries.sum()) - 1.0) > REAL_TOL:
             raise ValueError("coupling entries must sum to 1")
@@ -180,7 +182,7 @@ class Coupling:
 
     @classmethod
     def from_counts(cls, counts, denom: int) -> "Coupling":
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = _as_int64(counts, "counts")
         return cls(counts / denom, counts, denom)
 
     @classmethod
@@ -206,6 +208,49 @@ class Coupling:
         return self.entries.sum(axis=0)
 
 
+def _cell_counts(rows: np.ndarray, moved: np.ndarray, k: int) -> np.ndarray:
+    """Row-major counts of the cells ``(label, moved)``; ``rows`` is ``labels * k``."""
+    return np.bincount(rows + moved, minlength=k * k)
+
+
+def _signed_cell_gap(p: Observable, q: Observable):
+    """``gap(moved_p, moved_q)``: the exact ``max |c_p·n_q - c_q·n_p|`` over cells.
+
+    ``c_p`` counts the points x in a cell ``(P(x), moved_p[x])``, ``c_q`` the
+    same on the ``q`` side, so ``gap / (n_p·n_q)`` is the largest frequency
+    gap.  With ``k*k <= max(n_p, n_q)`` the cells are counted densely;
+    otherwise both sides' codes ``label·2k + 2·moved + side`` are sorted
+    together and the weights ``n_q`` / ``-n_p`` summed over each cell's run.
+    """
+    k, n_p, n_q = p.alphabet_size, p.n, q.n
+    if q.alphabet_size != k:
+        raise ValueError("partitions must have the same atom count")
+    if k * k <= max(n_p, n_q):
+        rows_p, rows_q = p.labels * k, q.labels * k
+
+        def gap(moved_p, moved_q) -> int:
+            diff = _cell_counts(rows_p, moved_p, k) * n_q
+            diff -= _cell_counts(rows_q, moved_q, k) * n_p
+            return int(np.abs(diff).max())
+
+        return gap
+    if 2 * k * k > 2**62:
+        raise ValueError(f"{k} atoms are too many for int64 cell codes")
+    base = np.concatenate((p.labels * (2 * k), q.labels * (2 * k) + 1))
+
+    def gap(moved_p, moved_q) -> int:
+        codes = np.concatenate((moved_p, moved_q), dtype=np.int64)
+        codes <<= 1
+        codes += base
+        codes.sort()
+        cells = codes >> 1
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        weights = (codes & 1) * -(n_p + n_q) + n_q
+        return int(np.abs(np.add.reduceat(weights, starts)).max())
+
+    return gap
+
+
 def empirical_distribution(phi: Observable) -> Dist:
     """Symbol frequencies of an observable: counts over n, exactly."""
     return Dist(phi.atom_sizes(), phi.n)
@@ -217,8 +262,7 @@ def joint_pair_distribution(phi: Observable, perm: np.ndarray) -> Coupling:
     if perm.shape[0] != phi.n:
         raise ValueError("permutation size does not match observable")
     a = phi.alphabet_size
-    cells = phi.labels * a + phi.labels[perm]
-    counts = np.bincount(cells, minlength=a * a).reshape(a, a)
+    counts = _cell_counts(phi.labels * a, phi.labels[perm], a).reshape(a, a)
     return Coupling.from_counts(counts, phi.n)
 
 
@@ -235,9 +279,8 @@ def empirical_pair_distribution(phi: Observable, sigma) -> Coupling:
     if n < 2:
         raise ValueError("need at least two points for a pair distribution")
     a = phi.alphabet_size
-    cells = phi.labels[: n - 1] * a + phi.labels[images]
-    counts = np.bincount(cells, minlength=a * a).reshape(a, a)
-    return Coupling.from_counts(counts, n - 1)
+    counts = _cell_counts(phi.labels[: n - 1] * a, phi.labels[images], a)
+    return Coupling.from_counts(counts.reshape(a, a), n - 1)
 
 
 def _count_view(p):

@@ -22,7 +22,7 @@ from .freegroup import (
     refine_partition,
     translated_labels,
 )
-from .spaces import Observable
+from .spaces import Observable, _cell_counts, _signed_cell_gap
 
 __all__ = [
     "StatsMatrix",
@@ -53,30 +53,8 @@ def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> StatsMatrix:
     if p.n != a.n:
         raise ValueError("partition size does not match the action")
     k = p.alphabet_size
-    cells = p.labels * k + translated_labels(a, p, [g])[g]
-    counts = np.bincount(cells, minlength=k * k).reshape(k, k)
-    return StatsMatrix(counts, p.n, g)
-
-
-def _sparse_pair_counts(p: Observable, moved: np.ndarray):
-    """Cells ``(P(x), (g·P)(x))`` that occur, as sorted codes, with counts.
-
-    ``moved`` holds the labels of the translate ``g·P``.
-    """
-    keys = p.labels * p.alphabet_size
-    keys += moved
-    return np.unique(keys, return_counts=True)
-
-
-def _max_cell_diff(keys_p, cnt_p, n_p, keys_q, cnt_q, n_q) -> Fraction:
-    """Max over cells of |c_p/n_p - c_q/n_q| without materializing k^2 cells."""
-    all_keys = np.union1d(keys_p, keys_q)
-    cp = np.zeros(all_keys.shape[0], dtype=np.int64)
-    cq = np.zeros(all_keys.shape[0], dtype=np.int64)
-    cp[np.searchsorted(all_keys, keys_p)] = cnt_p
-    cq[np.searchsorted(all_keys, keys_q)] = cnt_q
-    num = np.abs(cp * int(n_q) - cq * int(n_p))
-    return Fraction(int(num.max()) if num.size else 0, int(n_p) * int(n_q))
+    counts = _cell_counts(p.labels * k, translated_labels(a, p, [g])[g], k)
+    return StatsMatrix(counts.reshape(k, k), p.n, g)
 
 
 def kechris_distance(
@@ -108,12 +86,9 @@ def kechris_distance(
 
 def _max_stats_gap(p: Observable, moved_p, q: Observable, moved_q, words) -> Fraction:
     """Largest cell disagreement over ``words``, read from translate tables."""
-    worst = Fraction(0)
-    for g in words:
-        kp, cp = _sparse_pair_counts(p, moved_p[g])
-        kq, cq = _sparse_pair_counts(q, moved_q[g])
-        worst = max(worst, _max_cell_diff(kp, cp, p.n, kq, cq, q.n))
-    return worst
+    gap = _signed_cell_gap(p, q)
+    worst = max((gap(moved_p[g], moved_q[g]) for g in words), default=0)
+    return Fraction(worst, p.n * q.n)
 
 
 def weak_distance(t: np.ndarray, u: np.ndarray, sets, weights=None) -> float:

@@ -151,3 +151,60 @@ def test_lemma_rearrange_rejects_nan_coupling(tmp_path, balanced_labels, capsys)
     assert code != 0
     assert "finite" in capsys.readouterr().err
     assert not out_report.exists()
+
+
+def _rewire_args(perm, labels, coupling):
+    return [
+        "rewire",
+        "--perm",
+        str(perm),
+        "--labels",
+        str(labels),
+        "--coupling",
+        str(coupling),
+        "--eps",
+        "0.05",
+    ]
+
+
+@pytest.fixture
+def rewire_files(tmp_path, balanced_labels):
+    perm = tmp_path / "perm.txt"
+    write_permutation(perm, np.random.default_rng(1).permutation(600))
+    coupling = tmp_path / "j.csv"
+    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    return perm, balanced_labels, coupling
+
+
+def test_permutation_file_error_names_file_and_line(rewire_files, capsys):
+    perm, labels, coupling = rewire_files
+    perm.write_text("0\n\n1.5\n2\n")
+    assert main(_rewire_args(perm, labels, coupling)) == 2
+    err = capsys.readouterr().err
+    assert f"{perm}: line 3: '1.5' is not an integer image" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a\nb\na b\n", "line 3: 'a b' is not one symbol"), ("\n \n", "no symbols")],
+)
+def test_labels_file_error_names_file_and_line(rewire_files, capsys, text, message):
+    perm, labels, coupling = rewire_files
+    labels.write_text(text)
+    assert main(_rewire_args(perm, labels, coupling)) == 2
+    assert f"{labels}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.25,0.25\n0.5\n", "line 2: 1 values in a 2-row coupling"),
+        ("0.25,0.25\n0.25,x\n", "line 2: '0.25,x' is not a row of finite numbers"),
+        ("\n0.5,nan\n0.25,0.25\n", "line 2: '0.5,nan' is not a row of finite numbers"),
+    ],
+)
+def test_coupling_file_error_names_file_and_line(rewire_files, capsys, text, message):
+    perm, labels, coupling = rewire_files
+    coupling.write_text(text)
+    assert main(_rewire_args(perm, labels, coupling)) == 2
+    assert f"{coupling}: {message}" in capsys.readouterr().err

@@ -341,3 +341,40 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     assert all(g.same_orbits for r in result.reports for g in r.generators)
     assert calls["cycle_decomposition"] == 2
     assert calls["cycle_min_labels"] <= 14
+
+
+def test_run_experiment_counts_each_pair_distribution_once(monkeypatch):
+    # rank 2, three eps: the target pairs of each generator are counted once
+    # for the whole schedule, and each rewired generator's pairs once, for
+    # the rewire report that oe_approximate reads
+    calls = Counter()
+    original = orbitforge.spaces.joint_pair_distribution
+
+    def counted(*args, **kwargs):
+        calls["joint_pair_distribution"] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "orbitforge":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    config = PipelineConfig(
+        n=20_000, rank=2, alphabet=2, eps_schedule=(0.1, 0.05, 0.03), seed=9
+    )
+    result = run_experiment(config)
+    assert result.all_bounds_held
+    assert calls["joint_pair_distribution"] == 2 + 2 * 3
+
+
+def test_target_couplings_follow_the_observable_on_one_action():
+    # the action keeps the pair counts of the last observable it was asked
+    # about; another observable, even with equal labels, is counted afresh
+    rng = np.random.default_rng(4)
+    b = FiniteAction.from_perms([rng.permutation(50), rng.permutation(50)])
+    phis = [Observable(rng.integers(0, 3, size=50), 3) for _ in range(2)]
+    phis.append(Observable(phis[0].labels.copy(), 3))
+    for phi in phis + phis[::-1]:
+        for s, j in enumerate(target_couplings(b, phi, 0.0)):
+            assert np.array_equal(j.real, joint_pair_distribution(phi, b.perms[s]).real)

@@ -246,6 +246,21 @@ def test_rewire_ergodic_validation():
         )
 
 
+def test_verify_same_orbits_refuses_non_integer_images():
+    # an int64 cast would truncate [1.7, 0.2, 2.9] into the permutation [1, 0, 2]
+    with pytest.raises(ValueError, match="t must be integers"):
+        verify_same_orbits(np.array([1.7, 0.2, 2.9]), np.array([1, 0, 2]))
+    with pytest.raises(ValueError, match="t2 must be integers"):
+        verify_same_orbits(np.array([1, 0, 2]), np.array([1.7, 0.2, 2.9]))
+
+
+def test_verify_same_orbits_refuses_a_repeated_point():
+    with pytest.raises(ValueError, match="t2 is not a permutation"):
+        verify_same_orbits(np.array([1, 0, 2]), np.array([0, 0, 2]))
+    with pytest.raises(ValueError, match="t is not a permutation"):
+        verify_same_orbits(np.array([0, 0, 2]), np.array([0, 1, 2]))
+
+
 def test_verify_same_orbits_examples():
     t = np.array([1, 0, 3, 4, 2])
     assert verify_same_orbits(t, t)
