@@ -75,7 +75,6 @@ def _cmd_rewire(args) -> int:
     t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_perm, _permutation_text(t_new))
     payload = {"schema_version": 1, **asdict(report)}
-    del payload["pairs"]
     payload["per_cycle"] = [list(row.values()) for row in payload["per_cycle"]]
     _write_or_print(args.out_report, _json_line(payload))
     return 0

@@ -145,48 +145,6 @@ def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
     return CycleDecomposition(_frozen(order), _frozen(offsets), _frozen(cycle_of))
 
 
-def _check_decomposition(t: np.ndarray, dec: CycleDecomposition) -> None:
-    """Raise ``ValueError`` unless ``dec`` equals ``cycle_decomposition(t)``.
-
-    O(n), without pointer jumping: ``order`` is a permutation, each segment
-    is a cycle of ``t`` in traversal order, segments start at their minimum
-    in increasing order, and ``cycle_of`` matches ``offsets``.  Together
-    these leave only the canonical decomposition.
-    """
-    n = t.shape[0]
-    order, offsets = np.asarray(dec.order), np.asarray(dec.offsets)
-    if (
-        order.shape != (n,)
-        or np.shape(dec.cycle_of) != (n,)
-        or not is_permutation(order)
-    ):
-        raise ValueError("cycle decomposition does not list the points of t")
-    if (
-        offsets.ndim != 1
-        or offsets.shape[0] < 2
-        or offsets[0] != 0
-        or offsets[-1] != n
-        or (np.diff(offsets) < 1).any()
-    ):
-        raise ValueError("cycle offsets must cut 0..n into nonempty segments")
-    starts = offsets[:-1]
-    heads = order[starts]
-    # each point maps to the next one of its segment, the last to the head
-    succ = np.empty(n, dtype=order.dtype)
-    succ[:-1] = order[1:]
-    succ[offsets[1:] - 1] = heads
-    if not np.array_equal(t[order], succ):
-        raise ValueError("a segment of the decomposition is not a cycle of t")
-    del succ
-    if (np.diff(heads) < 1).any() or not np.array_equal(
-        np.minimum.reduceat(order, starts), heads
-    ):
-        raise ValueError("segments must start at their minimum, in increasing order")
-    cycles = np.repeat(np.arange(starts.shape[0]), np.diff(offsets))
-    if not np.array_equal(np.asarray(dec.cycle_of)[order], cycles):
-        raise ValueError("cycle_of does not match the offsets")
-
-
 def permutation_with_cycle_lengths(lengths, rng: np.random.Generator) -> np.ndarray:
     """Random permutation whose cycle type is exactly ``lengths``.
 

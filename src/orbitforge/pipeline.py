@@ -27,7 +27,7 @@ import numpy as np
 from .freegroup import FiniteAction, ball
 from .permutations import cycle_min_labels
 from .rearrange import PreconditionError
-from .rewire import _bad_mass, rewire
+from .rewire import _bad_mass, _rewire_cycles
 from .spaces import (
     Coupling,
     Dist,
@@ -217,11 +217,11 @@ def oe_approximate(
         # when the min-entry check fails, shrink the working eps until it
         # holds; the 10|A|eps bound only loosens, so it stays valid
         eps_s = eps if min_ok else min(eps, 0.45 * jmin / alpha)
-        t_new, rep = rewire(
-            a.perms[s], psi, targets[s], eps_s, cycles=a.cycle_decompositions[s]
+        t_new, rep, pairs = _rewire_cycles(
+            a.perms[s], a.cycle_decompositions[s], psi, targets[s], eps_s
         )
         pair_target = b._pair_distributions(phi)[s]
-        achieved = linf(rep.pairs, pair_target)
+        achieved = linf(pairs, pair_target)
         mixture_gap = linf(targets[s], pair_target)
         if not mixture_gap <= eps + 1e-12:
             raise CertificationError(

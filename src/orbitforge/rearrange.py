@@ -10,20 +10,21 @@ minimum entry above ``2*|A|*eps + |A|^2/N``.
 
 Stages (each deterministic, each with its own certified drift):
 
-1. ``round_coupling``   - snap ``J`` to exact counts over N with exact margins;
-2. ``build_tau``        - realize the counts as a bijection via blockwise matching;
-3. ``merge_components`` - swap edge images inside label cells until the pair
-                          graph has at most ``|A|^2`` components (pair counts
-                          are preserved exactly);
-4. ``close_line``       - cyclically re-route one representative edge per
-                          component, producing a single line.
+1. ``round_coupling`` - snap ``J`` to exact counts over N with exact margins;
+2. ``build_tau``      - realize the counts as a bijection via blockwise matching;
+3. merge              - swap edge images inside label cells until the pair
+                        graph has at most ``|A|^2`` components (pair counts
+                        are preserved exactly);
+4. close              - cyclically re-route one representative edge per
+                        component, producing a single line.
 
 The stages run on a segmented input: B labeled lines laid back to back,
 with counts and cells keyed by (segment, label pair).  ``rewire``
-rearranges all of its good cycles in one such pass; the single-line
-functions here are the case B = 1.  Everything but the merge loop over
-candidate edges is vectorized.  One line of N = 10^6 points with two labels
-takes about 0.16 s on one core of a 2-core x86 host (numpy 2.4).
+rearranges all of its good cycles in one such pass; ``rearrange_line`` is
+the case B = 1, and ``_merge`` and ``_close`` run stages 3 and 4 alone on
+one line.  Everything but the merge loop over candidate edges is
+vectorized.  One line of N = 10^6 points with two labels takes about
+0.16 s on one core of a 2-core x86 host (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "RearrangeReport",
     "round_coupling",
     "build_tau",
-    "merge_components",
-    "close_line",
     "rearrange_line",
 ]
 
@@ -411,6 +410,12 @@ def build_tau(phi: Observable, j_prime: Coupling) -> np.ndarray:
 
 
 def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
+    """Merge stage on one line: ``(tau*, components after merge)``.
+
+    Edges with the same label pair swap images against the smallest edge of
+    their bucket, so pair counts are kept and at most ``|A|^2`` components
+    remain.
+    """
     m = tau.shape[0]
     ext = np.append(np.asarray(tau, dtype=np.int64), 0)
     keys = phi_labels[: m + 1] * a
@@ -420,37 +425,18 @@ def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
     return ext[:m], int(reps.shape[0])
 
 
-def merge_components(phi: Observable, tau: np.ndarray) -> np.ndarray:
-    """Connect pair-graph components without touching pair counts.
-
-    Two edges whose endpoints carry the same label pair may swap images;
-    when the edges lie in different components the swap merges them.  Edges
-    are bucketed by label pair and, per bucket, swapped against the
-    smallest edge, so the component count drops to at most ``|A|^2``.
-    """
-    tau_star, _ = _merge(phi.labels, phi.alphabet_size, np.asarray(tau, np.int64))
-    return tau_star
-
-
 def _close(tau: np.ndarray):
+    """Close stage on one line: ``(sigma, components, edges changed)``.
+
+    The smallest out-edge vertex of each component shifts its image
+    cyclically, chaining the components into one path from 0 to N-1.
+    """
     m = tau.shape[0]
     ext = np.append(np.asarray(tau, dtype=np.int64), 0)
     reps = np.flatnonzero(_line_components(tau) == np.arange(m + 1))
     sigma, k = _close_cycles(ext, np.array([0, m + 1]), reps)
     k = int(k[0])
     return sigma[:m], k, (k if k > 1 else 0)
-
-
-def close_line(tau: np.ndarray) -> LineBijection:
-    """Re-route one representative edge per component into a single line.
-
-    Representatives are the smallest out-edge vertex of each component
-    (vertex N-1 never qualifies); shifting their images cyclically chains
-    the components into one path from 0 to N-1, changing exactly k edges.
-    """
-    tau = np.asarray(tau, dtype=np.int64)
-    sigma, _, _ = _close(tau)
-    return LineBijection(tau.shape[0] + 1, sigma)
 
 
 def rearrange_line(

@@ -12,13 +12,12 @@ distribution lands within ``9*|A|*eps`` of the target coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .permutations import (
     CycleDecomposition,
-    _check_decomposition,
     cycle_decomposition,
     cycle_min_labels,
     is_permutation,
@@ -59,17 +58,12 @@ class CycleOutcome:
 
 @dataclass(frozen=True)
 class RewireReport:
-    """Mass actually rewired, achieved sup-norm error and its budget.
-
-    ``pairs`` is the pair distribution of the rewired permutation, which
-    ``achieved_error`` measures against the target coupling.
-    """
+    """Mass actually rewired, achieved sup-norm error and its budget."""
 
     good_mass: float
     achieved_error: float
     bound: float
     per_cycle: tuple[CycleOutcome, ...]
-    pairs: Coupling | None = field(default=None, compare=False, repr=False)
 
 
 def _label_counts_per_cycle(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
@@ -126,7 +120,6 @@ def rewire(
     *,
     goodness_eps: float | None = None,
     check: bool = True,
-    cycles: CycleDecomposition | None = None,
 ) -> tuple[np.ndarray, RewireReport]:
     """Rewire ``t`` within its cycles toward the pair statistics of ``j``.
 
@@ -137,14 +130,33 @@ def rewire(
     length condition, the achieved error is at most ``9*|A|*eps``.
 
     All good cycles are rearranged in one segmented pass: each is one
-    segment of the line stages of ``rearrange``.  ``cycles`` may hand in
-    ``cycle_decomposition(t)`` computed earlier; it is checked in O(n) and
-    a decomposition of anything else raises ``ValueError``.
+    segment of the line stages of ``rearrange``.
     """
     t = _as_int64(t, "permutation images")
-    if not is_permutation(t):
-        raise ValueError("input is not a permutation")
-    n = t.shape[0]
+    # cycle_decomposition refuses a non-permutation before any other check
+    t_new, report, _ = _rewire_cycles(
+        t, cycle_decomposition(t), psi, j, eps, goodness_eps=goodness_eps, check=check
+    )
+    return t_new, report
+
+
+def _rewire_cycles(
+    t: np.ndarray,
+    dec: CycleDecomposition,
+    psi: Observable,
+    j: Coupling,
+    eps: float,
+    *,
+    goodness_eps: float | None = None,
+    check: bool = True,
+) -> tuple[np.ndarray, RewireReport, Coupling]:
+    """``rewire`` of the int64 permutation ``t`` whose cycles are ``dec``.
+
+    ``dec`` must be ``cycle_decomposition(t)``; it is not checked again.
+    Also returns the pair distribution of the rewired permutation, which
+    ``achieved_error`` measures against ``j``.
+    """
+    n = dec.n
     if n == 0:
         raise ValueError("cannot rewire an empty permutation")
     if psi.n != n:
@@ -169,11 +181,6 @@ def rewire(
     if goodness_eps is None:
         goodness_eps = eps
 
-    if cycles is None:
-        dec = cycle_decomposition(t)
-    else:
-        _check_decomposition(t, cycles)
-        dec = cycles
     lengths = dec.lengths()
     label_counts = _label_counts_per_cycle(dec, psi)
     good = (lengths >= 3) & (_deviations(dec, psi) <= goodness_eps)
@@ -226,9 +233,8 @@ def rewire(
         achieved_error=linf(pairs, j),
         bound=9 * a * eps,
         per_cycle=outcomes,
-        pairs=pairs,
     )
-    return t_new, report
+    return t_new, report, pairs
 
 
 def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "empirical_pair_distribution",
     "linf",
     "product_coupling",
-    "diagonal_coupling",
     "mixture_coupling",
     "coupling_margins_check",
 ]
@@ -326,11 +325,6 @@ def product_coupling(pi: Dist) -> Coupling:
     """Independent self-coupling ``pi x pi``, exact over denom squared."""
     c = pi.counts.astype(np.int64)
     return Coupling.from_counts(np.outer(c, c), pi.denom * pi.denom)
-
-
-def diagonal_coupling(pi: Dist) -> Coupling:
-    """Identity self-coupling: all mass on the diagonal."""
-    return Coupling.from_counts(np.diag(pi.counts), pi.denom)
 
 
 def coupling_margins_check(j: Coupling, pi: Dist, tol: float = REAL_TOL) -> bool:

@@ -280,15 +280,15 @@ pipeline.target_couplings = lambda b, p, eps: [
 ] * b.rank
 run("mixture", fixed)
 pipeline.target_couplings = real_targets
-real_rewire = pipeline.rewire
+real_rewire = pipeline._rewire_cycles
 
 
 def understated(*args, **kwargs):
-    t_new, report = real_rewire(*args, **kwargs)
-    return t_new, dataclasses.replace(report, achieved_error=-1.0)
+    t_new, report, pairs = real_rewire(*args, **kwargs)
+    return t_new, dataclasses.replace(report, achieved_error=-1.0), pairs
 
 
-pipeline.rewire = understated
+pipeline._rewire_cycles = understated
 run("triangle", a)
 """
 
@@ -320,6 +320,7 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     for module, name in (
         ("orbitforge.permutations", "cycle_min_labels"),
         ("orbitforge.rewire", "cycle_decomposition"),
+        ("orbitforge.permutations", "is_permutation"),
     ):
         original = getattr(importlib.import_module(module), name)
 
@@ -341,6 +342,9 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     assert all(g.same_orbits for r in result.reports for g in r.generators)
     assert calls["cycle_decomposition"] == 2
     assert calls["cycle_min_labels"] <= 14
+    # only the rows of each built action are checked; the pipeline's own
+    # decompositions and rows are not validated again
+    assert calls["is_permutation"] <= 12
 
 
 def test_run_experiment_counts_each_pair_distribution_once(monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from orbitforge import (
     Coupling,
-    CycleDecomposition,
     Observable,
     PreconditionError,
     cycle_decomposition,
@@ -23,6 +22,7 @@ from orbitforge import (
     rewire_ergodic,
     verify_same_orbits,
 )
+from orbitforge.rewire import _rewire_cycles
 
 
 def test_cycle_decomposition_examples():
@@ -286,60 +286,23 @@ def _rewire_instance(lengths, seed, a):
     st.integers(1, 3),
     st.booleans(),
 )
-def test_rewire_with_precomputed_cycles_is_identical(lengths, seed, a, check):
+def test_rewire_core_matches_public_rewire(lengths, seed, a, check):
     t, psi, j = _rewire_instance(lengths, seed, a)
     kwargs = dict(check=check, goodness_eps=0.3)
     try:
         want = rewire(t, psi, j, 0.15, **kwargs)
     except ValueError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            rewire(t, psi, j, 0.15, cycles=cycle_decomposition(t), **kwargs)
+            _rewire_cycles(t, cycle_decomposition(t), psi, j, 0.15, **kwargs)
         return
-    got = rewire(t, psi, j, 0.15, cycles=cycle_decomposition(t), **kwargs)
-    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
-    assert got[1] == want[1]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(1, 30), min_size=1, max_size=40),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 20),
-)
-def test_rewire_rejects_foreign_and_rotated_cycles(lengths, seed, shift):
-    t, psi, j = _rewire_instance(lengths, seed, 2)
-    # t after a shift of all points: another permutation whenever n > 1
-    other = t[np.roll(np.arange(t.shape[0]), 1)]
-    if not np.array_equal(other, t):
-        with pytest.raises(ValueError):
-            rewire(t, psi, j, 0.15, check=False, cycles=cycle_decomposition(other))
-    dec = cycle_decomposition(t)
-    lo, hi = dec.offsets[:2].tolist()
-    if hi - lo > 1:
-        order = dec.order.copy()
-        order[lo:hi] = np.roll(order[lo:hi], shift % (hi - lo - 1) + 1)
-        rotated = CycleDecomposition(order, dec.offsets, dec.cycle_of)
-        with pytest.raises(ValueError, match="minimum"):
-            rewire(t, psi, j, 0.15, check=False, cycles=rotated)
-
-
-def test_rewire_rejects_malformed_cycles():
-    t = np.array([1, 0, 3, 4, 2])
-    psi = Observable(np.array([0, 1, 0, 1, 0]), 2)
-    j = Coupling.from_probs(np.full((2, 2), 0.25))
-    dec = cycle_decomposition(t)
-    order, offsets, cycle_of = dec.order, dec.offsets, dec.cycle_of
-    bad = {
-        "points": ([0, 1, 2, 3, 3], offsets, cycle_of),
-        "offsets": (order, [0, 2, 2, 5], cycle_of),
-        "not a cycle": (order, [0, 3, 5], cycle_of),
-        "minimum": ([2, 3, 4, 0, 1], [0, 3, 5], cycle_of),
-        "cycle_of": (order, offsets, [0, 0, 1, 1, 0]),
-    }
-    for what, fields in bad.items():
-        cycles = CycleDecomposition(*map(np.asarray, fields))
-        with pytest.raises(ValueError, match=what):
-            rewire(t, psi, j, 0.05, check=False, cycles=cycles)
+    t_new, report, pairs = _rewire_cycles(
+        t, cycle_decomposition(t), psi, j, 0.15, **kwargs
+    )
+    assert t_new.dtype == want[0].dtype and t_new.tobytes() == want[0].tobytes()
+    assert report == want[1]
+    expected = joint_pair_distribution(psi, t_new)
+    assert pairs.denom == expected.denom
+    assert np.array_equal(pairs.counts, expected.counts)
 
 
 def test_rewire_rejects_empty_permutation():
@@ -349,6 +312,32 @@ def test_rewire_rejects_empty_permutation():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="empty permutation"):
             rewire(empty, Observable(empty, 2), j, 0.05)
+
+
+def test_rewire_refuses_a_non_permutation_before_other_checks():
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    # the observable size, the alphabet and eps are all wrong as well
+    psi = Observable(np.zeros(5, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="input is not a permutation"):
+        rewire(np.array([0, 0, 1]), psi, j, 0.5)
+    with pytest.raises(ValueError, match="permutation images must be integers"):
+        rewire(np.array([0.5, 1.0, 2.0]), psi, j, 0.5)
+
+
+def test_rewire_checks_the_permutation_once(monkeypatch):
+    calls = []
+    permutations_module = importlib.import_module("orbitforge.permutations")
+    original = permutations_module.is_permutation
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for name in ("orbitforge.permutations", "orbitforge.rewire"):
+        monkeypatch.setattr(importlib.import_module(name), "is_permutation", counted)
+    t, psi, j = _rewire_instance([5, 7, 9], 3, 2)
+    rewire(t, psi, j, 0.15, check=False)
+    assert len(calls) == 1
 
 
 def test_deviations_refuse_sizes_beyond_exact_range(monkeypatch):

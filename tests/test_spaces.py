@@ -10,7 +10,6 @@ from orbitforge import (
     Observable,
     coupling_margins_check,
     cycle_decomposition,
-    diagonal_coupling,
     empirical_distribution,
     empirical_pair_distribution,
     is_permutation,
@@ -92,7 +91,7 @@ def test_product_coupling_examples():
 
 def test_mixture_coupling_examples():
     pi = Dist(np.array([1, 1]), 2)
-    c = diagonal_coupling(pi)
+    c = Coupling.from_counts(np.diag(pi.counts), pi.denom)
     unchanged = mixture_coupling(c, 0.0, pi)
     assert np.allclose(unchanged.real, c.real)
     full = mixture_coupling(c, 1.0, pi)
@@ -115,7 +114,7 @@ def test_mixture_margin_mismatch_rejected():
 @settings(max_examples=50, deadline=None)
 def test_mixture_is_linear(e1, e2):
     pi = Dist(np.array([2, 1, 1]), 4)
-    c = diagonal_coupling(pi)
+    c = Coupling.from_counts(np.diag(pi.counts), pi.denom)
     twice = mixture_coupling(mixture_coupling(c, e1, pi), e2, pi)
     once = mixture_coupling(c, 1 - (1 - e1) * (1 - e2), pi)
     assert np.allclose(twice.real, once.real, atol=1e-12)
@@ -123,7 +122,7 @@ def test_mixture_is_linear(e1, e2):
 
 def test_mixture_positive_entries():
     pi = Dist(np.array([3, 1]), 4)
-    c = diagonal_coupling(pi)
+    c = Coupling.from_counts(np.diag(pi.counts), pi.denom)
     mixed = mixture_coupling(c, 0.125, pi)
     assert mixed.real.min() > 0
     assert coupling_margins_check(mixed, pi)
@@ -132,7 +131,8 @@ def test_mixture_positive_entries():
 def test_margins_check_examples():
     pi = Dist(np.array([1, 1]), 2)
     assert coupling_margins_check(product_coupling(pi), pi)
-    assert coupling_margins_check(diagonal_coupling(pi), pi)
+    diagonal = Coupling.from_counts(np.diag(pi.counts), pi.denom)
+    assert coupling_margins_check(diagonal, pi)
     # rows match but columns are (3/4, 1/4)
     bad = Coupling.from_counts(np.array([[2, 0], [1, 1]]), 4)
     assert not coupling_margins_check(bad, pi)
