@@ -2,10 +2,11 @@
 
 Letters are signed generator indices: ``+k`` is the k-th generator (1-based),
 ``-k`` its inverse.  A finite action assigns one permutation per generator
-and extends to words by composition.
+and extends to words by composition; ``a.generator(s)`` is the permutation
+of the letter ``s``.
 
-Composition convention: ``evaluate(a, uv) = evaluate(a, u) ∘ evaluate(a, v)``
-as functions, i.e. the leftmost letter acts last on the point.
+Composition convention: ``(uv)·P = u·(v·P)``, i.e. the leftmost letter acts
+last on the point.
 """
 
 from __future__ import annotations
@@ -25,36 +26,15 @@ from .permutations import (
 from .spaces import Coupling, Observable, _as_int64, _frozen, joint_pair_distribution
 
 __all__ = [
-    "GeneratorSet",
     "ReducedWord",
     "FiniteAction",
     "reduce_word",
     "ball",
-    "evaluate",
     "refine_partition",
     "translated_labels",
     "parse_word",
     "format_word",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Free generators ``s_1..s_rank``; the symmetric alphabet adds inverses."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("need at least one generator")
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        """All 2*rank signed letters, in the canonical order s1,s1^-1,s2,..."""
-        out = []
-        for k in range(1, self.rank + 1):
-            out.extend((k, -k))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,18 +80,18 @@ def _letter_key(v: int) -> tuple[int, int]:
     return (abs(v), 0 if v > 0 else 1)
 
 
-def ball(gens: GeneratorSet | int, radius: int) -> list[ReducedWord]:
+def ball(rank: int, radius: int) -> list[ReducedWord]:
     """All reduced words of length <= radius, ordered by length then lex.
 
-    Breadth-first extension that never appends the inverse of the last
-    letter, so every word is produced exactly once.
+    Breadth-first extension over the letters s1, s1^-1, s2, ... that never
+    appends the inverse of the last letter, so every word is produced
+    exactly once.
     """
-    rank = gens.rank if isinstance(gens, GeneratorSet) else int(gens)
     if rank < 1:
         raise ValueError("need at least one generator")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    letters = GeneratorSet(rank).letters
+    letters = [v for k in range(1, rank + 1) for v in (k, -k)]
     out: list[ReducedWord] = [ReducedWord()]
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(radius):
@@ -194,15 +174,6 @@ class FiniteAction:
             cached = (phi, tuple(joint_pair_distribution(phi, s) for s in self.perms))
             self.__dict__["_pairs"] = cached
         return cached[1]
-
-
-def evaluate(a: FiniteAction, w: ReducedWord) -> np.ndarray:
-    """Permutation of a word under the action (identity for the empty word)."""
-    result = np.arange(a.n, dtype=np.int64)
-    for letter in w.letters:
-        # extend on the right: result := result ∘ generator
-        result = result[a.generator(letter)]
-    return result
 
 
 def _label_dtype(alphabet_size: int) -> np.dtype:

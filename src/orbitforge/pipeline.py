@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -161,16 +161,7 @@ class PipelineReport:
         return all(g.achieved_error <= g.bound for g in self.generators)
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "alphabet_size": self.alphabet_size,
-            "bound": self.bound,
-            "orbit_equivalent": self.orbit_equivalent,
-            "retries_used": self.retries_used,
-            "kechris_distance": self.kechris_distance,
-            "kechris_radius": self.kechris_radius,
-            "generators": [vars(g) for g in self.generators],
-        }
+        return asdict(self)
 
 
 def oe_approximate(

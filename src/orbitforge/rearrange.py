@@ -291,7 +291,8 @@ def _merge_cycles(perm: np.ndarray, keys: np.ndarray):
     anchors = np.ones(key.shape[0], dtype=bool)
     anchors[1:] = key[1:] != key[:-1]
     # union-find over the candidate cycles, numbered 0..k-1 by increasing
-    # minimum
+    # minimum; each class is rooted at its smallest number, so the least
+    # minimum of its parts
     mins, cyc = np.unique(comp[points], return_inverse=True)
     parent = list(range(mins.shape[0]))
 
@@ -307,18 +308,11 @@ def _merge_cycles(perm: np.ndarray, keys: np.ndarray):
             anchor, anchor_root = x, root
         elif root != anchor_root:
             perm[anchor], perm[x] = perm[x], perm[anchor]
+            if root < anchor_root:
+                root, anchor_root = anchor_root, root
             parent[root] = anchor_root
-    # resolve each candidate cycle to the root of its class
-    roots = np.array(parent, dtype=np.int64)
-    while True:
-        up = roots[roots]
-        if np.array_equal(up, roots):
-            break
-        roots = up
-    # the first cycle of each class has the least minimum; the minima of the
-    # others are no longer minima
-    _, first = np.unique(roots, return_index=True)
-    absorbed = np.delete(mins, first)
+    # the minima of the absorbed cycles are no longer minima
+    absorbed = mins[np.array(parent, dtype=np.int64) != np.arange(mins.shape[0])]
     minima = np.flatnonzero(comp == np.arange(n))
     del comp
     return perm, minima[~np.isin(minima, absorbed, assume_unique=True)]

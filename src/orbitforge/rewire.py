@@ -34,8 +34,6 @@ from .spaces import (
     Coupling,
     Observable,
     _as_int64,
-    empirical_distribution,
-    joint_pair_distribution,
     linf,
 )
 
@@ -77,30 +75,30 @@ def _label_counts_per_cycle(dec: CycleDecomposition, psi: Observable) -> np.ndar
 EXACT_DEVIATION_N = 2**26
 
 
-def _deviations(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
+def _deviations(counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per-cycle sup-norm gap between internal and global label frequencies.
 
-    Exact: numerators and denominators are integers of at most n^2, which
-    float64 holds exactly for n up to ``EXACT_DEVIATION_N``; above that the
-    gap is refused rather than rounded.
+    ``counts`` is the per-cycle label table of ``_label_counts_per_cycle``
+    and ``lengths`` the cycle lengths.  Exact: numerators and denominators
+    are integers of at most n^2, which float64 holds exactly for n up to
+    ``EXACT_DEVIATION_N``; above that the gap is refused rather than rounded.
     """
-    n = psi.n
+    n = int(lengths.sum())
     if n > EXACT_DEVIATION_N:
         raise ValueError(
             f"n={n} exceeds {EXACT_DEVIATION_N}, the largest size for which "
             "cycle deviations are computed exactly"
         )
-    counts = _label_counts_per_cycle(dec, psi)
-    lengths = dec.lengths()
-    total = psi.atom_sizes()
+    total = counts.sum(axis=0)
     num = np.abs(counts * n - total[None, :] * lengths[:, None])
     return num.max(axis=1) / (lengths * n)
 
 
 def _bad_mass(dec: CycleDecomposition, psi: Observable, eps: float):
     """``(mass of the cycles deviating beyond eps, per-cycle deviations)``."""
-    dev = _deviations(dec, psi)
-    return float(dec.lengths()[dev > eps].sum() / psi.n), dev
+    lengths = dec.lengths()
+    dev = _deviations(_label_counts_per_cycle(dec, psi), lengths)
+    return float(lengths[dev > eps].sum() / psi.n), dev
 
 
 def ergodic_profile(t: np.ndarray, psi: Observable, eps: float):
@@ -164,6 +162,8 @@ def _rewire_cycles(
     a = j.alphabet_size
     if psi.alphabet_size != a:
         raise ValueError("alphabet mismatch between labels and coupling")
+    lengths = dec.lengths()
+    label_counts = _label_counts_per_cycle(dec, psi)
     if check:
         if not eps < 1 / 6:
             raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
@@ -172,7 +172,7 @@ def _rewire_cycles(
             raise PreconditionError(
                 f"min coupling entry {jmin:.6g} is not above 2|A|eps={2 * a * eps:.6g}"
             )
-        margin_gap = float(_margin_gap(j, empirical_distribution(psi).real))
+        margin_gap = float(_margin_gap(j, label_counts.sum(axis=0) / n))
         if not margin_gap < eps:
             raise PreconditionError(
                 f"coupling margins sit {margin_gap:.6g} from the label "
@@ -181,9 +181,7 @@ def _rewire_cycles(
     if goodness_eps is None:
         goodness_eps = eps
 
-    lengths = dec.lengths()
-    label_counts = _label_counts_per_cycle(dec, psi)
-    good = (lengths >= 3) & (_deviations(dec, psi) <= goodness_eps)
+    good = (lengths >= 3) & (_deviations(label_counts, lengths) <= goodness_eps)
     if check:
         # the rounding hypothesis must hold against the block's own margin
         # gap, which picks up the coupling's global margin slack; with
@@ -227,7 +225,7 @@ def _rewire_cycles(
     outcomes = tuple(
         map(CycleOutcome, lengths.tolist(), good.tolist(), per_cycle_err.tolist())
     )
-    pairs = joint_pair_distribution(psi, t_new)
+    pairs = Coupling.from_counts(cycle_cells.sum(axis=0).reshape(a, a), n)
     report = RewireReport(
         good_mass=float(lengths[good].sum() / n),
         achieved_error=linf(pairs, j),

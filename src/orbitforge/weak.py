@@ -16,16 +16,14 @@ import numpy as np
 
 from .freegroup import (
     FiniteAction,
-    GeneratorSet,
     ReducedWord,
     ball,
     refine_partition,
     translated_labels,
 )
-from .spaces import Observable, _cell_counts, _signed_cell_gap
+from .spaces import Coupling, Observable, _cell_counts, _signed_cell_gap
 
 __all__ = [
-    "StatsMatrix",
     "TransportCertificate",
     "stats_matrix",
     "kechris_distance",
@@ -35,26 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StatsMatrix:
-    """Exact intersection statistics: entry (i,j) is ``#(P_i ∩ g·P_j)/denom``."""
-
-    counts: np.ndarray
-    denom: int
-    word: ReducedWord
-
-    @property
-    def real(self) -> np.ndarray:
-        return self.counts / self.denom
-
-
-def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> StatsMatrix:
-    """Intersection counts of ``P`` with its translate ``g·P`` under ``a``."""
+def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> Coupling:
+    """Exact intersection statistics: entry (i,j) is ``#(P_i ∩ g·P_j)/n``."""
     if p.n != a.n:
         raise ValueError("partition size does not match the action")
     k = p.alphabet_size
     counts = _cell_counts(p.labels * k, translated_labels(a, p, [g])[g], k)
-    return StatsMatrix(counts.reshape(k, k), p.n, g)
+    return Coupling.from_counts(counts.reshape(k, k), p.n)
 
 
 def kechris_distance(
@@ -237,7 +222,7 @@ def ball_transport_certificate(
         claim2[g] = worst / n
 
     # Generator-level hypothesis over the symmetric letter set.
-    letters = [ReducedWord((s,)) for s in GeneratorSet(v.rank).letters]
+    letters = ball(v.rank, 1)[1:]
     hyp = _max_stats_gap(
         pprime,
         translated_labels(v, pprime, letters),

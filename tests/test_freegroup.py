@@ -11,13 +11,13 @@ from orbitforge import (
     Observable,
     ReducedWord,
     ball,
-    evaluate,
     format_word,
     inverse_permutation,
     joint_pair_distribution,
     parse_word,
     reduce_word,
     refine_partition,
+    translated_labels,
 )
 
 
@@ -59,31 +59,27 @@ def test_ball_deduplicated_and_ordered():
     assert words[0].is_identity
 
 
-def test_evaluate_identity_and_generators():
+def test_translated_labels_identity_and_generators():
+    # (g·P)(x) = P(g^-1 x): the identity keeps the labels, s1 reads them
+    # through perms[0]^-1 and s1^-1 through perms[0]
     a = FiniteAction.from_perms([[1, 2, 0], [1, 0, 2]])
-    assert np.array_equal(evaluate(a, ReducedWord()), [0, 1, 2])
-    assert np.array_equal(evaluate(a, ReducedWord((1,))), [1, 2, 0])
-    assert np.array_equal(evaluate(a, ReducedWord((-1,))), [2, 0, 1])
+    p = Observable.from_labels([0, 1, 2], 3)
+    e, s1, s1_inv = ReducedWord(), ReducedWord((1,)), ReducedWord((-1,))
+    table = translated_labels(a, p, [e, s1, s1_inv])
+    assert np.array_equal(table[e], p.labels)
+    assert np.array_equal(table[s1], [2, 0, 1])
+    assert np.array_equal(table[s1_inv], [1, 2, 0])
 
 
-def test_evaluate_composition_convention():
-    # leftmost letter acts last: s1 s2 maps x to perms[0](perms[1](x))
+def test_translated_labels_composition_convention():
+    # leftmost letter acts last: (s1 s2)·P = s1·(s2·P), so the labels are
+    # read through the inverse of s2 first and that of s1 last
     a = FiniteAction.from_perms([[1, 2, 0], [1, 0, 2]])
+    p = Observable.from_labels([0, 1, 2], 3)
     w = ReducedWord((1, 2))
-    assert np.array_equal(evaluate(a, w), [2, 1, 0])
-
-
-def test_evaluate_homomorphism_random_pairs():
-    rng = np.random.default_rng(11)
-    a = FiniteAction.from_perms([rng.permutation(12) for _ in range(2)])
-    words = ball(2, 3)
-    for _ in range(100):
-        u = words[rng.integers(len(words))]
-        v = words[rng.integers(len(words))]
-        uv = reduce_word(u.letters + v.letters)
-        lhs = evaluate(a, uv)
-        rhs = evaluate(a, u)[evaluate(a, v)]
-        assert np.array_equal(lhs, rhs)
+    table = translated_labels(a, p, [w])
+    assert np.array_equal(table[w], [2, 1, 0])
+    assert np.array_equal(table[w], p.labels[a.generator(-2)][a.generator(-1)])
 
 
 def test_refine_with_identity_is_relabeling():
@@ -177,7 +173,6 @@ def test_generator_inverses_cached_read_only():
         assert inv is a.generator(-k)
         assert not inv.flags.writeable
         assert np.array_equal(inv, inverse_permutation(a.perms[k - 1]))
-        assert np.array_equal(evaluate(a, ReducedWord((-k,))), inv)
 
 
 def test_cycle_decompositions_cached_per_generator():

@@ -1,9 +1,11 @@
-"""Package hygiene: export lists match the modules, and no ``assert`` in src."""
+"""Package hygiene: export lists match the modules, no ``assert`` in src, and
+the README calls only names the package has."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,11 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_readme_calls_resolve():
+    # a code span written as `name(...)` names a function of the package
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", readme.read_text()))
+    assert called
+    assert sorted(n for n in called if not hasattr(orbitforge, n)) == []

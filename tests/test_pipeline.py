@@ -349,8 +349,8 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
 
 def test_run_experiment_counts_each_pair_distribution_once(monkeypatch):
     # rank 2, three eps: the target pairs of each generator are counted once
-    # for the whole schedule, and each rewired generator's pairs once, for
-    # the rewire report that oe_approximate reads
+    # for the whole schedule; the rewired pairs come from rewiring's own
+    # per-cycle table
     calls = Counter()
     original = orbitforge.spaces.joint_pair_distribution
 
@@ -369,7 +369,7 @@ def test_run_experiment_counts_each_pair_distribution_once(monkeypatch):
     )
     result = run_experiment(config)
     assert result.all_bounds_held
-    assert calls["joint_pair_distribution"] == 2 + 2 * 3
+    assert calls["joint_pair_distribution"] == 2
 
 
 def test_target_couplings_follow_the_observable_on_one_action():

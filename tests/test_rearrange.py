@@ -17,15 +17,18 @@ from orbitforge import (
     empirical_distribution,
     empirical_pair_distribution,
     linf,
+    permutation_with_cycle_lengths,
     rearrange_line,
     round_coupling,
 )
 from orbitforge.rearrange import (
     _close,
+    _close_cycles,
     _component_count,
     _line_components,
     _merge,
     _merge_cycles,
+    _round_counts,
 )
 
 
@@ -311,3 +314,86 @@ def test_merge_returns_cycle_minima_of_merged(perm_keys):
     merged, minima = _merge_cycles(perm.copy(), np.asarray(keys, dtype=np.int64))
     want = np.flatnonzero(cycle_min_labels(merged) == np.arange(perm.shape[0]))
     assert minima.dtype == want.dtype and minima.tobytes() == want.tobytes()
+
+
+# segmented stages: B segments laid back to back, each with its own cycle
+# type, so fixed points, 2-cycles and one long cycle all occur; labels use
+# the first `used` of `a` symbols, so |A| = 1 and empty atoms occur too
+segment_shapes = st.tuples(
+    st.lists(
+        st.lists(st.integers(1, 9), min_size=1, max_size=4), min_size=1, max_size=6
+    ),
+    st.integers(1, 3).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a))),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _segmented(shape):
+    """``(perm, labels, offsets, seg, a)``; ``perm`` keeps every segment."""
+    cycle_types, (a, used), seed = shape
+    rng = np.random.default_rng(seed)
+    lengths = np.array([sum(c) for c in cycle_types])
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    perm = np.concatenate(
+        [
+            start + permutation_with_cycle_lengths(c, rng)
+            for start, c in zip(offsets, cycle_types)
+        ]
+    )
+    labels = rng.integers(0, used, size=offsets[-1])
+    seg = np.repeat(np.arange(lengths.shape[0]), lengths)
+    return perm, labels, offsets, seg, a
+
+
+def _cycles_per_segment(perm, seg):
+    minima = np.flatnonzero(cycle_min_labels(perm) == np.arange(perm.shape[0]))
+    return np.bincount(seg[minima], minlength=seg[-1] + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_shapes)
+def test_round_counts_keep_each_segment_margins(shape):
+    _, labels, offsets, seg, a = _segmented(shape)
+    b = offsets.shape[0] - 1
+    pi = np.bincount(seg * a + labels, minlength=b * a).reshape(b, a)
+    w = np.random.default_rng(shape[2]).random((a, a)) + 0.01
+    counts = _round_counts(Coupling.from_probs(w / w.sum()), pi, np.diff(offsets))
+    assert counts.shape == (b, a, a) and counts.min() >= 0
+    assert np.array_equal(counts.sum(axis=2), pi)
+    assert np.array_equal(counts.sum(axis=1), pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_shapes)
+def test_merge_keeps_bucket_pair_counts(shape):
+    perm, labels, offsets, seg, a = _segmented(shape)
+    b = offsets.shape[0] - 1
+
+    def buckets(p):
+        cells = (seg * a + labels) * a + labels[p]
+        return np.bincount(cells, minlength=b * a * a).reshape(b, a * a)
+
+    before = buckets(perm)
+    merged, _ = _merge_cycles(perm.copy(), (seg * a + labels) * a + labels[perm])
+    assert np.array_equal(np.sort(merged), np.arange(perm.shape[0]))
+    assert np.array_equal(seg[merged], seg)
+    assert np.array_equal(buckets(merged), before)
+    # the cycles meeting one bucket are joined, so each segment keeps at
+    # most one cycle per bucket it uses
+    per_segment = _cycles_per_segment(merged, seg)
+    assert np.all(per_segment <= np.count_nonzero(before, axis=1))
+    assert np.all(per_segment <= a * a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_shapes)
+def test_close_leaves_one_cycle_per_segment(shape):
+    perm, _, offsets, seg, _ = _segmented(shape)
+    before = _cycles_per_segment(perm, seg)
+    reps = np.flatnonzero(cycle_min_labels(perm) == np.arange(perm.shape[0]))
+    closed, n_cycles = _close_cycles(perm.copy(), offsets, reps)
+    assert np.array_equal(n_cycles, before)
+    assert np.array_equal(seg[closed], seg)
+    assert np.all(_cycles_per_segment(closed, seg) == 1)
+    # only the minima of segments with several cycles change their image
+    assert np.count_nonzero(closed != perm) == before[before > 1].sum()

@@ -18,6 +18,7 @@ from orbitforge import (
     joint_pair_distribution,
     mixture_coupling,
     permutation_with_cycle_lengths,
+    product_coupling,
     rewire,
     rewire_ergodic,
     verify_same_orbits,
@@ -207,8 +208,8 @@ def test_rewire_ergodic_examples_and_oracle():
                 len(set(t2[c.atom(i)].tolist()) ^ set(d.atom(i).tolist()))
                 for i in range(k)
             )
-            assert worst <= 2 * k * k
-            assert worst <= brute_force_min_symdiff(n, c, d) + 2 * k * k
+            assert worst <= 2 * k
+            assert worst <= brute_force_min_symdiff(n, c, d) + 2 * k
 
 
 def test_rewire_ergodic_single_atom():
@@ -303,6 +304,33 @@ def test_rewire_core_matches_public_rewire(lengths, seed, a, check):
     expected = joint_pair_distribution(psi, t_new)
     assert pairs.denom == expected.denom
     assert np.array_equal(pairs.counts, expected.counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a))),
+    st.booleans(),
+)
+def test_rewire_keeps_orbits(lengths, seed, alphabet, check):
+    # the cycle type brings fixed points, 2-cycles and one long cycle; labels
+    # use the first `used` of `a` symbols, so |A| = 1 and empty atoms occur.
+    # The target is the product of the label distribution, which meets the
+    # checked hypotheses on some draws and misses them on others
+    a, used = alphabet
+    rng = np.random.default_rng(seed)
+    t = permutation_with_cycle_lengths(lengths, rng)
+    psi = Observable(rng.integers(0, used, size=t.shape[0]), a)
+    j = product_coupling(empirical_distribution(psi))
+    try:
+        t_new, report = rewire(t, psi, j, 0.05 / a, goodness_eps=0.3, check=check)
+    except PreconditionError:
+        assert check
+        return
+    assert verify_same_orbits(t, t_new)
+    assert len(report.per_cycle) == len(lengths)
+    assert report.good_mass <= sum(v for v in lengths if v >= 3) / t.shape[0]
 
 
 def test_rewire_rejects_empty_permutation():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from orbitforge import (
+    Coupling,
     FiniteAction,
     Observable,
     ReducedWord,
@@ -9,6 +12,7 @@ from orbitforge import (
     ball_transport_certificate,
     inverse_permutation,
     kechris_distance,
+    linf,
     refine_partition,
     stats_matrix,
     transport_partition,
@@ -51,6 +55,17 @@ def test_stats_row_sums_equal_atom_sizes():
         g = ReducedWord((1,)) if rng.random() < 0.5 else ReducedWord((-1,))
         m = stats_matrix(a, p, g)
         assert np.array_equal(m.counts.sum(axis=1), p.atom_sizes())
+
+
+def test_stats_matrix_is_an_exact_coupling():
+    # labels 000111 under the shift: cells (0,0) and (1,1) twice, the
+    # others once, all over 6; linf against another exact coupling is exact
+    p = Observable.from_labels([0, 0, 0, 1, 1, 1], 2)
+    m = stats_matrix(shift_action(6), p, ReducedWord((1,)))
+    assert np.array_equal(m.counts, [[2, 1], [1, 2]]) and m.denom == 6
+    diagonal = Coupling.from_counts([[3, 0], [0, 3]], 6)
+    assert linf(m, diagonal) == float(Fraction(1, 6))
+    assert linf(m, m) == 0.0
 
 
 def test_kechris_zero_on_equal_pairs():
