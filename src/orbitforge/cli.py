@@ -17,6 +17,7 @@ import numpy as np
 
 from .freegroup import FiniteAction, parse_word
 from .pipeline import (
+    SCHEMA_VERSION,
     ConfigError,
     _permutation_text,
     parse_config,
@@ -63,7 +64,7 @@ def _cmd_lemma_rearrange(args) -> int:
     j = read_coupling_csv(args.coupling)
     sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_sigma, _permutation_text(sigma.sigma))
-    payload = {"schema_version": 1, **asdict(report)}
+    payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     _write_or_print(args.out_report, _json_line(payload))
     return 0
 
@@ -74,7 +75,7 @@ def _cmd_rewire(args) -> int:
     j = read_coupling_csv(args.coupling)
     t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_perm, _permutation_text(t_new))
-    payload = {"schema_version": 1, **asdict(report)}
+    payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     payload["per_cycle"] = [list(row.values()) for row in payload["per_cycle"]]
     _write_or_print(args.out_report, _json_line(payload))
     return 0
@@ -93,6 +94,13 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbit-forge")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -106,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--labels", required=True)
     p.add_argument("--coupling", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--out-sigma")
     p.add_argument("--out-report")
     p.add_argument("--no-check", action="store_true")
@@ -116,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--coupling", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--out-perm")
     p.add_argument("--out-report")
     p.add_argument("--no-check", action="store_true")

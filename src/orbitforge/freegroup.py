@@ -75,17 +75,13 @@ def reduce_word(letters) -> ReducedWord:
     return ReducedWord(tuple(stack))
 
 
-def _letter_key(v: int) -> tuple[int, int]:
-    # s_k sorts before s_k^-1; generators in index order
-    return (abs(v), 0 if v > 0 else 1)
-
-
 def ball(rank: int, radius: int) -> list[ReducedWord]:
     """All reduced words of length <= radius, ordered by length then lex.
 
     Breadth-first extension over the letters s1, s1^-1, s2, ... that never
     appends the inverse of the last letter, so every word is produced
-    exactly once.
+    exactly once; extending a lex-ordered level letter by letter in that
+    order leaves the next level lex-ordered too.
     """
     if rank < 1:
         raise ValueError("need at least one generator")
@@ -101,7 +97,6 @@ def ball(rank: int, radius: int) -> list[ReducedWord]:
                 if w and w[-1] == -v:
                     continue
                 nxt.append(w + (v,))
-        nxt.sort(key=lambda w: tuple(_letter_key(v) for v in w))
         out.extend(ReducedWord(w) for w in nxt)
         frontier = nxt
     return out

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+KECHRIS_RADIUS = 2  # ball radius of the reported Kechris distance
 
 
 class CertificationError(RuntimeError):
@@ -155,7 +156,7 @@ class PipelineReport:
     orbit_equivalent: bool
     retries_used: int
     kechris_distance: float
-    kechris_radius: int = 2
+    kechris_radius: int = KECHRIS_RADIUS
 
     def bounds_held(self) -> bool:
         return all(g.achieved_error <= g.bound for g in self.generators)
@@ -171,13 +172,14 @@ def oe_approximate(
     eps: float,
     retries: int = 5,
     seed: int = 0,
-    psi: Observable | None = None,
 ) -> tuple[FiniteAction, Observable, PipelineReport]:
     """Rewire ``a`` generator by generator toward the statistics of ``b``.
 
-    Returns the rewired action (same orbits as ``a``, generator-wise), the
-    observable used on the source side, and a per-generator report.  The
-    triangle decomposition achieved <= rewire_error + mixture_gap, the
+    The source observable is sampled by ``good_observable`` from the label
+    distribution of ``phi``.  Returns the rewired action (same orbits as
+    ``a``, generator-wise), that observable, and a per-generator report
+    with the Kechris distance over the ball of radius ``KECHRIS_RADIUS``.
+    The triangle decomposition achieved <= rewire_error + mixture_gap, the
     mixture bound mixture_gap <= eps and orbit preservation are checked on
     every run; a failure raises ``CertificationError``.  The cycles of
     ``a`` are decomposed once, on the action, and shared by sampling,
@@ -191,14 +193,7 @@ def oe_approximate(
         raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
     targets = target_couplings(b, phi, eps)
     alpha = phi.alphabet_size
-    if psi is None:
-        psi, attempts = good_observable(
-            a, empirical_distribution(phi), eps, retries, seed
-        )
-    else:
-        attempts = 0
-        if psi.n != a.n or psi.alphabet_size != alpha:
-            raise ValueError("provided observable does not match")
+    psi, attempts = good_observable(a, empirical_distribution(phi), eps, retries, seed)
 
     new_perms = []
     checked = []
@@ -247,7 +242,7 @@ def oe_approximate(
         )
         for s, achieved, rep, mixture_gap, min_ok, eps_s in checked
     ]
-    kech = kechris_distance(b, a_new, phi, psi, ball(a.rank, 2))
+    kech = kechris_distance(b, a_new, phi, psi, ball(a.rank, KECHRIS_RADIUS))
     report = PipelineReport(
         eps=eps,
         alphabet_size=alpha,
@@ -301,6 +296,8 @@ class PipelineConfig:
             raise ValueError("rank must be at least 1")
         if self.alphabet < 1:
             raise ValueError("alphabet must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.retries < 1:
             raise ValueError("retries must be at least 1")
         if self.workers < 1:
@@ -452,10 +449,11 @@ def _build_action(spec: str, n: int, rank: int, seed: int, tag: int) -> FiniteAc
                 f"field 'source'/'target': expected {rank} permutation files, "
                 f"got {len(paths)}"
             )
-        perms = np.vstack([read_permutation(p) for p in paths])
-        if perms.shape[1] != n:
-            raise ConfigError("permutation file length does not match n")
-        return FiniteAction.from_perms(perms)
+        perms = [read_permutation(p) for p in paths]
+        for path, perm in zip(paths, perms):
+            if perm.shape[0] != n:
+                raise ConfigError(f"{path}: {perm.shape[0]} images, expected n={n}")
+        return FiniteAction.from_perms(np.vstack(perms))
     raise ConfigError(f"unknown action spec {spec!r}")
 
 
@@ -463,11 +461,11 @@ def _build_phi(spec: str, n: int, alphabet: int) -> Observable:
     if spec == "balanced":
         return Observable(np.arange(n, dtype=np.int64) % alphabet, alphabet)
     if spec.startswith("file:"):
-        obs, _ = read_labels(spec[len("file:") :])
+        obs, _ = read_labels(path := spec[len("file:") :])
         if obs.n != n:
-            raise ConfigError("labels file length does not match n")
+            raise ConfigError(f"{path}: {obs.n} labels, expected n={n}")
         if obs.alphabet_size != alphabet:
-            raise ConfigError("labels file does not match the alphabet size")
+            raise ConfigError(f"{path}: {obs.alphabet_size} symbols, not {alphabet}")
         return obs
     raise ConfigError(f"unknown phi spec {spec!r}")
 

@@ -116,16 +116,15 @@ def rewire(
     j: Coupling,
     eps: float,
     *,
-    goodness_eps: float | None = None,
     check: bool = True,
 ) -> tuple[np.ndarray, RewireReport]:
     """Rewire ``t`` within its cycles toward the pair statistics of ``j``.
 
-    ``goodness_eps`` is the per-cycle equidistribution threshold (defaults
-    to ``eps``); the mass bound and the deviation threshold are separate
-    knobs on purpose.  Orbits are preserved unconditionally.  Whenever the
-    off-hypothesis mass is below ``eps`` and every good cycle passes the
-    length condition, the achieved error is at most ``9*|A|*eps``.
+    A cycle is rewired when its label frequencies sit within ``eps`` of
+    the global ones and it passes the block rounding gate.  Orbits are
+    preserved unconditionally.  Whenever the off-hypothesis mass is below
+    ``eps`` and every good cycle passes the length condition, the achieved
+    error is at most ``9*|A|*eps``.
 
     All good cycles are rearranged in one segmented pass: each is one
     segment of the line stages of ``rearrange``.
@@ -133,7 +132,7 @@ def rewire(
     t = _as_int64(t, "permutation images")
     # cycle_decomposition refuses a non-permutation before any other check
     t_new, report, _ = _rewire_cycles(
-        t, cycle_decomposition(t), psi, j, eps, goodness_eps=goodness_eps, check=check
+        t, cycle_decomposition(t), psi, j, eps, check=check
     )
     return t_new, report
 
@@ -145,7 +144,6 @@ def _rewire_cycles(
     j: Coupling,
     eps: float,
     *,
-    goodness_eps: float | None = None,
     check: bool = True,
 ) -> tuple[np.ndarray, RewireReport, Coupling]:
     """``rewire`` of the int64 permutation ``t`` whose cycles are ``dec``.
@@ -178,10 +176,8 @@ def _rewire_cycles(
                 f"coupling margins sit {margin_gap:.6g} from the label "
                 f"distribution, not below eps={eps:.6g}"
             )
-    if goodness_eps is None:
-        goodness_eps = eps
 
-    good = (lengths >= 3) & (_deviations(label_counts, lengths) <= goodness_eps)
+    good = (lengths >= 3) & (_deviations(label_counts, lengths) <= eps)
     if check:
         # the rounding hypothesis must hold against the block's own margin
         # gap, which picks up the coupling's global margin slack; with

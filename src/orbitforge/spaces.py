@@ -327,7 +327,7 @@ def product_coupling(pi: Dist) -> Coupling:
     return Coupling.from_counts(np.outer(c, c), pi.denom * pi.denom)
 
 
-def coupling_margins_check(j: Coupling, pi: Dist, tol: float = REAL_TOL) -> bool:
+def coupling_margins_check(j: Coupling, pi: Dist) -> bool:
     """True iff both margins of ``j`` equal ``pi`` (exactly in count view)."""
     if j.alphabet_size != pi.alphabet_size:
         return False
@@ -341,8 +341,8 @@ def coupling_margins_check(j: Coupling, pi: Dist, tol: float = REAL_TOL) -> bool
         )
     target = pi.real
     return bool(
-        np.max(np.abs(j.row_margin() - target)) <= tol
-        and np.max(np.abs(j.col_margin() - target)) <= tol
+        np.max(np.abs(j.row_margin() - target)) <= REAL_TOL
+        and np.max(np.abs(j.col_margin() - target)) <= REAL_TOL
     )
 
 

@@ -76,11 +76,11 @@ def _max_stats_gap(p: Observable, moved_p, q: Observable, moved_q, words) -> Fra
     return Fraction(worst, p.n * q.n)
 
 
-def weak_distance(t: np.ndarray, u: np.ndarray, sets, weights=None) -> float:
-    """Weighted sum of symmetric differences ``sum_i w_i mu(tA_i Δ uA_i)``.
+def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
+    """Weighted sum of symmetric differences ``sum_i 2^-(i+1) mu(tA_i Δ uA_i)``.
 
-    ``sets`` is a finite family of index arrays; weights default to
-    ``2^-(i+1)`` so the first set carries weight 1/2.
+    ``sets`` is a finite family of index arrays; the first set carries
+    weight 1/2.
     """
     t = np.asarray(t)
     u = np.asarray(u)
@@ -89,17 +89,15 @@ def weak_distance(t: np.ndarray, u: np.ndarray, sets, weights=None) -> float:
     sets = list(sets)
     if not sets:
         raise ValueError("need a nonempty family of sets")
-    if weights is None:
-        weights = [2.0 ** -(i + 1) for i in range(len(sets))]
     n = t.shape[0]
     total = 0.0
-    for w_i, subset in zip(weights, sets):
+    for i, subset in enumerate(sets):
         subset = np.asarray(subset, dtype=np.int64)
         mt = np.zeros(n, dtype=bool)
         mu_ = np.zeros(n, dtype=bool)
         mt[t[subset]] = True
         mu_[u[subset]] = True
-        total += w_i * (np.count_nonzero(mt ^ mu_) / n)
+        total += 2.0 ** -(i + 1) * (np.count_nonzero(mt ^ mu_) / n)
     return total
 
 

@@ -208,3 +208,20 @@ def test_coupling_file_error_names_file_and_line(rewire_files, capsys, text, mes
     coupling.write_text(text)
     assert main(_rewire_args(perm, labels, coupling)) == 2
     assert f"{coupling}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lemma-rearrange", "rewire"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_eps_exits_2_and_writes_nothing(rewire_files, capsys, command, eps):
+    perm, labels, coupling = rewire_files
+    out, report = perm.parent / "out.txt", perm.parent / "report.json"
+    args = ["--labels", str(labels), "--coupling", str(coupling), "--eps", eps]
+    if command == "rewire":
+        args += ["--perm", str(perm), "--out-perm", str(out)]
+    else:
+        args += ["--out-sigma", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--out-report", str(report), "--no-check"])
+    assert exc.value.code == 2
+    assert f"{eps!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()

@@ -59,6 +59,19 @@ def test_ball_deduplicated_and_ordered():
     assert words[0].is_identity
 
 
+def test_ball_orders_each_length_by_letter_order():
+    # letters run s1, s1^-1, s2, s2^-1, ...; the words of one length are
+    # lexicographic in that order, which fixes the certificate's word order
+    assert [w.letters for w in ball(2, 1)] == [(), (1,), (-1,), (2,), (-2,)]
+    assert [w.letters for w in ball(2, 2)][5:9] == [(1, 1), (1, 2), (1, -2), (-1, -1)]
+    for rank, radius in ((1, 5), (2, 5), (3, 3), (4, 3)):
+        letters = [v for k in range(1, rank + 1) for v in (k, -k)]
+        keys = [
+            (len(w), [letters.index(v) for v in w.letters]) for w in ball(rank, radius)
+        ]
+        assert keys == sorted(keys)
+
+
 def test_translated_labels_identity_and_generators():
     # (g·P)(x) = P(g^-1 x): the identity keeps the labels, s1 reads them
     # through perms[0]^-1 and s1^-1 through perms[0]

@@ -40,7 +40,7 @@ def configs(draw):
                 )
             )
         ),
-        seed=draw(st.integers(-(2**63), 2**63 - 1)),
+        seed=draw(st.integers(0, 2**63 - 1)),
         retries=draw(st.integers(1, 20)),
         source=draw(WORDS),
         target=draw(WORDS),
@@ -172,3 +172,10 @@ def test_label_file_round_trip(tokens):
     assert symbols == sorted(set(tokens))
     assert [symbols[v] for v in psi.labels] == tokens
     assert psi.alphabet_size == len(symbols)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3", str(-(2**63))])
+def test_negative_seed_is_refused(seed):
+    text = f"n = 10\nrank = 1\nalphabet = 2\neps = 0.1\nseed = {seed}"
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        parse_config(text)

@@ -1,5 +1,8 @@
+import dataclasses
 import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import orbitforge
+from orbitforge import pipeline
 from orbitforge import (
     Coupling,
     Dist,
@@ -124,7 +128,9 @@ def test_oe_approximate_self_target():
         [permutation_with_cycle_lengths([n], rng) for _ in range(2)]
     )
     phi = Observable(np.arange(n) % 2, 2)
-    a2, psi, report = oe_approximate(a, a, phi, 0.05, psi=phi)
+    a2, psi, report = oe_approximate(a, a, phi, 0.05)
+    # one long cycle per generator: the first sampled observable is accepted
+    assert report.retries_used == 1
     assert verify_oe(a, a2)
     assert report.orbit_equivalent
     for g in report.generators:
@@ -226,6 +232,49 @@ def test_run_experiment_empty_schedule(tmp_path):
     assert (tmp_path / "out.csv").read_text() == "eps,generator,achieved_error,bound,kechris_distance\n"
 
 
+def _file_specs(tmp_path, config):
+    """The in-memory run's source, target and labels written out as files."""
+    specs = {}
+    for field, tag in (("source", 101), ("target", 202)):
+        action = pipeline._build_action(
+            "random", config.n, config.rank, config.seed, tag
+        )
+        paths = [tmp_path / f"{field}{s}.txt" for s in range(config.rank)]
+        for path, perm in zip(paths, action.perms):
+            write_permutation(path, perm)
+        specs[field] = "file:" + ",".join(map(str, paths))
+    phi = pipeline._build_phi("balanced", config.n, config.alphabet)
+    (tmp_path / "phi.txt").write_text("".join(f"{v}\n" for v in phi.labels))
+    specs["phi"] = f"file:{tmp_path / 'phi.txt'}"
+    return specs
+
+
+def test_file_specs_reproduce_the_in_memory_run(tmp_path):
+    config = PipelineConfig(
+        n=3000, rank=2, alphabet=2, eps_schedule=(0.1, 0.05), seed=5
+    )
+    from_files = dataclasses.replace(config, **_file_specs(tmp_path, config))
+    want, got = run_experiment(config), run_experiment(from_files)
+    assert got.csv_text == want.csv_text
+    assert json.loads(got.json_text)["entries"] == json.loads(want.json_text)["entries"]
+    assert got.reports == want.reports
+
+
+def test_file_specs_of_the_wrong_length_name_the_file(tmp_path):
+    config = PipelineConfig(n=50, rank=2, alphabet=2, eps_schedule=(0.1,), seed=0)
+    specs = _file_specs(tmp_path, config)
+    short = tmp_path / "source1.txt"
+    write_permutation(short, np.arange(49))
+    message = f"{short}: 49 images, expected n=50"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(dataclasses.replace(config, source=specs["source"]))
+    labels = tmp_path / "phi.txt"
+    labels.write_text("0\n1\n" * 24)
+    message = f"{labels}: 48 labels, expected n=50"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_experiment(dataclasses.replace(config, phi=specs["phi"]))
+
+
 def test_file_roundtrips(tmp_path):
     perm = np.random.default_rng(0).permutation(20)
     write_permutation(tmp_path / "p.txt", perm)
@@ -261,7 +310,7 @@ phi = of.Observable(np.arange(n) % 2, 2)
 
 def run(name, target):
     try:
-        pipeline.oe_approximate(a, target, phi, 0.05, psi=phi)
+        pipeline.oe_approximate(a, target, phi, 0.05)
     except of.CertificationError as exc:
         print(name, "raised:", exc)
     else:

@@ -16,6 +16,7 @@ from orbitforge import (
     empirical_distribution,
     ergodic_profile,
     joint_pair_distribution,
+    linf,
     mixture_coupling,
     permutation_with_cycle_lengths,
     product_coupling,
@@ -160,18 +161,20 @@ def test_rewire_good_cycles_stay_single_cycles():
 
 
 def test_rewire_forcing_bad_cycles_degrades_gracefully():
+    # each cycle carries one label, so every cycle deviates by 1/2 from the
+    # global distribution while the checked hypotheses hold
     rng = np.random.default_rng(24)
-    n = 2000
-    t = permutation_with_cycle_lengths([n], rng)
-    psi = Observable(rng.integers(0, 2, size=n), 2)
+    t = permutation_with_cycle_lengths([1000, 1000], rng)
+    psi = Observable(cycle_decomposition(t).cycle_of, 2)
     j = mixture_coupling(
         joint_pair_distribution(psi, t), 0.2, empirical_distribution(psi)
     )
-    normal = rewire(t, psi, j, 0.03)
-    forced = rewire(t, psi, j, 0.03, goodness_eps=-1.0)
+    forced = rewire(t, psi, j, 0.01)
     assert verify_same_orbits(t, forced[0])
-    assert forced[1].good_mass <= normal[1].good_mass
+    assert forced[1].good_mass == 0.0
+    assert not any(c.good for c in forced[1].per_cycle)
     assert np.array_equal(forced[0], t)
+    assert forced[1].achieved_error == linf(joint_pair_distribution(psi, t), j)
 
 
 def brute_force_min_symdiff(n, c, d):
@@ -289,15 +292,17 @@ def _rewire_instance(lengths, seed, a):
 )
 def test_rewire_core_matches_public_rewire(lengths, seed, a, check):
     t, psi, j = _rewire_instance(lengths, seed, a)
-    kwargs = dict(check=check, goodness_eps=0.3)
+    # with checks waived, eps is only the deviation gate: 0.3 lets most
+    # cycles through; checks need eps below 1/6
+    eps = 0.15 if check else 0.3
     try:
-        want = rewire(t, psi, j, 0.15, **kwargs)
+        want = rewire(t, psi, j, eps, check=check)
     except ValueError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _rewire_cycles(t, cycle_decomposition(t), psi, j, 0.15, **kwargs)
+            _rewire_cycles(t, cycle_decomposition(t), psi, j, eps, check=check)
         return
     t_new, report, pairs = _rewire_cycles(
-        t, cycle_decomposition(t), psi, j, 0.15, **kwargs
+        t, cycle_decomposition(t), psi, j, eps, check=check
     )
     assert t_new.dtype == want[0].dtype and t_new.tobytes() == want[0].tobytes()
     assert report == want[1]
@@ -324,7 +329,7 @@ def test_rewire_keeps_orbits(lengths, seed, alphabet, check):
     psi = Observable(rng.integers(0, used, size=t.shape[0]), a)
     j = product_coupling(empirical_distribution(psi))
     try:
-        t_new, report = rewire(t, psi, j, 0.05 / a, goodness_eps=0.3, check=check)
+        t_new, report = rewire(t, psi, j, 0.05 / a if check else 0.3, check=check)
     except PreconditionError:
         assert check
         return
