@@ -18,7 +18,9 @@ import numpy as np
 from .freegroup import FiniteAction, parse_word
 from .pipeline import (
     SCHEMA_VERSION,
+    CertificationError,
     ConfigError,
+    GoodObservableError,
     _permutation_text,
     parse_config,
     read_coupling_csv,
@@ -145,6 +147,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
+        return 2
+    except (GoodObservableError, CertificationError) as exc:
+        print(f"pipeline failed: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

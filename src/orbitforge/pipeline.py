@@ -72,16 +72,34 @@ class CertificationError(RuntimeError):
 
 
 class GoodObservableError(RuntimeError):
-    """All sampling attempts failed; carries the worst per-generator profile."""
+    """All sampling attempts failed; carries the worst per-generator profile.
 
-    def __init__(self, attempts: int, worst_bad_mass: list[float]):
+    ``label_gap`` is the least global label gap among the attempts refused
+    for it, or ``None`` if no attempt was; ``gap_below`` is the bound.
+    """
+
+    def __init__(
+        self,
+        attempts: int,
+        worst_bad_mass: list[float],
+        label_gap: float | None,
+        gap_below: float | None,
+    ):
         self.attempts = attempts
         self.worst_bad_mass = worst_bad_mass
-        super().__init__(
+        self.label_gap = label_gap
+        self.gap_below = gap_below
+        message = (
             f"no equidistributed observable in {attempts} attempts; "
-            f"worst per-generator off-mass {worst_bad_mass} "
-            "(cycles are likely too short for concentration)"
+            f"worst per-generator off-mass {worst_bad_mass}"
         )
+        if label_gap is None:
+            message += " (cycles are likely too short for concentration)"
+        else:
+            message += (
+                f"; label distribution gap {label_gap:.6g} not below {gap_below:.6g}"
+            )
+        super().__init__(message)
 
 
 def _rng(*key) -> np.random.Generator:
@@ -89,30 +107,44 @@ def _rng(*key) -> np.random.Generator:
 
 
 def good_observable(
-    a: FiniteAction, pi: Dist, eps: float, retries: int, seed: int
+    a: FiniteAction,
+    pi: Dist,
+    eps: float,
+    retries: int,
+    seed: int,
+    gap_below: float | None = None,
 ) -> tuple[Observable, int]:
     """Sample labels i.i.d. from ``pi`` until they equidistribute per cycle.
 
     Acceptance: for every generator, the mass of cycles whose internal
     distribution strays more than ``3*eps`` from the global one is below
-    ``eps``.  Returns the observable and the number of attempts used;
-    deterministic given the seed.
+    ``eps``; with ``gap_below``, also the global label gap, the sup-norm
+    distance from the labels' distribution to ``pi``, is below it.  Returns
+    the observable and the number of attempts used; deterministic given the
+    seed.
     """
     if retries < 1:
         raise ValueError("need at least one attempt")
     cum = np.cumsum(pi.real)
     cum[-1] = 1.0
     worst: list[float] | None = None
+    least_gap: float | None = None
     for attempt in range(1, retries + 1):
         rng = _rng(seed, 1, attempt)
         labels = np.searchsorted(cum, rng.random(a.n), side="right")
         psi = Observable(labels, pi.alphabet_size)
         masses = [_bad_mass(dec, psi, 3 * eps)[0] for dec in a.cycle_decompositions]
-        if all(m < eps for m in masses):
+        gap_ok = True
+        if gap_below is not None:
+            gap = float(np.abs(psi.atom_sizes() / a.n - pi.real).max())
+            gap_ok = gap < gap_below
+            if not gap_ok and (least_gap is None or gap < least_gap):
+                least_gap = gap
+        if gap_ok and all(m < eps for m in masses):
             return psi, attempt
         if worst is None or max(masses) > max(worst):
             worst = masses
-    raise GoodObservableError(retries, worst or [])
+    raise GoodObservableError(retries, worst or [], least_gap, gap_below)
 
 
 def target_couplings(b: FiniteAction, phi: Observable, eps: float) -> list[Coupling]:
@@ -193,16 +225,23 @@ def oe_approximate(
         raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
     targets = target_couplings(b, phi, eps)
     alpha = phi.alphabet_size
-    psi, attempts = good_observable(a, empirical_distribution(phi), eps, retries, seed)
+    jmins = [float(j.real.min()) for j in targets]
+    min_oks = [jmin > 2 * alpha * eps for jmin in jmins]
+    # when the min-entry check fails, shrink the working eps until it
+    # holds; the 10|A|eps bound only loosens, so it stays valid
+    eps_used = [
+        eps if ok else min(eps, 0.45 * jmin / alpha) for jmin, ok in zip(jmins, min_oks)
+    ]
+    # rewiring needs the coupling margins, the distribution of phi, within
+    # each working eps of the sampled labels' distribution
+    psi, attempts = good_observable(
+        a, empirical_distribution(phi), eps, retries, seed, gap_below=min(eps_used)
+    )
 
     new_perms = []
     checked = []
     for s in range(a.rank):
-        jmin = float(targets[s].real.min())
-        min_ok = jmin > 2 * alpha * eps
-        # when the min-entry check fails, shrink the working eps until it
-        # holds; the 10|A|eps bound only loosens, so it stays valid
-        eps_s = eps if min_ok else min(eps, 0.45 * jmin / alpha)
+        min_ok, eps_s = min_oks[s], eps_used[s]
         t_new, rep, pairs = _rewire_cycles(
             a.perms[s], a.cycle_decompositions[s], psi, targets[s], eps_s
         )

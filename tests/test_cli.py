@@ -122,6 +122,40 @@ def test_pipeline_cli_and_exit_codes(tmp_path, capsys):
     assert payload["all_bounds_held"] is True
 
 
+def _pipeline_config(tmp_path, text):
+    config = tmp_path / "run.cfg"
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    config.write_text(text + f"out_csv = {out_csv}\nout_json = {out_json}\n")
+    return config, out_csv, out_json
+
+
+def test_pipeline_cli_reports_no_observable_in_one_line(tmp_path, capsys):
+    config, out_csv, out_json = _pipeline_config(
+        tmp_path, "n = 40\nrank = 2\nalphabet = 3\neps = 0.02\nseed = 3\nretries = 1\n"
+    )
+    assert main(["pipeline", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pipeline failed: no equidistributed observable")
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert not out_csv.exists() and not out_json.exists()
+
+
+def test_pipeline_cli_reports_a_failed_certificate_in_one_line(
+    tmp_path, capsys, monkeypatch
+):
+    import orbitforge.pipeline
+
+    monkeypatch.setattr(orbitforge.pipeline, "verify_oe", lambda a, a2: False)
+    config, out_csv, out_json = _pipeline_config(
+        tmp_path, "n = 2000\nrank = 1\nalphabet = 2\neps = 0.05\nseed = 3\n"
+    )
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "pipeline failed: rewiring did not preserve orbits generator-wise\n"
+    assert not out_csv.exists() and not out_json.exists()
+
+
 def test_pipeline_cli_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("n = 100\nwhat = 1\n")

@@ -60,6 +60,38 @@ def test_good_observable_rejects_short_cycles():
     assert info.value.worst_bad_mass
 
 
+def test_good_observable_refuses_a_label_gap_at_the_bound():
+    a = FiniteAction.from_perms([np.roll(np.arange(101), -1)])
+    pi = Dist(np.array([1, 1]), 2)
+    psi, attempts = good_observable(a, pi, 0.05, 5, seed=4)
+    gap = float(np.abs(psi.atom_sizes() / 101 - pi.real).max())
+    loose, loose_attempts = good_observable(a, pi, 0.05, 5, seed=4, gap_below=1.0)
+    assert loose_attempts == attempts and np.array_equal(loose.labels, psi.labels)
+    # the same draws, with the bound at the accepted attempt's own gap
+    with pytest.raises(GoodObservableError, match="label distribution gap") as info:
+        good_observable(a, pi, 0.05, attempts, seed=4, gap_below=gap)
+    assert info.value.label_gap == gap
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11, 19])
+@pytest.mark.parametrize("retries", [1, 5])
+def test_shrunk_eps_resamples_instead_of_raising(seed, retries):
+    # |A| = 3 at n = 3,000: the least target entry fails 2|A|eps, so the
+    # working eps shrinks below the sampling noise of the label frequencies;
+    # these seeds raised PreconditionError out of run_experiment
+    config = PipelineConfig(
+        n=3000, rank=2, alphabet=3, eps_schedule=(0.1, 0.05), seed=seed, retries=retries
+    )
+    try:
+        result = run_experiment(config)
+    except GoodObservableError as exc:
+        assert "label distribution gap" in str(exc)
+        assert retries == 1
+    else:
+        assert result.all_bounds_held
+        assert any(not g.min_entry_ok for r in result.reports for g in r.generators)
+
+
 def test_good_observable_random_permutations_accept():
     # random permutations carry little mass on short cycles, so sampling
     # succeeds fast even against the 3*eps deviation threshold
@@ -390,7 +422,9 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     assert all(r.orbit_equivalent for r in result.reports)
     assert all(g.same_orbits for r in result.reports for g in r.generators)
     assert calls["cycle_decomposition"] == 2
-    assert calls["cycle_min_labels"] <= 14
+    # six from merging the built lines and six from verify_oe; the
+    # decompositions label their cycles without it
+    assert calls["cycle_min_labels"] == 12
     # only the rows of each built action are checked; the pipeline's own
     # decompositions and rows are not validated again
     assert calls["is_permutation"] <= 12
