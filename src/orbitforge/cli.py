@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .freegroup import FiniteAction, parse_word
+from .permutations import is_permutation
 from .pipeline import (
     SCHEMA_VERSION,
     CertificationError,
@@ -84,9 +85,17 @@ def _cmd_rewire(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    perms = np.vstack([read_permutation(p) for p in args.perm])
-    action = FiniteAction.from_perms(perms)
+    perms = [read_permutation(path) for path in args.perm]
+    n = perms[0].shape[0]
+    for path, perm in zip(args.perm, perms):
+        if perm.shape[0] != n:
+            raise ValueError(f"{path}: {perm.shape[0]} images, expected n={n}")
+        if not is_permutation(perm):
+            raise ValueError(f"{path}: the images are not a permutation")
+    action = FiniteAction.from_perms(np.vstack(perms))
     p, _ = read_labels(args.labels)
+    if p.n != action.n:
+        raise ValueError(f"{args.labels}: {p.n} labels, expected n={action.n}")
     word = parse_word(args.word, action.rank)
     stats = stats_matrix(action, p, word)
     for i in range(p.alphabet_size):
@@ -96,10 +105,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
+def _positive_float(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -116,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--labels", required=True)
     p.add_argument("--coupling", required=True)
-    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--out-sigma")
     p.add_argument("--out-report")
     p.add_argument("--no-check", action="store_true")
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--coupling", required=True)
-    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--out-perm")
     p.add_argument("--out-report")
     p.add_argument("--no-check", action="store_true")

@@ -204,25 +204,22 @@ def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
 _PACK_LIMIT = 2**62
 
 
-def refine_partition(
-    p: Observable, words, a: FiniteAction, *, translated=None
-) -> Observable:
+def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
     """Common refinement of the translated partitions ``{g·P : g in words}``.
 
     Point x lands in the atom determined by its translated-label signature
     ``(P(g^{-1}x))_{g}``, packed into one int64 code in mixed radix
     ``|A|``; the code is dense-ranked whenever another digit could pass
-    2^62.  Atom ids are dense, numbered by first occurrence in point order,
-    so the output is reproducible.  ``translated`` is the table of
-    ``translated_labels(a, p, words)`` when the caller already has it.
+    2^62.  The signatures are read from ``translated_labels(a, p, words)``.
+    Atom ids are dense, numbered by first occurrence in point order, so the
+    output is reproducible.
     """
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
     if p.n != a.n:
         raise ValueError("partition size does not match the action")
-    if translated is None:
-        translated = translated_labels(a, p, words)
+    translated = translated_labels(a, p, words)
     k = p.alphabet_size
     code = np.zeros(p.n, dtype=np.int64)
     bound = 1  # every code is below bound

@@ -2,9 +2,12 @@
 
 The statistics of an action against a partition are the intersection
 measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
-these numbers agree over a finite word set.  ``ball_transport_certificate``
-carries a partition across an atom bijection on a ball refinement and
-measures, claim by claim, how much each transported quantity drifts.
+these numbers agree over a finite word set.  ``kechris_distance`` is the one
+path from word sets to compared statistics: it reads translated-label
+tables and compares each pair of inverse words once.
+``ball_transport_certificate`` carries a partition across an atom bijection
+on a ball refinement and measures, claim by claim, how much each
+transported quantity drifts.
 """
 
 from __future__ import annotations
@@ -43,37 +46,29 @@ def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> Coupling:
 
 
 def kechris_distance(
-    v: FiniteAction,
-    w: FiniteAction,
-    p: Observable,
-    q: Observable,
-    words,
-    *,
-    translated=None,
+    v: FiniteAction, w: FiniteAction, p: Observable, q: Observable, words
 ) -> float:
     """Largest disagreement of intersection statistics over a word set.
 
     Zero iff the statistics of ``(v, P)`` and ``(w, Q)`` agree exactly for
-    every word; computed in exact integer arithmetic.  ``translated`` is the
-    pair of tables ``translated_labels(v, p, words)`` and
-    ``translated_labels(w, q, words)`` when the caller already has them.
+    every word; computed in exact integer arithmetic.  Since
+    ``mu(P_i ∩ g·P_j) = mu(g^{-1}·P_i ∩ P_j)``, the counts of ``g^{-1}`` are
+    the transpose of those of ``g`` on both sides and give the same gap, so
+    a word whose inverse was already compared is skipped.
     """
     if p.alphabet_size != q.alphabet_size:
         raise ValueError("partitions must have the same atom count")
     if p.n != v.n or q.n != w.n:
         raise ValueError("partition size does not match the action")
-    words = list(words)
-    if translated is None:
-        translated = (translated_labels(v, p, words), translated_labels(w, q, words))
-    moved_p, moved_q = translated
-    return float(_max_stats_gap(p, moved_p, q, moved_q, words))
-
-
-def _max_stats_gap(p: Observable, moved_p, q: Observable, moved_q, words) -> Fraction:
-    """Largest cell disagreement over ``words``, read from translate tables."""
+    compared: dict[ReducedWord, None] = {}
+    for g in words:
+        if ReducedWord(tuple(-s for s in reversed(g.letters))) not in compared:
+            compared[g] = None
+    moved_p = translated_labels(v, p, compared)
+    moved_q = translated_labels(w, q, compared)
     gap = _signed_cell_gap(p, q)
-    worst = max((gap(moved_p[g], moved_q[g]) for g in words), default=0)
-    return Fraction(worst, p.n * q.n)
+    worst = max((gap(moved_p[g], moved_q[g]) for g in compared), default=0)
+    return float(Fraction(worst, p.n * q.n))
 
 
 def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
@@ -182,18 +177,21 @@ def ball_transport_certificate(
     """Verify a partition transport over a word ball, claim by claim.
 
     ``beta`` maps atoms of the ball refinement of ``P`` under ``v`` to atoms
-    of an image partition (see ``transport_partition``).  The certificate is
-    informational: out-of-bound values are reported, never raised.
+    of an image partition (see ``transport_partition``).  Claim 1 compares
+    atom sizes, claim 2 each word's transported translate with the
+    translate of the transport, the hypothesis is ``kechris_distance`` over
+    the letters on the refinements, and the final discrepancy is
+    ``kechris_distance`` over the ball on ``P`` and its transport.  The
+    certificate is informational: out-of-bound values are reported, never
+    raised.
     """
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
     if p.n != v.n:
         raise ValueError("partition size does not match the action")
     words = tuple(ball(v.rank, radius))
-    moved_p = translated_labels(v, p, words)
-    pprime = refine_partition(p, words, v, translated=moved_p)
+    pprime = refine_partition(p, words, v)
     q, qprime, first = _transport(p, pprime, beta)
-    moved_q = translated_labels(w, q, words)
     n = p.n
     kref = pprime.alphabet_size
 
@@ -209,6 +207,8 @@ def ball_transport_certificate(
 
     # Claim 2: beta extends to unions of refinement atoms, so beta(g·P_i) is
     # the union of image atoms whose preimages tile g·P_i.
+    moved_p = translated_labels(v, p, words)
+    moved_q = translated_labels(w, q, words)
     claim2: dict[ReducedWord, float] = {}
     kcoarse = p.alphabet_size
     for g in words:
@@ -218,16 +218,10 @@ def ball_transport_certificate(
         gained = np.bincount(moved_q[g][mismatch], minlength=kcoarse)
         worst = int(np.max(lost + gained)) if mismatch.any() else 0
         claim2[g] = worst / n
+    del moved_p, moved_q  # freed before the statistics below build their own
 
     # Generator-level hypothesis over the symmetric letter set.
-    letters = ball(v.rank, 1)[1:]
-    hyp = _max_stats_gap(
-        pprime,
-        translated_labels(v, pprime, letters),
-        qprime,
-        translated_labels(w, qprime, letters),
-        letters,
-    )
+    hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])
     bound = eps / (kref * kref * len(words) * 4)
 
     return TransportCertificate(
@@ -235,11 +229,9 @@ def ball_transport_certificate(
         words=words,
         claim1_max=claim1 / n,
         claim2_max_per_word=claim2,
-        hypothesis_max=float(hyp),
+        hypothesis_max=hyp,
         hypothesis_bound=bound,
-        hypothesis_ok=float(hyp) < bound,
-        final_discrepancy=kechris_distance(
-            v, w, p, q, words, translated=(moved_p, moved_q)
-        ),
+        hypothesis_ok=hyp < bound,
+        final_discrepancy=kechris_distance(v, w, p, q, words),
         refinement_atoms=kref,
     )

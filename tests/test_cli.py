@@ -245,7 +245,7 @@ def test_coupling_file_error_names_file_and_line(rewire_files, capsys, text, mes
 
 
 @pytest.mark.parametrize("command", ["lemma-rearrange", "rewire"])
-@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
 def test_non_finite_eps_exits_2_and_writes_nothing(rewire_files, capsys, command, eps):
     perm, labels, coupling = rewire_files
     out, report = perm.parent / "out.txt", perm.parent / "report.json"
@@ -257,5 +257,42 @@ def test_non_finite_eps_exits_2_and_writes_nothing(rewire_files, capsys, command
     with pytest.raises(SystemExit) as exc:
         main([command, *args, "--out-report", str(report), "--no-check"])
     assert exc.value.code == 2
-    assert f"{eps!r} is not a finite number" in capsys.readouterr().err
+    assert f"{eps!r} is not a positive finite number" in capsys.readouterr().err
     assert not out.exists() and not report.exists()
+
+
+@pytest.fixture
+def stats_files(tmp_path):
+    perms = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path, perm in zip(perms, ([1, 2, 3, 0], [3, 2, 1, 0])):
+        write_permutation(path, np.array(perm))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\na\nb\nb\n")
+    return perms, labels
+
+
+def _stats_args(perms, labels):
+    return ["stats", *(f"--perm={p}" for p in perms), "--labels", str(labels)]
+
+
+@pytest.mark.parametrize(
+    "perm_text, message",
+    [("0\n1\n2\n", "3 images, expected n=4"), ("0\n0\n1\n2\n", "not a permutation")],
+    ids=["short", "repeated-image"],
+)
+def test_stats_permutation_error_names_file(stats_files, capsys, perm_text, message):
+    perms, labels = stats_files
+    perms[1].write_text(perm_text)
+    assert main([*_stats_args(perms, labels), "--word", "a b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {perms[1]}: " in captured.err and message in captured.err
+
+
+def test_stats_labels_error_names_file(stats_files, capsys):
+    perms, labels = stats_files
+    labels.write_text("a\nb\nb\n")
+    assert main([*_stats_args(perms, labels), "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {labels}: 3 labels, expected n=4" in captured.err

@@ -26,8 +26,11 @@ from orbitforge import (
     kechris_distance,
     reduce_word,
     refine_partition,
+    stats_matrix,
     translated_labels,
 )
+from orbitforge import spaces, weak
+from orbitforge.spaces import _signed_cell_gap
 
 
 def _outcome(fn, *args):
@@ -241,3 +244,88 @@ def test_certificate_evaluates_no_word(monkeypatch):
     second = ball_transport_certificate(v, w, p, 3, beta, 0.2)
     assert calls == Counter()
     assert repr(first) == repr(second)
+
+
+def _inverse(g):
+    return ReducedWord(tuple(-s for s in reversed(g.letters)))
+
+
+@pytest.mark.parametrize("k, dense", [(3, True), (12, False)])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
+    # mu(P_i ∩ g·P_j) = mu(g^-1·P_i ∩ P_j): the counts of g^-1 are the
+    # transpose of those of g on each side, so the two gaps agree, with
+    # unequal point counts, on the dense (k*k <= n) and the sparse branch
+    rng = np.random.default_rng(rank * 100 + k)
+    n_p, n_q = 60, 45
+    v = FiniteAction.from_perms([rng.permutation(n_p) for _ in range(rank)])
+    w = FiniteAction.from_perms([rng.permutation(n_q) for _ in range(rank)])
+    p = Observable(rng.integers(0, k, size=n_p), k)
+    q = Observable(rng.integers(0, k, size=n_q), k)
+    words = ball(rank, 3)
+    moved_p = translated_labels(v, p, words)
+    moved_q = translated_labels(w, q, words)
+    dense_calls = []
+    original = spaces._cell_counts
+
+    def counted(*args):
+        dense_calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(spaces, "_cell_counts", counted)
+    gap = _signed_cell_gap(p, q)
+    for g in words:
+        h = _inverse(g)
+        for a, part in ((v, p), (w, q)):
+            forward, backward = stats_matrix(a, part, g), stats_matrix(a, part, h)
+            assert np.array_equal(backward.counts, forward.counts.T)
+        assert gap(moved_p[g], moved_q[g]) == gap(moved_p[h], moved_q[h])
+    assert bool(dense_calls) == dense
+
+
+def _count_compared(monkeypatch):
+    # words compared per kechris_distance call: one list entry per call
+    compared = []
+    original = weak._signed_cell_gap
+
+    def counted_gap(p, q):
+        gap = original(p, q)
+        compared.append(0)
+
+        def counted(moved_p, moved_q):
+            compared[-1] += 1
+            return gap(moved_p, moved_q)
+
+        return counted
+
+    monkeypatch.setattr(weak, "_signed_cell_gap", counted_gap)
+    return compared
+
+
+@pytest.mark.parametrize("radius, want", [(2, 9), (3, 27)])
+def test_kechris_distance_compares_each_inverse_pair_once(monkeypatch, radius, want):
+    rng = np.random.default_rng(radius)
+    n = 400
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    q = Observable(rng.integers(0, 3, size=n), 3)
+    words = ball(2, radius)
+    compared = _count_compared(monkeypatch)
+    distance = kechris_distance(v, w, p, q, words)
+    assert compared == [want]
+    assert repr(distance) == repr(ref.kechris_distance(v, w, p, q, words))
+
+
+def test_certificate_compares_each_inverse_pair_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 400
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    beta = np.arange(ref.refine_partition(p, ball(2, 2), v).alphabet_size)
+    compared = _count_compared(monkeypatch)
+    cert = ball_transport_certificate(v, w, p, 2, beta, 0.2)
+    # the letter hypothesis compares a and b, the final discrepancy 9 words
+    assert compared == [2, 9]
+    assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 2, beta, 0.2))
