@@ -10,23 +10,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .freegroup import FiniteAction, parse_word
-from .permutations import is_permutation
 from .pipeline import (
     SCHEMA_VERSION,
     CertificationError,
     ConfigError,
     GoodObservableError,
     _permutation_text,
+    _read_permutations,
     parse_config,
     read_coupling_csv,
     read_labels,
-    read_permutation,
     run_experiment,
 )
 from .rearrange import PreconditionError, rearrange_line
@@ -50,7 +49,10 @@ def _cmd_pipeline(args) -> int:
     return 0 if result.all_bounds_held else 1
 
 
-def _json_line(payload: dict) -> str:
+def _report_line(report) -> str:
+    """The report's fields and ``schema_version`` as one JSON line."""
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload["schema_version"] = SCHEMA_VERSION
     # a NaN or infinity in a report is an error, not a token for the reader
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
@@ -62,46 +64,38 @@ def _write_or_print(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _labels_for(path: str, n: int):
+    p, _ = read_labels(path)
+    if p.n != n:
+        raise ValueError(f"{path}: {p.n} labels, expected n={n}")
+    return p
+
+
 def _cmd_lemma_rearrange(args) -> int:
     phi, _ = read_labels(args.labels)
     j = read_coupling_csv(args.coupling)
     sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_sigma, _permutation_text(sigma.sigma))
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
-    _write_or_print(args.out_report, _json_line(payload))
+    _write_or_print(args.out_report, _report_line(report))
     return 0
 
 
 def _cmd_rewire(args) -> int:
-    t = read_permutation(args.perm)
-    psi, _ = read_labels(args.labels)
+    t = _read_permutations([args.perm])[0]
+    psi = _labels_for(args.labels, t.shape[0])
     j = read_coupling_csv(args.coupling)
     t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_perm, _permutation_text(t_new))
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
-    payload["per_cycle"] = [list(row.values()) for row in payload["per_cycle"]]
-    _write_or_print(args.out_report, _json_line(payload))
+    _write_or_print(args.out_report, _report_line(report))
     return 0
 
 
 def _cmd_stats(args) -> int:
-    perms = [read_permutation(path) for path in args.perm]
-    n = perms[0].shape[0]
-    for path, perm in zip(args.perm, perms):
-        if perm.shape[0] != n:
-            raise ValueError(f"{path}: {perm.shape[0]} images, expected n={n}")
-        if not is_permutation(perm):
-            raise ValueError(f"{path}: the images are not a permutation")
-    action = FiniteAction.from_perms(np.vstack(perms))
-    p, _ = read_labels(args.labels)
-    if p.n != action.n:
-        raise ValueError(f"{args.labels}: {p.n} labels, expected n={action.n}")
+    action = FiniteAction(_read_permutations(args.perm))
+    p = _labels_for(args.labels, action.n)
     word = parse_word(args.word, action.rank)
-    stats = stats_matrix(action, p, word)
-    for i in range(p.alphabet_size):
-        for jx in range(p.alphabet_size):
-            value = float(stats.counts[i, jx] / stats.denom)
-            sys.stdout.write(f"{i},{jx},{value!r}\n")
+    for (i, jx), value in np.ndenumerate(stats_matrix(action, p, word).real):
+        sys.stdout.write(f"{i},{jx},{float(value)!r}\n")
     return 0
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .freegroup import FiniteAction, ball
-from .permutations import cycle_min_labels
+from .permutations import cycle_min_labels, is_permutation
 from .rearrange import PreconditionError
 from .rewire import _bad_mass, _rewire_cycles
 from .spaces import (
@@ -193,9 +193,6 @@ class PipelineReport:
     def bounds_held(self) -> bool:
         return all(g.achieved_error <= g.bound for g in self.generators)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def oe_approximate(
     a: FiniteAction,
@@ -239,11 +236,10 @@ def oe_approximate(
     )
 
     new_perms = []
-    checked = []
+    outcomes = []
     for s in range(a.rank):
-        min_ok, eps_s = min_oks[s], eps_used[s]
         t_new, rep, pairs = _rewire_cycles(
-            a.perms[s], a.cycle_decompositions[s], psi, targets[s], eps_s
+            a.perms[s], a.cycle_decompositions[s], psi, targets[s], eps_used[s]
         )
         pair_target = b._pair_distributions(phi)[s]
         achieved = linf(pairs, pair_target)
@@ -258,36 +254,33 @@ def oe_approximate(
                 f"{rep.achieved_error!r} + mixture gap {mixture_gap!r}"
             )
         new_perms.append(t_new)
-        checked.append((s, achieved, rep, mixture_gap, min_ok, eps_s))
+        # same_orbits holds once verify_oe below passes, or no report is made
+        outcomes.append(
+            GeneratorOutcome(
+                generator=s,
+                achieved_error=achieved,
+                bound=10 * alpha * eps,
+                rewire_error=rep.achieved_error,
+                mixture_gap=mixture_gap,
+                rewire_bound=rep.bound,
+                good_mass=rep.good_mass,
+                same_orbits=True,
+                min_entry_ok=min_oks[s],
+                eps_used=eps_used[s],
+            )
+        )
     a_new = FiniteAction(np.vstack(new_perms))
     # the rows of a_new are copies; drop the originals before the checks
     del new_perms, t_new
-    oe = verify_oe(a, a_new)
-    if not oe:
+    if not verify_oe(a, a_new):
         raise CertificationError("rewiring did not preserve orbits generator-wise")
-    # verify_oe checked every generator, so each one keeps its orbits
-    outcomes = [
-        GeneratorOutcome(
-            generator=s,
-            achieved_error=achieved,
-            bound=10 * alpha * eps,
-            rewire_error=rep.achieved_error,
-            mixture_gap=mixture_gap,
-            rewire_bound=rep.bound,
-            good_mass=rep.good_mass,
-            same_orbits=oe,
-            min_entry_ok=min_ok,
-            eps_used=eps_s,
-        )
-        for s, achieved, rep, mixture_gap, min_ok, eps_s in checked
-    ]
     kech = kechris_distance(b, a_new, phi, psi, ball(a.rank, KECHRIS_RADIUS))
     report = PipelineReport(
         eps=eps,
         alphabet_size=alpha,
         bound=10 * alpha * eps,
         generators=tuple(outcomes),
-        orbit_equivalent=oe,
+        orbit_equivalent=True,
         retries_used=attempts,
         kechris_distance=kech,
     )
@@ -442,6 +435,20 @@ def read_permutation(path) -> np.ndarray:
     return np.asarray([v for _, v in rows], dtype=np.int64)
 
 
+def _read_permutations(paths, n: int | None = None) -> np.ndarray:
+    """Stack one permutation per file, all of ``n`` (default: the first's) points."""
+    perms = [read_permutation(path) for path in paths]
+    n = perms[0].shape[0] if n is None else n
+    for path, perm in zip(paths, perms):
+        if perm.shape[0] != n:
+            raise ValueError(f"{path}: {perm.shape[0]} images, expected n={n}")
+        if n == 0:
+            raise ValueError(f"{path}: no images")
+        if not is_permutation(perm):
+            raise ValueError(f"{path}: the images are not a permutation")
+    return np.vstack(perms)
+
+
 def _permutation_text(perm: np.ndarray) -> str:
     return "\n".join(str(int(v)) for v in perm) + "\n"
 
@@ -467,7 +474,10 @@ def read_coupling_csv(path) -> Coupling:
         if len(row) != len(rows):
             message = f"{len(row)} values in a {len(rows)}-row coupling"
             raise ValueError(f"{path}: line {lineno}: {message}")
-    return Coupling.from_probs(np.asarray([r for _, r in rows], dtype=np.float64))
+    try:
+        return Coupling.from_probs(np.asarray([r for _, r in rows], dtype=np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_coupling_csv(path, j: Coupling) -> None:
@@ -488,11 +498,10 @@ def _build_action(spec: str, n: int, rank: int, seed: int, tag: int) -> FiniteAc
                 f"field 'source'/'target': expected {rank} permutation files, "
                 f"got {len(paths)}"
             )
-        perms = [read_permutation(p) for p in paths]
-        for path, perm in zip(paths, perms):
-            if perm.shape[0] != n:
-                raise ConfigError(f"{path}: {perm.shape[0]} images, expected n={n}")
-        return FiniteAction.from_perms(np.vstack(perms))
+        try:
+            return FiniteAction(_read_permutations(paths, n))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown action spec {spec!r}")
 
 
@@ -567,12 +576,8 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
                 "schema_version": SCHEMA_VERSION,
                 # workers is an execution knob, not part of the experiment
                 # identity: reports stay byte-identical across worker counts
-                "config": {
-                    k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in vars(config).items()
-                    if k != "workers"
-                },
-                "entries": [r.to_dict() for r in reports],
+                "config": {k: v for k, v in vars(config).items() if k != "workers"},
+                "entries": [asdict(r) for r in reports],
                 "all_bounds_held": all_held,
             },
             sort_keys=True,

@@ -13,6 +13,7 @@ distribution lands within ``9*|A|*eps`` of the target coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
+class CycleOutcome(NamedTuple):
     length: int
     good: bool
     error: float

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from orbitforge.cli import main
-from orbitforge.pipeline import read_permutation, write_coupling_csv, write_permutation
+from orbitforge.pipeline import (
+    read_coupling_csv,
+    read_labels,
+    read_permutation,
+    write_coupling_csv,
+    write_permutation,
+)
+from orbitforge.rearrange import rearrange_line
+from orbitforge.rewire import rewire
 from orbitforge.spaces import Coupling
 
 
@@ -276,17 +284,24 @@ def _stats_args(perms, labels):
 
 
 @pytest.mark.parametrize(
-    "perm_text, message",
-    [("0\n1\n2\n", "3 images, expected n=4"), ("0\n0\n1\n2\n", "not a permutation")],
-    ids=["short", "repeated-image"],
+    "index, perm_text, message",
+    [
+        (1, "0\n1\n2\n", "3 images, expected n=4"),
+        (1, "0\n0\n1\n2\n", "not a permutation"),
+        (0, "", "no images"),
+    ],
+    ids=["short", "repeated-image", "empty"],
 )
-def test_stats_permutation_error_names_file(stats_files, capsys, perm_text, message):
+def test_stats_permutation_error_names_file(
+    stats_files, capsys, index, perm_text, message
+):
     perms, labels = stats_files
-    perms[1].write_text(perm_text)
+    perms[index].write_text(perm_text)
     assert main([*_stats_args(perms, labels), "--word", "a b"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: {perms[1]}: " in captured.err and message in captured.err
+    assert captured.err.startswith(f"error: {perms[index]}: ")
+    assert message in captured.err
 
 
 def test_stats_labels_error_names_file(stats_files, capsys):
@@ -296,3 +311,97 @@ def test_stats_labels_error_names_file(stats_files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {labels}: 3 labels, expected n=4" in captured.err
+
+
+def test_rewire_labels_of_the_wrong_length_name_the_file(rewire_files, capsys):
+    perm, labels, coupling = rewire_files
+    labels.write_text("a\nb\n" * 299 + "a\n")
+    out_perm = perm.parent / "out.txt"
+    args = [*_rewire_args(perm, labels, coupling), "--out-perm", str(out_perm)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {labels}: 599 labels, expected n=600\n"
+    assert not out_perm.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "rewire"])
+@pytest.mark.parametrize("perm_text", ["0\n0\n1\n2\n", ""], ids=["repeated", "empty"])
+def test_refused_permutation_file_is_named(tmp_path, capsys, command, perm_text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(perm_text)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\na\nb\n")
+    coupling = tmp_path / "j.csv"
+    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    outputs = [tmp_path / "out.txt", tmp_path / "report.json"]
+    if command == "pipeline":
+        config, *outputs = _pipeline_config(
+            tmp_path,
+            f"n = 4\nrank = 1\nalphabet = 2\neps = 0.1\nseed = 0\nsource = file:{bad}\n"
+        )
+        args = ["pipeline", "--config", str(config)]
+    else:
+        args = _rewire_args(bad, labels, coupling)
+        args += ["--out-perm", str(outputs[0]), "--out-report", str(outputs[1])]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert not any(path.exists() for path in outputs)
+
+
+def test_rewire_report_is_one_line_of_fields_and_rows(tmp_path):
+    # fixed points 0 and 1, 2-cycles (2 3) and (4 5), then cycles of 200 and
+    # 194 consecutive points; labels alternate, so the long cycles are rewired
+    lengths = [1, 1, 2, 2, 200, 194]
+    starts = np.cumsum([0, *lengths[:-1]])
+    cycles = [np.roll(np.arange(s, s + k), -1) for s, k in zip(starts, lengths)]
+    t = np.concatenate(cycles)
+    perm, labels, coupling = tmp_path / "t.txt", tmp_path / "l.txt", tmp_path / "j.csv"
+    write_permutation(perm, t)
+    labels.write_text("a\nb\n" * 200)
+    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    out_report = tmp_path / "report.json"
+    args = [*_rewire_args(perm, labels, coupling), "--out-report", str(out_report)]
+    assert main([*args, "--out-perm", str(tmp_path / "out.txt")]) == 0
+
+    _, rep = rewire(t, read_labels(labels)[0], read_coupling_csv(coupling), 0.05)
+    assert [row.length for row in rep.per_cycle] == lengths
+    assert [row.good for row in rep.per_cycle] == [False] * 4 + [True] * 2
+    for row in rep.per_cycle:
+        assert tuple(row) == (row.length, row.good, row.error)
+    expected = json.dumps(
+        {
+            "achieved_error": rep.achieved_error,
+            "bound": rep.bound,
+            "good_mass": rep.good_mass,
+            "per_cycle": [[c.length, c.good, c.error] for c in rep.per_cycle],
+            "schema_version": 1,
+        },
+        sort_keys=True,
+        allow_nan=False,
+    )
+    assert out_report.read_text() == expected + "\n"
+
+
+def test_lemma_rearrange_report_is_one_line_of_fields(tmp_path, balanced_labels):
+    coupling = tmp_path / "j.csv"
+    write_coupling_csv(coupling, Coupling.from_probs([[0.3, 0.2], [0.2, 0.3]]))
+    out_report = tmp_path / "report.json"
+    args = ["lemma-rearrange", "--labels", str(balanced_labels)]
+    args += ["--coupling", str(coupling), "--eps", "0.01"]
+    assert main([*args, "--out-report", str(out_report)]) == 0
+
+    phi = read_labels(balanced_labels)[0]
+    _, rep = rearrange_line(phi, read_coupling_csv(coupling), 0.01)
+    expected = json.dumps(
+        {
+            "achieved_error": rep.achieved_error,
+            "bound": rep.bound,
+            "components_after_merge": rep.components_after_merge,
+            "edges_changed_by_close": rep.edges_changed_by_close,
+            "schema_version": 1,
+        },
+        sort_keys=True,
+        allow_nan=False,
+    )
+    assert out_report.read_text() == expected + "\n"

@@ -179,3 +179,19 @@ def test_negative_seed_is_refused(seed):
     text = f"n = 10\nrank = 1\nalphabet = 2\neps = 0.1\nseed = {seed}"
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "coupling must be a square matrix"),
+        ("0.5,0.25\n0.25,0.5\n", "coupling entries must sum to 1"),
+        ("0.75,-0.25\n0.25,0.25\n", "coupling entries must be nonnegative"),
+    ],
+    ids=["empty", "sum", "negative"],
+)
+def test_refused_coupling_content_names_the_file(tmp_path, text, message):
+    path = tmp_path / "j.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        read_coupling_csv(path)
