@@ -22,10 +22,10 @@ from .pipeline import (
     ConfigError,
     GoodObservableError,
     _permutation_text,
+    _read_labels,
     _read_permutations,
     parse_config,
     read_coupling_csv,
-    read_labels,
     run_experiment,
 )
 from .rearrange import PreconditionError, rearrange_line
@@ -64,16 +64,9 @@ def _write_or_print(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _labels_for(path: str, n: int):
-    p, _ = read_labels(path)
-    if p.n != n:
-        raise ValueError(f"{path}: {p.n} labels, expected n={n}")
-    return p
-
-
 def _cmd_lemma_rearrange(args) -> int:
-    phi, _ = read_labels(args.labels)
     j = read_coupling_csv(args.coupling)
+    phi = _read_labels(args.labels, alphabet=j.alphabet_size, alphabet_of=args.coupling)
     sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_sigma, _permutation_text(sigma.sigma))
     _write_or_print(args.out_report, _report_line(report))
@@ -82,8 +75,8 @@ def _cmd_lemma_rearrange(args) -> int:
 
 def _cmd_rewire(args) -> int:
     t = _read_permutations([args.perm])[0]
-    psi = _labels_for(args.labels, t.shape[0])
     j = read_coupling_csv(args.coupling)
+    psi = _read_labels(args.labels, t.shape[0], j.alphabet_size, args.coupling)
     t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
     _write_or_print(args.out_perm, _permutation_text(t_new))
     _write_or_print(args.out_report, _report_line(report))
@@ -92,7 +85,7 @@ def _cmd_rewire(args) -> int:
 
 def _cmd_stats(args) -> int:
     action = FiniteAction(_read_permutations(args.perm))
-    p = _labels_for(args.labels, action.n)
+    p = _read_labels(args.labels, action.n)
     word = parse_word(args.word, action.rank)
     for (i, jx), value in np.ndenumerate(stats_matrix(action, p, word).real):
         sys.stdout.write(f"{i},{jx},{float(value)!r}\n")

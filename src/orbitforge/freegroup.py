@@ -217,8 +217,6 @@ def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
-    if p.n != a.n:
-        raise ValueError("partition size does not match the action")
     translated = translated_labels(a, p, words)
     k = p.alphabet_size
     code = np.zeros(p.n, dtype=np.int64)

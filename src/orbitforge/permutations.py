@@ -71,9 +71,9 @@ def is_permutation(p: np.ndarray) -> bool:
 
 def inverse_permutation(p: np.ndarray) -> np.ndarray:
     """Inverse of a one-line permutation."""
-    p = np.asarray(p)
+    p = _as_int64(p, "permutation images")
     inv = np.empty_like(p)
-    inv[p] = np.arange(p.shape[0], dtype=p.dtype)
+    inv[p] = np.arange(p.shape[0], dtype=np.int64)
     return inv
 
 
@@ -234,12 +234,15 @@ def cycle_min_labels(p: np.ndarray) -> np.ndarray:
     steps (at most 128), not over points.  When most of 64 sampled points
     lie on cycles of at most 16 points, doubling runs on the points
     themselves instead, in O(n log L) with L small.
+
+    ``p`` must be a permutation, and only its integrality is checked: the
+    non-permutation ``[0, 0, 1]`` gets the labels ``[0, 0, 0]``.
     """
-    p = np.asarray(p)
+    p = _as_int64(p, "permutation images")
     n = p.shape[0]
     if n == 0:
         return p.copy()
-    nodes = _contract(p.astype(np.int64, copy=False), offsets=False)
+    nodes = _contract(p, offsets=False)
     low = _node_minima(nodes.succ, nodes.least)
     return low if nodes.owner is None else low[nodes.owner]
 
@@ -334,7 +337,7 @@ def permutation_with_cycle_lengths(lengths, rng: np.random.Generator) -> np.ndar
     Points are shuffled once and then chained into consecutive cycles of the
     requested lengths; ``sum(lengths)`` is the number of points.
     """
-    lengths = np.asarray([int(v) for v in lengths], dtype=np.int64)
+    lengths = _as_int64(lengths, "cycle lengths")
     if (lengths < 1).any():
         raise ValueError("cycle lengths must be positive")
     n = int(lengths.sum())

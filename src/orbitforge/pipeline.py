@@ -29,6 +29,7 @@ from .permutations import cycle_min_labels, is_permutation
 from .rearrange import PreconditionError
 from .rewire import _bad_mass, _rewire_cycles
 from .spaces import (
+    REAL_TOL,
     Coupling,
     Dist,
     Observable,
@@ -244,11 +245,11 @@ def oe_approximate(
         pair_target = b._pair_distributions(phi)[s]
         achieved = linf(pairs, pair_target)
         mixture_gap = linf(targets[s], pair_target)
-        if not mixture_gap <= eps + 1e-12:
+        if not mixture_gap <= eps + REAL_TOL:
             raise CertificationError(
                 f"generator {s}: mixture gap {mixture_gap!r} exceeds eps={eps!r}"
             )
-        if not achieved <= rep.achieved_error + mixture_gap + 1e-12:
+        if not achieved <= rep.achieved_error + mixture_gap + REAL_TOL:
             raise CertificationError(
                 f"generator {s}: achieved error {achieved!r} exceeds rewire error "
                 f"{rep.achieved_error!r} + mixture gap {mixture_gap!r}"
@@ -468,6 +469,20 @@ def read_labels(path) -> tuple[Observable, list[str]]:
     return Observable(labels, len(symbols)), symbols
 
 
+def _read_labels(path, n=None, alphabet=None, alphabet_of=None) -> Observable:
+    """The labels of ``path``, checked for ``n`` points and ``alphabet`` symbols.
+
+    ``alphabet_of`` names the file the symbol count comes from, if any.
+    """
+    obs, _ = read_labels(path)
+    if n is not None and obs.n != n:
+        raise ValueError(f"{path}: {obs.n} labels, expected n={n}")
+    if alphabet is not None and obs.alphabet_size != alphabet:
+        source = f" as in {alphabet_of}" if alphabet_of else ""
+        raise ValueError(f"{path}: {obs.alphabet_size} symbols, not {alphabet}{source}")
+    return obs
+
+
 def read_coupling_csv(path) -> Coupling:
     rows = _parse_lines(path, _finite_row, "a row of finite numbers")
     for lineno, row in rows:
@@ -509,12 +524,10 @@ def _build_phi(spec: str, n: int, alphabet: int) -> Observable:
     if spec == "balanced":
         return Observable(np.arange(n, dtype=np.int64) % alphabet, alphabet)
     if spec.startswith("file:"):
-        obs, _ = read_labels(path := spec[len("file:") :])
-        if obs.n != n:
-            raise ConfigError(f"{path}: {obs.n} labels, expected n={n}")
-        if obs.alphabet_size != alphabet:
-            raise ConfigError(f"{path}: {obs.alphabet_size} symbols, not {alphabet}")
-        return obs
+        try:
+            return _read_labels(spec[len("file:") :], n, alphabet)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown phi spec {spec!r}")
 
 

@@ -38,6 +38,8 @@ from .spaces import (
     Coupling,
     Dist,
     Observable,
+    _as_int64,
+    _frozen,
     empirical_distribution,
     empirical_pair_distribution,
     linf,
@@ -70,7 +72,7 @@ class LineBijection:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.int64)
+        sigma = _as_int64(self.sigma, "line images")
         if self.n < 1 or sigma.shape != (self.n - 1,):
             raise ValueError("sigma must list n-1 images")
         if self.n > 1:
@@ -78,9 +80,7 @@ class LineBijection:
                 raise ValueError("images must lie in {1..n-1}")
             if np.bincount(sigma, minlength=self.n).max() > 1:
                 raise ValueError("sigma must be injective")
-        sigma = np.ascontiguousarray(sigma)
-        sigma.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _frozen(sigma))
 
     def is_connected(self) -> bool:
         return _component_count(self.sigma) == 1
@@ -109,8 +109,7 @@ class RearrangeReport:
 def _line_components(tau: np.ndarray) -> np.ndarray:
     # closing the missing edge (n-1 -> 0) turns the pair graph into a
     # permutation whose cycles are exactly the components
-    ext = np.append(np.asarray(tau, dtype=np.int64), 0)
-    return cycle_min_labels(ext)
+    return cycle_min_labels(np.append(_as_int64(tau, "line images"), 0))
 
 
 def _component_count(tau: np.ndarray) -> int:
@@ -411,7 +410,7 @@ def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
     remain.
     """
     m = tau.shape[0]
-    ext = np.append(np.asarray(tau, dtype=np.int64), 0)
+    ext = np.append(_as_int64(tau, "line images"), 0)
     keys = phi_labels[: m + 1] * a
     keys += phi_labels[ext]
     keys[m] = -1
@@ -426,8 +425,8 @@ def _close(tau: np.ndarray):
     cyclically, chaining the components into one path from 0 to N-1.
     """
     m = tau.shape[0]
-    ext = np.append(np.asarray(tau, dtype=np.int64), 0)
-    reps = np.flatnonzero(_line_components(tau) == np.arange(m + 1))
+    ext = np.append(_as_int64(tau, "line images"), 0)
+    reps = np.flatnonzero(cycle_min_labels(ext) == np.arange(m + 1))
     sigma, k = _close_cycles(ext, np.array([0, m + 1]), reps)
     k = int(k[0])
     return sigma[:m], k, (k if k > 1 else 0)

@@ -240,12 +240,10 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     ``k`` edges leave their target set and every symmetric difference
     ``|T'(C_i) Δ D_i|`` stays at most ``2k``.
     """
-    t = _as_int64(t, "permutation images")
-    if not is_permutation(t):
-        raise ValueError("input is not a permutation")
-    n = t.shape[0]
-    if cycle_decomposition(t).lengths().shape[0] != 1:
+    dec = cycle_decomposition(t)
+    if dec.lengths().shape[0] != 1:
         raise ValueError("input must be a single cycle")
+    n = dec.n
     if c.n != n or d.n != n:
         raise ValueError("partition size does not match the permutation")
     if c.alphabet_size != d.alphabet_size or not np.array_equal(

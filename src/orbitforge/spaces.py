@@ -97,7 +97,7 @@ class Observable:
         """Build a partition observable from a list of disjoint index sets."""
         labels = np.full(n, -1, dtype=np.int64)
         for i, atom in enumerate(atoms):
-            atom = np.asarray(atom, dtype=np.int64)
+            atom = _as_int64(atom, "atom indices")
             if np.any(labels[atom] >= 0):
                 raise ValueError("atoms overlap")
             labels[atom] = i
@@ -257,7 +257,7 @@ def empirical_distribution(phi: Observable) -> Dist:
 
 def joint_pair_distribution(phi: Observable, perm: np.ndarray) -> Coupling:
     """Distribution of the pair ``(phi(x), phi(perm(x)))`` over all n points."""
-    perm = np.asarray(perm)
+    perm = _as_int64(perm, "permutation images")
     if perm.shape[0] != phi.n:
         raise ValueError("permutation size does not match observable")
     a = phi.alphabet_size
@@ -271,7 +271,7 @@ def empirical_pair_distribution(phi: Observable, sigma) -> Coupling:
     ``sigma`` may be a LineBijection or a raw image array of length N-1 with
     values in ``{1..N-1}``.  The denominator is the edge count N-1.
     """
-    images = np.asarray(getattr(sigma, "sigma", sigma), dtype=np.int64)
+    images = _as_int64(getattr(sigma, "sigma", sigma), "line images")
     n = phi.n
     if images.shape[0] != n - 1:
         raise ValueError("line bijection size does not match observable")
@@ -323,8 +323,7 @@ def linf(p, q) -> float:
 
 def product_coupling(pi: Dist) -> Coupling:
     """Independent self-coupling ``pi x pi``, exact over denom squared."""
-    c = pi.counts.astype(np.int64)
-    return Coupling.from_counts(np.outer(c, c), pi.denom * pi.denom)
+    return Coupling.from_counts(np.outer(pi.counts, pi.counts), pi.denom * pi.denom)
 
 
 def coupling_margins_check(j: Coupling, pi: Dist) -> bool:

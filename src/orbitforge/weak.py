@@ -24,7 +24,7 @@ from .freegroup import (
     refine_partition,
     translated_labels,
 )
-from .spaces import Coupling, Observable, _cell_counts, _signed_cell_gap
+from .spaces import Coupling, Observable, _as_int64, _cell_counts, _signed_cell_gap
 
 __all__ = [
     "TransportCertificate",
@@ -38,8 +38,6 @@ __all__ = [
 
 def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> Coupling:
     """Exact intersection statistics: entry (i,j) is ``#(P_i ∩ g·P_j)/n``."""
-    if p.n != a.n:
-        raise ValueError("partition size does not match the action")
     k = p.alphabet_size
     counts = _cell_counts(p.labels * k, translated_labels(a, p, [g])[g], k)
     return Coupling.from_counts(counts.reshape(k, k), p.n)
@@ -58,8 +56,6 @@ def kechris_distance(
     """
     if p.alphabet_size != q.alphabet_size:
         raise ValueError("partitions must have the same atom count")
-    if p.n != v.n or q.n != w.n:
-        raise ValueError("partition size does not match the action")
     compared: dict[ReducedWord, None] = {}
     for g in words:
         if ReducedWord(tuple(-s for s in reversed(g.letters))) not in compared:
@@ -77,8 +73,8 @@ def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
     ``sets`` is a finite family of index arrays; the first set carries
     weight 1/2.
     """
-    t = np.asarray(t)
-    u = np.asarray(u)
+    t = _as_int64(t, "permutation images")
+    u = _as_int64(u, "permutation images")
     if t.shape != u.shape:
         raise ValueError("permutations must act on the same space")
     sets = list(sets)
@@ -87,7 +83,7 @@ def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
     n = t.shape[0]
     total = 0.0
     for i, subset in enumerate(sets):
-        subset = np.asarray(subset, dtype=np.int64)
+        subset = _as_int64(subset, "index sets")
         mt = np.zeros(n, dtype=bool)
         mu_ = np.zeros(n, dtype=bool)
         mt[t[subset]] = True
@@ -109,7 +105,7 @@ def _beta_partition(pprime: Observable, beta) -> Observable:
         if beta.n != pprime.n or beta.alphabet_size != k:
             raise ValueError("beta is not a bijection on the refinement atoms")
         return beta
-    beta = np.asarray(beta, dtype=np.int64)
+    beta = _as_int64(beta, "beta")
     if beta.shape != (k,) or np.bincount(beta, minlength=k).max() != 1:
         raise ValueError("beta is not a bijection on the refinement atoms")
     inv = np.empty(k, dtype=np.int64)
@@ -187,8 +183,6 @@ def ball_transport_certificate(
     """
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
-    if p.n != v.n:
-        raise ValueError("partition size does not match the action")
     words = tuple(ball(v.rank, radius))
     pprime = refine_partition(p, words, v)
     q, qprime, first = _transport(p, pprime, beta)

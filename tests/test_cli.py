@@ -323,6 +323,25 @@ def test_rewire_labels_of_the_wrong_length_name_the_file(rewire_files, capsys):
     assert not out_perm.exists()
 
 
+@pytest.mark.parametrize("command", ["lemma-rearrange", "rewire"])
+def test_symbol_count_other_than_the_coupling_names_both_files(
+    rewire_files, capsys, command
+):
+    perm, labels, coupling = rewire_files
+    labels.write_text("a\nb\nc\n" * 200)
+    out = perm.parent / "out.txt"
+    if command == "rewire":
+        args = [*_rewire_args(perm, labels, coupling), "--out-perm", str(out)]
+    else:
+        args = [command, f"--labels={labels}", f"--coupling={coupling}", "--eps=0.05"]
+        args.append(f"--out-sigma={out}")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {labels}: 3 symbols, not 2 as in {coupling}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "rewire"])
 @pytest.mark.parametrize("perm_text", ["0\n0\n1\n2\n", ""], ids=["repeated", "empty"])
 def test_refused_permutation_file_is_named(tmp_path, capsys, command, perm_text):

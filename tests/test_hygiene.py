@@ -1,6 +1,6 @@
-"""Package hygiene: export lists match the modules, no ``assert`` in src, the
-README calls only names the package has, and the public options are the
-registered ones."""
+"""Package hygiene: export lists match the modules, no ``assert`` in src, no
+integer cast of an input outside ``_as_int64``, the README calls only names
+the package has, and the public options are the registered ones."""
 
 import ast
 import importlib
@@ -45,6 +45,87 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+_INT_DTYPE = re.compile(r"u?int(8|16|32|64|c|p)?")
+
+
+def _is_int_dtype(node) -> bool:
+    name = getattr(node, "attr", getattr(node, "id", getattr(node, "value", None)))
+    return isinstance(name, str) and _INT_DTYPE.fullmatch(name) is not None
+
+
+def _integer_casts(tree):
+    """``(function, line)`` of each integer cast of a parameter or ``self.`` field.
+
+    A cast is ``np.asarray`` or ``np.array`` with an integer dtype, or
+    ``.astype`` to one.  ``_as_int64`` is the one function allowed to cast.
+    """
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_as_int64":
+            continue
+        args = fn.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+
+        def is_input(node) -> bool:
+            if isinstance(node, ast.Name):
+                return node.id in params
+            if isinstance(node, ast.Attribute):
+                return getattr(node.value, "id", None) == "self"
+            # getattr(sigma, "sigma", sigma) reads a parameter too
+            return (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and any(is_input(arg) for arg in node.args)
+            )
+
+        for call in ast.walk(fn):
+            # only calls have a func; np.asarray(...) and x.astype(...) are attributes
+            if not isinstance(getattr(call, "func", None), ast.Attribute):
+                continue
+            dtypes = [k.value for k in call.keywords if k.arg == "dtype"]
+            if call.func.attr in ("asarray", "array") and call.args:
+                operand, dtypes = call.args[0], dtypes + call.args[1:2]
+            elif call.func.attr == "astype":
+                operand, dtypes = call.func.value, dtypes + call.args[:1]
+            else:
+                continue
+            if is_input(operand) and any(map(_is_int_dtype, dtypes)):
+                yield fn.name, call.lineno
+
+
+_CAST_SAMPLES = """
+def flagged(p, s):
+    a = p.astype(np.int64, copy=False)
+    b = np.asarray(getattr(s, "sigma", s), dtype=np.int64)
+    c = np.array(p, np.int32)
+class C:
+    def __post_init__(self):
+        d = np.asarray(self.sigma, dtype=int)
+def kept(p, pi):
+    e = np.asarray(p)
+    f = np.asarray(p, dtype=np.float64)
+    g = pi.counts.astype(np.int64)
+    h = np.asarray([v for v in p], dtype="int64")
+    return _as_int64(p, "p")
+def _as_int64(values, what):
+    return values.astype(np.int64)
+"""
+
+
+def test_integer_cast_walk_finds_each_form():
+    found = sorted(name for name, _ in _integer_casts(ast.parse(_CAST_SAMPLES)))
+    assert found == ["__post_init__", "flagged", "flagged", "flagged"]
+
+
+def test_integer_inputs_are_cast_only_by_as_int64():
+    # a cast of its own truncates 1.7 to 1; _as_int64 refuses it
+    found = [
+        f"{path.name}:{name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        for name, line in _integer_casts(ast.parse(path.read_text()))
+    ]
+    assert found == []
 
 
 def test_readme_calls_resolve():

@@ -195,3 +195,12 @@ def test_refused_coupling_content_names_the_file(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
         read_coupling_csv(path)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    after = readme.split("`orbit-forge pipeline` reads a flat `key = value` config")[1]
+    block = re.search(r"```\n(.*?)```", after, re.S).group(1)
+    config = parse_config(block)
+    assert config.eps_schedule == (0.1, 0.03, 0.01)
+    assert (config.seed, config.retries, config.phi) == (42, 5, "balanced")

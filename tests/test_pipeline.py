@@ -307,6 +307,15 @@ def test_file_specs_of_the_wrong_length_name_the_file(tmp_path):
         run_experiment(dataclasses.replace(config, phi=specs["phi"]))
 
 
+def test_phi_file_with_another_symbol_count_names_the_file(tmp_path):
+    config = PipelineConfig(n=50, rank=2, alphabet=2, eps_schedule=(0.1,), seed=0)
+    labels = tmp_path / "phi.txt"
+    labels.write_text("0\n1\n2\n" * 16 + "0\n1\n")
+    message = f"{labels}: 3 symbols, not 2"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_experiment(dataclasses.replace(config, phi=f"file:{labels}"))
+
+
 def test_file_roundtrips(tmp_path):
     perm = np.random.default_rng(0).permutation(20)
     write_permutation(tmp_path / "p.txt", perm)

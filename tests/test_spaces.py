@@ -7,19 +7,26 @@ from orbitforge import (
     Coupling,
     Dist,
     FiniteAction,
+    LineBijection,
     Observable,
     coupling_margins_check,
     cycle_decomposition,
+    cycle_min_labels,
     empirical_distribution,
     empirical_pair_distribution,
+    inverse_permutation,
     is_permutation,
     joint_pair_distribution,
     linf,
     mixture_coupling,
+    permutation_with_cycle_lengths,
     product_coupling,
     rewire,
     rewire_ergodic,
+    transport_partition,
+    weak_distance,
 )
+from orbitforge.rearrange import _close, _merge
 
 
 def test_empirical_distribution_examples():
@@ -201,8 +208,9 @@ def test_non_finite_inputs_rejected(bad):
 _LABELS3 = Observable([0, 1, 0], 2)
 _UNIFORM2 = Coupling.from_probs(np.full((2, 2), 0.25))
 
-# entry point, a non-integral input an int64 cast would truncate into a
-# valid one, and the same input as integral floats
+# entry point, a non-integral input that an int64 cast would truncate into
+# a valid one (or that numpy would refuse only as an index), and the same
+# input as integral floats
 INTEGER_INPUTS = {
     "FiniteAction": (FiniteAction.from_perms, [[1.7, 0.2, 2.9]], [[1.0, 0.0, 2.0]]),
     "cycle_decomposition": (cycle_decomposition, [1.7, 0.2, 2.9], [1.0, 0.0, 2.0]),
@@ -229,6 +237,52 @@ INTEGER_INPUTS = {
         [0.0, 1.0, 1.0, 1.0],
     ),
     "from_labels": (Observable.from_labels, [0.6, 1.4], [0.0, 1.0]),
+    "cycle_min_labels": (cycle_min_labels, [1.7, 0.2, 2.9], [1.0, 0.0, 2.0]),
+    "inverse_permutation": (inverse_permutation, [1.7, 0.2, 2.9], [1.0, 0.0, 2.0]),
+    "permutation_with_cycle_lengths": (
+        lambda v: permutation_with_cycle_lengths(v, np.random.default_rng(0)),
+        [2.5, 1.0],
+        [2.0, 1.0],
+    ),
+    "joint_pair_distribution": (
+        lambda v: joint_pair_distribution(_LABELS3, v),
+        [1.7, 2.2, 0.9],
+        [1.0, 2.0, 0.0],
+    ),
+    "empirical_pair_distribution": (
+        lambda v: empirical_pair_distribution(_LABELS3, v),
+        [1.9, 2.2],
+        [1.0, 2.0],
+    ),
+    "LineBijection": (lambda v: LineBijection(3, v), [1.9, 2.2], [1.0, 2.0]),
+    "Observable.from_atoms": (
+        lambda v: Observable.from_atoms([v, [1]], 2),
+        [0.9],
+        [0.0],
+    ),
+    "transport_partition": (
+        lambda v: transport_partition(
+            Observable([0, 0, 1, 1], 2), Observable([0, 1, 2, 3], 4), v
+        ),
+        [0.4, 2.2, 1.9, 3.0],
+        [0.0, 2.0, 1.0, 3.0],
+    ),
+    "weak_distance(t)": (
+        lambda v: weak_distance(v, np.arange(3), [[0, 1]]),
+        [1.7, 2.2, 0.9],
+        [1.0, 2.0, 0.0],
+    ),
+    "weak_distance(sets)": (
+        lambda v: weak_distance(np.arange(3), np.arange(3), [v]),
+        [0.4, 1.7],
+        [0.0, 1.0],
+    ),
+    "rearrange._merge": (
+        lambda v: _merge(np.array([0, 1, 0]), 2, v),
+        [1.9, 2.2],
+        [1.0, 2.0],
+    ),
+    "rearrange._close": (_close, [1.9, 2.2], [1.0, 2.0]),
 }
 
 
