@@ -23,7 +23,7 @@ from .permutations import (
     inverse_permutation,
     is_permutation,
 )
-from .spaces import Coupling, Observable, _as_int64, _frozen, joint_pair_distribution
+from .spaces import Observable, _as_int64, _frozen
 
 __all__ = [
     "ReducedWord",
@@ -157,18 +157,6 @@ class FiniteAction:
     @cached_property
     def cycle_decompositions(self) -> tuple[CycleDecomposition, ...]:
         return tuple(cycle_decomposition(p) for p in self.perms)
-
-    def _pair_distributions(self, phi: Observable) -> tuple[Coupling, ...]:
-        """``joint_pair_distribution(phi, s)`` per generator ``s``.
-
-        Kept for the last ``phi`` asked, so a schedule of eps values that
-        shares one observable counts each generator's pairs once.
-        """
-        cached = self.__dict__.get("_pairs")
-        if cached is None or cached[0] is not phi:
-            cached = (phi, tuple(joint_pair_distribution(phi, s) for s in self.perms))
-            self.__dict__["_pairs"] = cached
-        return cached[1]
 
 
 def _label_dtype(alphabet_size: int) -> np.dtype:

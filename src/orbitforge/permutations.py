@@ -70,7 +70,12 @@ def is_permutation(p: np.ndarray) -> bool:
 
 
 def inverse_permutation(p: np.ndarray) -> np.ndarray:
-    """Inverse of a one-line permutation."""
+    """Inverse of a one-line permutation.
+
+    ``p`` must be a permutation, and only its integrality is checked: an
+    image that no point takes leaves its entry of the result uninitialised,
+    so ``[0, 0, 1]`` gets an arbitrary value at index 2, not an error.
+    """
     p = _as_int64(p, "permutation images")
     inv = np.empty_like(p)
     inv[p] = np.arange(p.shape[0], dtype=np.int64)

@@ -1,12 +1,14 @@
 """End-to-end experiment: match a target action's pair statistics by orbit
 rewiring, and certify the result.
 
-Per generator, the target coupling blends the target action's observed pair
-statistics with an independent product (weight ``eps``), which keeps every
-entry positive; a sampled observable equidistributes over the source
-action's cycles; rewiring each generator inside its own cycles then brings
-the per-generator statistics within ``10*|A|*eps`` of the target while the
-orbit partition of the source action is untouched.
+Per generator ``s``, the target's pair statistics are the word statistics of
+the inverse letter, ``stats_matrix(b, phi, s^-1)``: the distribution of
+``(phi(x), phi(b_s x))``.  The target coupling blends them with an
+independent product (weight ``eps``), which keeps every entry positive; a
+sampled observable equidistributes over the source action's cycles;
+rewiring each generator inside its own cycles then brings the per-generator
+statistics within ``10*|A|*eps`` of the target while the orbit partition of
+the source action is untouched.
 
 ``run_experiment`` drives a schedule of eps values from a flat key=value
 config, writing a CSV (fixed columns eps,generator,achieved_error,bound,
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .freegroup import FiniteAction, ball
+from .freegroup import FiniteAction, ReducedWord, ball
 from .permutations import cycle_min_labels, is_permutation
 from .rearrange import PreconditionError
 from .rewire import _bad_mass, _rewire_cycles
@@ -37,7 +39,7 @@ from .spaces import (
     linf,
     mixture_coupling,
 )
-from .weak import kechris_distance
+from .weak import kechris_distance, stats_matrix
 
 __all__ = [
     "CertificationError",
@@ -48,7 +50,6 @@ __all__ = [
     "PipelineReport",
     "ExperimentResult",
     "good_observable",
-    "target_couplings",
     "oe_approximate",
     "verify_oe",
     "parse_config",
@@ -148,24 +149,6 @@ def good_observable(
     raise GoodObservableError(retries, worst or [], least_gap, gap_below)
 
 
-def target_couplings(b: FiniteAction, phi: Observable, eps: float) -> list[Coupling]:
-    """Fully supported self-couplings near each generator's pair statistics.
-
-    Mixing with the independent product at weight ``eps`` keeps all entries
-    at least ``eps * min_c phi-mass(c)^2`` while moving each entry by at
-    most ``eps``.
-    """
-    if phi.n != b.n:
-        raise ValueError("observable size does not match the action")
-    if int(phi.atom_sizes().min()) == 0:
-        raise ValueError(
-            "observable does not use every symbol; restrict the alphabet "
-            "to its range first"
-        )
-    pi = empirical_distribution(phi)
-    return [mixture_coupling(j, eps, pi) for j in b._pair_distributions(phi)]
-
-
 @dataclass(frozen=True)
 class GeneratorOutcome:
     generator: int
@@ -221,7 +204,18 @@ def oe_approximate(
         raise ValueError("observable size does not match the actions")
     if not eps < 1 / 6:
         raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
-    targets = target_couplings(b, phi, eps)
+    pi = empirical_distribution(phi)
+    if int(pi.counts.min()) == 0:
+        raise ValueError(
+            "observable does not use every symbol; restrict the alphabet "
+            "to its range first"
+        )
+    # generator s's pair statistics are those of the word s^-1: entry (i, j)
+    # counts the points x with phi(x) = i and phi(b_s x) = j
+    pair_targets = [
+        stats_matrix(b, phi, ReducedWord((-s,))) for s in range(1, b.rank + 1)
+    ]
+    targets = [mixture_coupling(j, eps, pi) for j in pair_targets]
     alpha = phi.alphabet_size
     jmins = [float(j.real.min()) for j in targets]
     min_oks = [jmin > 2 * alpha * eps for jmin in jmins]
@@ -232,9 +226,7 @@ def oe_approximate(
     ]
     # rewiring needs the coupling margins, the distribution of phi, within
     # each working eps of the sampled labels' distribution
-    psi, attempts = good_observable(
-        a, empirical_distribution(phi), eps, retries, seed, gap_below=min(eps_used)
-    )
+    psi, attempts = good_observable(a, pi, eps, retries, seed, gap_below=min(eps_used))
 
     new_perms = []
     outcomes = []
@@ -242,9 +234,8 @@ def oe_approximate(
         t_new, rep, pairs = _rewire_cycles(
             a.perms[s], a.cycle_decompositions[s], psi, targets[s], eps_used[s]
         )
-        pair_target = b._pair_distributions(phi)[s]
-        achieved = linf(pairs, pair_target)
-        mixture_gap = linf(targets[s], pair_target)
+        achieved = linf(pairs, pair_targets[s])
+        mixture_gap = linf(targets[s], pair_targets[s])
         if not mixture_gap <= eps + REAL_TOL:
             raise CertificationError(
                 f"generator {s}: mixture gap {mixture_gap!r} exceeds eps={eps!r}"

@@ -98,6 +98,8 @@ class Observable:
         labels = np.full(n, -1, dtype=np.int64)
         for i, atom in enumerate(atoms):
             atom = _as_int64(atom, "atom indices")
+            if atom.size and (atom.min() < 0 or atom.max() >= n):
+                raise ValueError(f"atom indices must lie in 0..{n - 1}")
             if np.any(labels[atom] >= 0):
                 raise ValueError("atoms overlap")
             labels[atom] = i
@@ -348,8 +350,9 @@ def coupling_margins_check(j: Coupling, pi: Dist) -> bool:
 def mixture_coupling(c: Coupling, eps: float, pi: Dist) -> Coupling:
     """Blend ``(1-eps)*c + eps*(pi x pi)``; margins stay ``pi``.
 
-    Fully supported ``pi`` and ``eps > 0`` make every entry positive, which
-    is what downstream rounding needs.
+    Every entry moves by at most ``eps`` and is at least ``eps * min(pi)^2``,
+    so fully supported ``pi`` and ``eps > 0`` make every entry positive,
+    which is what downstream rounding needs.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("mixture weight must lie in [0, 1]")

@@ -24,6 +24,7 @@ from .freegroup import (
     refine_partition,
     translated_labels,
 )
+from .permutations import is_permutation
 from .spaces import Coupling, Observable, _as_int64, _cell_counts, _signed_cell_gap
 
 __all__ = [
@@ -70,13 +71,15 @@ def kechris_distance(
 def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
     """Weighted sum of symmetric differences ``sum_i 2^-(i+1) mu(tA_i Δ uA_i)``.
 
-    ``sets`` is a finite family of index arrays; the first set carries
-    weight 1/2.
+    ``t`` and ``u`` are permutations of one space and ``sets`` is a finite
+    family of index arrays into it; the first set carries weight 1/2.
     """
     t = _as_int64(t, "permutation images")
     u = _as_int64(u, "permutation images")
     if t.shape != u.shape:
         raise ValueError("permutations must act on the same space")
+    if not (is_permutation(t) and is_permutation(u)):
+        raise ValueError("t and u must be permutations")
     sets = list(sets)
     if not sets:
         raise ValueError("need a nonempty family of sets")
@@ -84,6 +87,8 @@ def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
     total = 0.0
     for i, subset in enumerate(sets):
         subset = _as_int64(subset, "index sets")
+        if subset.size and (subset.min() < 0 or subset.max() >= n):
+            raise ValueError(f"index sets must lie in 0..{n - 1}")
         mt = np.zeros(n, dtype=bool)
         mu_ = np.zeros(n, dtype=bool)
         mt[t[subset]] = True
@@ -106,7 +111,7 @@ def _beta_partition(pprime: Observable, beta) -> Observable:
             raise ValueError("beta is not a bijection on the refinement atoms")
         return beta
     beta = _as_int64(beta, "beta")
-    if beta.shape != (k,) or np.bincount(beta, minlength=k).max() != 1:
+    if beta.shape != (k,) or not is_permutation(beta):
         raise ValueError("beta is not a bijection on the refinement atoms")
     inv = np.empty(k, dtype=np.int64)
     inv[beta] = np.arange(k)

@@ -13,7 +13,6 @@ from orbitforge import (
     ball,
     format_word,
     inverse_permutation,
-    joint_pair_distribution,
     parse_word,
     reduce_word,
     refine_partition,
@@ -218,28 +217,5 @@ def test_cached_structure_is_consistent_across_threads():
             for inv, orders in results:
                 assert np.array_equal(inv, want.generator(-2))
                 assert all(map(np.array_equal, orders, want_orders))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_pair_counts_follow_the_observable_across_threads():
-    # the action keeps the pair counts of the last observable asked; threads
-    # asking about different observables must each get their own counts
-    rng = np.random.default_rng(10)
-    a = FiniteAction.from_perms([rng.permutation(3000), rng.permutation(3000)])
-    phis = [Observable(rng.integers(0, 3, size=3000), 3) for _ in range(3)]
-    want = [[joint_pair_distribution(phi, p).counts for p in a.perms] for phi in phis]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-
-        def read(i):
-            return i % 3, [j.counts for j in a._pair_distributions(phis[i % 3])]
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(read, range(48), timeout=60))
-        assert len(results) == 48
-        for i, counts in results:
-            assert all(map(np.array_equal, counts, want[i]))
     finally:
         sys.setswitchinterval(interval)

@@ -1,6 +1,7 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
-integer cast of an input outside ``_as_int64``, the README calls only names
-the package has, and the public options are the registered ones."""
+integer cast of an input outside ``_as_int64``, no cache in an object's
+``__dict__``, the README calls only names the package has, and the public
+options are the registered ones."""
 
 import ast
 import importlib
@@ -124,6 +125,43 @@ def test_integer_inputs_are_cast_only_by_as_int64():
         f"{path.name}:{name}:{line}"
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
         for name, line in _integer_casts(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def _dict_uses(tree):
+    """Line of each read or write of an object's ``__dict__``, also by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            yield node.lineno
+        elif isinstance(node, ast.Constant) and node.value == "__dict__":
+            yield node.lineno
+
+
+_DICT_SAMPLES = """
+class C:
+    def read(self, key):
+        return self.__dict__.get(key)
+    def write(self, key, value):
+        self.__dict__[key] = value
+def by_name(obj):
+    return getattr(obj, "__dict__")
+def kept(self, obj):
+    return self.dict, dict(obj), vars, "a __dict__ in a sentence"
+"""
+
+
+def test_dict_walk_finds_each_form():
+    assert sorted(_dict_uses(ast.parse(_DICT_SAMPLES))) == [4, 6, 8]
+
+
+def test_no_instance_dict_caches_in_src():
+    # a cache on a frozen value is a cached_property of that value alone;
+    # one kept in its __dict__ can be keyed on another object's identity
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        for line in _dict_uses(ast.parse(path.read_text()))
     ]
     assert found == []
 

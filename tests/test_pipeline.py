@@ -23,12 +23,12 @@ from orbitforge import (
     empirical_distribution,
     good_observable,
     joint_pair_distribution,
+    linf,
+    mixture_coupling,
     oe_approximate,
     parse_config,
     permutation_with_cycle_lengths,
-    product_coupling,
     run_experiment,
-    target_couplings,
     verify_oe,
 )
 from orbitforge.pipeline import (
@@ -113,44 +113,11 @@ def test_good_observable_accepts_long_cycles_and_is_deterministic():
     assert np.array_equal(psi1.labels, psi2.labels)
 
 
-def test_target_couplings_eps_zero_is_pair_distribution():
-    rng = np.random.default_rng(3)
-    b = FiniteAction.from_perms([rng.permutation(40)])
-    phi = Observable(rng.integers(0, 2, size=40), 2)
-    (j,) = target_couplings(b, phi, 0.0)
-    assert np.allclose(j.real, joint_pair_distribution(phi, b.perms[0]).real)
-
-
-def test_target_couplings_identity_balanced_half():
-    b = FiniteAction.from_perms([np.arange(8)])
-    phi = Observable(np.arange(8) % 2, 2)
-    (j,) = target_couplings(b, phi, 0.5)
-    assert np.allclose(j.real, [[3 / 8, 1 / 8], [1 / 8, 3 / 8]])
-
-
-def test_target_couplings_eps_one_is_product():
-    rng = np.random.default_rng(4)
-    b = FiniteAction.from_perms([rng.permutation(30)])
-    phi = Observable(rng.integers(0, 3, size=30), 3)
-    (j,) = target_couplings(b, phi, 1.0)
-    assert np.allclose(j.real, product_coupling(empirical_distribution(phi)).real)
-
-
-def test_target_couplings_unused_symbol():
+def test_oe_approximate_refuses_an_unused_symbol():
     b = FiniteAction.from_perms([np.arange(6)])
     phi = Observable(np.zeros(6, dtype=np.int64), 2)
     with pytest.raises(ValueError, match="restrict"):
-        target_couplings(b, phi, 0.1)
-
-
-def test_target_couplings_min_entry_floor():
-    rng = np.random.default_rng(5)
-    b = FiniteAction.from_perms([rng.permutation(60)])
-    phi = Observable(rng.integers(0, 2, size=60), 2)
-    eps = 0.2
-    (j,) = target_couplings(b, phi, eps)
-    pi = empirical_distribution(phi)
-    assert j.real.min() >= eps * float(pi.real.min()) ** 2 - 1e-12
+        oe_approximate(b, b, phi, 0.1)
 
 
 def test_oe_approximate_self_target():
@@ -364,12 +331,10 @@ pipeline.verify_oe = lambda x, y: False
 run("orbits", a)
 pipeline.verify_oe = real_verify_oe
 # the product coupling is far from the diagonal statistics of the identity
-real_targets = pipeline.target_couplings
-pipeline.target_couplings = lambda b, p, eps: [
-    of.product_coupling(of.empirical_distribution(p))
-] * b.rank
+real_mixture = pipeline.mixture_coupling
+pipeline.mixture_coupling = lambda c, eps, pi: of.product_coupling(pi)
 run("mixture", fixed)
-pipeline.target_couplings = real_targets
+pipeline.mixture_coupling = real_mixture
 real_rewire = pipeline._rewire_cycles
 
 
@@ -439,38 +404,57 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     assert calls["is_permutation"] <= 12
 
 
-def test_run_experiment_counts_each_pair_distribution_once(monkeypatch):
-    # rank 2, three eps: the target pairs of each generator are counted once
-    # for the whole schedule; the rewired pairs come from rewiring's own
-    # per-cycle table
+def test_run_experiment_counts_each_pair_target_once_per_entry(monkeypatch):
+    # rank 2, three eps: each entry reads each generator's pair target as
+    # the statistics of its inverse letter once; no pair distribution is
+    # counted apart from them
     calls = Counter()
-    original = orbitforge.spaces.joint_pair_distribution
+    for module, name in (
+        ("orbitforge.weak", "stats_matrix"),
+        ("orbitforge.spaces", "joint_pair_distribution"),
+    ):
+        original = getattr(importlib.import_module(module), name)
 
-    def counted(*args, **kwargs):
-        calls["joint_pair_distribution"] += 1
-        return original(*args, **kwargs)
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] != "orbitforge":
-            continue
-        for attr, value in list(vars(mod).items()):
-            if value is original:
-                monkeypatch.setattr(mod, attr, counted)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "orbitforge":
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
     config = PipelineConfig(
         n=20_000, rank=2, alphabet=2, eps_schedule=(0.1, 0.05, 0.03), seed=9
     )
     result = run_experiment(config)
     assert result.all_bounds_held
-    assert calls["joint_pair_distribution"] == 2
+    assert calls["stats_matrix"] == 6
+    assert calls["joint_pair_distribution"] == 0
 
 
-def test_target_couplings_follow_the_observable_on_one_action():
-    # the action keeps the pair counts of the last observable it was asked
-    # about; another observable, even with equal labels, is counted afresh
-    rng = np.random.default_rng(4)
-    b = FiniteAction.from_perms([rng.permutation(50), rng.permutation(50)])
-    phis = [Observable(rng.integers(0, 3, size=50), 3) for _ in range(2)]
-    phis.append(Observable(phis[0].labels.copy(), 3))
-    for phi in phis + phis[::-1]:
-        for s, j in enumerate(target_couplings(b, phi, 0.0)):
-            assert np.array_equal(j.real, joint_pair_distribution(phi, b.perms[s]).real)
+def test_errors_are_measured_against_the_target_pairs_at_three_symbols():
+    # with three symbols a pair matrix need not be symmetric, so a target
+    # read from the word s instead of s^-1 (its transpose) shows here: the
+    # rewired pairs follow the transposed target, far from b's own pairs
+    rng = np.random.default_rng(12)
+    n, eps = 30_000, 0.05
+    a = FiniteAction.from_perms(
+        [permutation_with_cycle_lengths([n], rng) for _ in range(2)]
+    )
+    # point 3k+i goes to 3k+(i+d_k)%3; with d_k = 0, 1, 2 on 3000, 5000 and
+    # 2000 values of k, symbol i meets i+1 more often than i-1
+    x = np.arange(n)
+    shift = np.repeat([0, 1, 2], [3000, 5000, 2000])[x // 3]
+    b = FiniteAction.from_perms([x - x % 3 + (x + shift) % 3, rng.permutation(n)])
+    phi = Observable(x % 3, 3)
+    pi = empirical_distribution(phi)
+    a_new, psi, report = oe_approximate(a, b, phi, eps, seed=3)
+    pairs = joint_pair_distribution(phi, b.perms[0])
+    assert not np.array_equal(pairs.counts, pairs.counts.T)
+    for s, g in enumerate(report.generators):
+        p = joint_pair_distribution(phi, b.perms[s])
+        assert g.mixture_gap == linf(mixture_coupling(p, eps, pi), p)
+        achieved = linf(joint_pair_distribution(psi, a_new.perms[s]), p)
+        assert g.achieved_error == achieved <= g.bound

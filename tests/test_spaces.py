@@ -107,6 +107,18 @@ def test_mixture_coupling_examples():
     assert np.allclose(half.real, [[3 / 8, 1 / 8], [1 / 8, 3 / 8]])
 
 
+def test_mixture_coupling_min_entry_floor():
+    # every entry is at least eps * min(pi)^2, also where c is zero
+    rng = np.random.default_rng(5)
+    phi = Observable(rng.integers(0, 3, size=60), 3)
+    pi = empirical_distribution(phi)
+    diagonal = joint_pair_distribution(phi, np.arange(60))
+    eps = 0.2
+    j = mixture_coupling(diagonal, eps, pi)
+    assert diagonal.counts.min() == 0
+    assert j.real.min() >= eps * float(pi.real.min()) ** 2 - 1e-12
+
+
 def test_mixture_margin_mismatch_rejected():
     pi = Dist(np.array([1, 1]), 2)
     lop = Coupling.from_probs([[0.5, 0.0], [0.25, 0.25]])
@@ -292,6 +304,48 @@ def test_non_integer_input_rejected_not_truncated(entry):
     with pytest.raises(ValueError, match="must be integers"):
         call(np.array(bad))
     call(np.array(integral))
+
+
+_ATOMS4 = Observable([0, 0, 1, 1], 2), Observable([0, 1, 2, 3], 4)
+
+# index inputs outside their range, each refused with the library's own
+# ValueError: a negative index must not wrap to the far end, and one past
+# the end must not reach numpy's IndexError
+OUT_OF_RANGE_INPUTS = {
+    "from_atoms(-1)": (
+        lambda: Observable.from_atoms([[0, -1], [1]], 3),
+        "must lie in",
+    ),
+    "from_atoms(n)": (
+        lambda: Observable.from_atoms([[0, 3], [1, 2]], 3),
+        "must lie in",
+    ),
+    "weak_distance(sets, -1)": (
+        lambda: weak_distance([1, 2, 0], np.arange(3), [[-1]]),
+        "must lie in",
+    ),
+    "weak_distance(sets, n)": (
+        lambda: weak_distance([1, 2, 0], np.arange(3), [[3]]),
+        "must lie in",
+    ),
+    "weak_distance(t)": (
+        lambda: weak_distance([0, 0, 0], np.arange(3), [[0]]),
+        "must be permutations",
+    ),
+    "weak_distance(u)": (
+        lambda: weak_distance(np.arange(3), [2, 2, 0], [[0]]),
+        "must be permutations",
+    ),
+    "beta(k)": (lambda: transport_partition(*_ATOMS4, [0, 1, 2, 9]), "bijection"),
+    "beta(-1)": (lambda: transport_partition(*_ATOMS4, [0, 1, 2, -1]), "bijection"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OUT_OF_RANGE_INPUTS))
+def test_out_of_range_index_rejected_not_wrapped(entry):
+    call, message = OUT_OF_RANGE_INPUTS[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_is_permutation_false_on_non_integer_values():

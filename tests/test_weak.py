@@ -11,8 +11,10 @@ from orbitforge import (
     ball,
     ball_transport_certificate,
     inverse_permutation,
+    joint_pair_distribution,
     kechris_distance,
     linf,
+    permutation_with_cycle_lengths,
     refine_partition,
     stats_matrix,
     transport_partition,
@@ -66,6 +68,29 @@ def test_stats_matrix_is_an_exact_coupling():
     diagonal = Coupling.from_counts([[3, 0], [0, 3]], 6)
     assert linf(m, diagonal) == float(Fraction(1, 6))
     assert linf(m, m) == 0.0
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3, 7])
+@pytest.mark.parametrize(
+    "lengths",
+    [[1] * 30, [2] * 15, [30], [1] * 6 + [2] * 6 + [12]],
+    ids=["fixed points", "2-cycles", "n-cycle", "mixed"],
+)
+def test_letter_statistics_are_the_pair_distributions(alphabet, lengths):
+    # the statistics of s^-1 count the pairs (P(x), P(b_s x)); those of s
+    # are their transpose
+    rng = np.random.default_rng(alphabet)
+    b = FiniteAction.from_perms(
+        [permutation_with_cycle_lengths(lengths, rng) for _ in range(2)]
+    )
+    p = Observable(rng.integers(0, alphabet, size=30), alphabet)
+    for s in (1, 2):
+        pairs = joint_pair_distribution(p, b.perms[s - 1])
+        inverse = stats_matrix(b, p, ReducedWord((-s,)))
+        forward = stats_matrix(b, p, ReducedWord((s,)))
+        assert inverse.denom == forward.denom == pairs.denom == 30
+        assert np.array_equal(inverse.counts, pairs.counts)
+        assert np.array_equal(forward.counts, pairs.counts.T)
 
 
 def test_kechris_zero_on_equal_pairs():
