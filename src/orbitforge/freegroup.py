@@ -17,13 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .permutations import (
-    CycleDecomposition,
-    cycle_decomposition,
-    inverse_permutation,
-    is_permutation,
-)
-from .spaces import Observable, _as_int64, _frozen
+from .permutations import CycleDecomposition, cycle_decomposition, inverse_permutation
+from .spaces import Observable, _as_int64, _as_permutation, _frozen
 
 __all__ = [
     "ReducedWord",
@@ -44,10 +39,12 @@ class ReducedWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for prev, cur in zip(self.letters, self.letters[1:]):
+        letters = tuple(_as_int64(self.letters, "letters").tolist())
+        object.__setattr__(self, "letters", letters)
+        for prev, cur in zip(letters, letters[1:]):
             if prev == -cur:
                 raise ValueError("word is not freely reduced")
-        if any(v == 0 for v in self.letters):
+        if 0 in letters:
             raise ValueError("letters are nonzero signed indices")
 
     def __len__(self) -> int:
@@ -64,8 +61,7 @@ class ReducedWord:
 def reduce_word(letters) -> ReducedWord:
     """Freely reduce a letter sequence (cancel adjacent inverse pairs)."""
     stack: list[int] = []
-    for v in letters:
-        v = int(v)
+    for v in _as_int64(list(letters), "letters").tolist():
         if v == 0:
             raise ValueError("letters are nonzero signed indices")
         if stack and stack[-1] == -v:
@@ -121,12 +117,9 @@ class FiniteAction:
             raise ValueError("perms must be a (rank, n) array")
         if perms.shape[1] < 1:
             raise ValueError("an action needs at least one point")
-        for row in perms:
-            if not is_permutation(row):
-                raise ValueError("every generator image must be a permutation")
-        perms = np.ascontiguousarray(perms)
-        perms.flags.writeable = False
-        object.__setattr__(self, "perms", perms)
+        for k, row in enumerate(perms, 1):
+            _as_permutation(row, f"generator {k}")
+        object.__setattr__(self, "perms", _frozen(perms))
 
     @classmethod
     def from_perms(cls, perms) -> "FiniteAction":

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import _as_int64, _frozen
+from .spaces import _as_int64, _as_permutation, _frozen
 
 __all__ = [
     "CycleDecomposition",
@@ -58,25 +58,15 @@ def is_permutation(p: np.ndarray) -> bool:
     Non-integral values, such as ``0.5``, make it false.
     """
     try:
-        p = _as_int64(p, "permutation images")
+        _as_permutation(p, "p")
     except ValueError:
         return False
-    n = p.shape[0]
-    if p.ndim != 1 or n == 0:
-        return n == 0 and p.ndim == 1
-    if p.min() < 0 or p.max() >= n:
-        return False
-    return bool(np.bincount(p, minlength=n).max() == 1)
+    return True
 
 
 def inverse_permutation(p: np.ndarray) -> np.ndarray:
-    """Inverse of a one-line permutation.
-
-    ``p`` must be a permutation, and only its integrality is checked: an
-    image that no point takes leaves its entry of the result uninitialised,
-    so ``[0, 0, 1]`` gets an arbitrary value at index 2, not an error.
-    """
-    p = _as_int64(p, "permutation images")
+    """Inverse of a one-line permutation; a non-permutation is refused."""
+    p = _as_permutation(p, "p")
     inv = np.empty_like(p)
     inv[p] = np.arange(p.shape[0], dtype=np.int64)
     return inv
@@ -262,9 +252,7 @@ def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
     distance to the end of the cycle; a point's position is then one
     gather away.  O(n) gathers plus O((n/16) log L), as for the labels.
     """
-    t = _as_int64(t, "permutation images")
-    if not is_permutation(t):
-        raise ValueError("input is not a permutation")
+    t = _as_permutation(t, "input")
     n = t.shape[0]
     nodes = _contract(t, offsets=True)
     owner, offset = nodes.owner, nodes.offset

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .freegroup import FiniteAction, ReducedWord, ball
-from .permutations import cycle_min_labels, is_permutation
+from .permutations import cycle_min_labels
 from .rearrange import PreconditionError
 from .rewire import _bad_mass, _rewire_cycles
 from .spaces import (
@@ -35,6 +35,7 @@ from .spaces import (
     Coupling,
     Dist,
     Observable,
+    _as_permutation,
     empirical_distribution,
     linf,
     mixture_coupling,
@@ -436,8 +437,7 @@ def _read_permutations(paths, n: int | None = None) -> np.ndarray:
             raise ValueError(f"{path}: {perm.shape[0]} images, expected n={n}")
         if n == 0:
             raise ValueError(f"{path}: no images")
-        if not is_permutation(perm):
-            raise ValueError(f"{path}: the images are not a permutation")
+        _as_permutation(perm, f"{path}: the image list")
     return np.vstack(perms)
 
 

@@ -39,6 +39,7 @@ from .spaces import (
     Dist,
     Observable,
     _as_int64,
+    _as_permutation,
     _frozen,
     empirical_distribution,
     empirical_pair_distribution,
@@ -75,11 +76,7 @@ class LineBijection:
         sigma = _as_int64(self.sigma, "line images")
         if self.n < 1 or sigma.shape != (self.n - 1,):
             raise ValueError("sigma must list n-1 images")
-        if self.n > 1:
-            if sigma.min() < 1 or sigma.max() > self.n - 1:
-                raise ValueError("images must lie in {1..n-1}")
-            if np.bincount(sigma, minlength=self.n).max() > 1:
-                raise ValueError("sigma must be injective")
+        _as_permutation(np.append(sigma, 0), "closed line")
         object.__setattr__(self, "sigma", _frozen(sigma))
 
     def is_connected(self) -> bool:
@@ -128,6 +125,13 @@ def _margin_gap(j: Coupling, target: np.ndarray):
         np.abs(j.row_margin() - target).max(axis=-1),
         np.abs(j.col_margin() - target).max(axis=-1),
     )
+
+
+def _require_eps(eps: float) -> None:
+    # check=False waives hypotheses, not input validity: a negative or NaN
+    # eps would certify a negative or NaN bound
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, not {eps!r}")
 
 
 def _repair_nonnegative(counts: np.ndarray) -> np.ndarray:
@@ -194,6 +198,7 @@ def round_coupling(
     if pi_prime.alphabet_size != a:
         raise ValueError("alphabet mismatch between coupling and margins")
     n = pi_prime.denom
+    _require_eps(eps)
     if check:
         gap = float(_margin_gap(j, pi_prime.real))
         if not gap < eps:
@@ -360,17 +365,13 @@ def _rearrange_lines(
     ext, reps = _merge_cycles(ext, keys)
     del keys
     ext, n_comp = _close_cycles(ext, offsets, reps)
-    m = ext.shape[0]
-    if m:
-        seg = np.repeat(np.arange(b), lengths)
-        if (
-            ext.min() < 0
-            or ext.max() >= m
-            or not np.array_equal(seg[ext], seg)
-            or np.bincount(ext, minlength=m).max() > 1
-            or not np.array_equal(ext[offsets[1:] - 1], offsets[:-1])
-        ):
-            raise ValueError("rearranged lines are not bijections onto their segments")
+    _as_permutation(ext, "rearranged lines")
+    seg = np.repeat(np.arange(b), lengths)
+    if not (
+        np.array_equal(seg[ext], seg)
+        and np.array_equal(ext[offsets[1:] - 1], offsets[:-1])
+    ):
+        raise ValueError("rearranged lines are not bijections onto their segments")
     return ext, n_comp
 
 

@@ -17,26 +17,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .permutations import (
-    CycleDecomposition,
-    cycle_decomposition,
-    cycle_min_labels,
-    is_permutation,
-)
+from .permutations import CycleDecomposition, cycle_decomposition, cycle_min_labels
 from .rearrange import (
     PreconditionError,
     _close_cycles,
     _margin_gap,
     _merge_cycles,
     _rearrange_lines,
+    _require_eps,
     _round_counts,
 )
-from .spaces import (
-    Coupling,
-    Observable,
-    _as_int64,
-    linf,
-)
+from .spaces import Coupling, Observable, _as_int64, _as_permutation, linf
 
 __all__ = [
     "CycleOutcome",
@@ -160,6 +151,7 @@ def _rewire_cycles(
     a = j.alphabet_size
     if psi.alphabet_size != a:
         raise ValueError("alphabet mismatch between labels and coupling")
+    _require_eps(eps)
     lengths = dec.lengths()
     label_counts = _label_counts_per_cycle(dec, psi)
     if check:
@@ -240,10 +232,11 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     ``k`` edges leave their target set and every symmetric difference
     ``|T'(C_i) Δ D_i|`` stays at most ``2k``.
     """
-    dec = cycle_decomposition(t)
-    if dec.lengths().shape[0] != 1:
+    t = _as_permutation(t, "t")
+    n = t.shape[0]
+    # one cycle: every point's cycle minimum is 0
+    if n == 0 or cycle_min_labels(t).any():
         raise ValueError("input must be a single cycle")
-    n = dec.n
     if c.n != n or d.n != n:
         raise ValueError("partition size does not match the permutation")
     if c.alphabet_size != d.alphabet_size or not np.array_equal(
@@ -265,10 +258,7 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
 
 def verify_same_orbits(t: np.ndarray, t2: np.ndarray) -> bool:
     """True iff the cycle partitions coincide as set partitions."""
-    t, t2 = _as_int64(t, "t"), _as_int64(t2, "t2")
-    for name, perm in (("t", t), ("t2", t2)):
-        if not is_permutation(perm):
-            raise ValueError(f"{name} is not a permutation")
+    t, t2 = _as_permutation(t, "t"), _as_permutation(t2, "t2")
     if t.shape != t2.shape:
         raise ValueError("permutations must act on the same space")
     return bool(np.array_equal(cycle_min_labels(t), cycle_min_labels(t2)))

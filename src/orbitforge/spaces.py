@@ -54,6 +54,22 @@ def _as_int64(values, what: str) -> np.ndarray:
     return cast
 
 
+def _as_permutation(values, what: str) -> np.ndarray:
+    """``values`` as an int64 permutation of ``{0..n-1}``; anything else is refused.
+
+    The library's one permutation test: after the integer rule of
+    ``_as_int64``, ``values`` must be 1-d with every image in range and
+    taken once.  A line ``{0..n-2} -> {1..n-1}`` is checked as the
+    permutation it closes into, with the image 0 appended.
+    """
+    p = _as_int64(values, what)
+    if p.ndim != 1 or (
+        p.size and (p.min() < 0 or p.max() >= p.size or np.bincount(p).max() > 1)
+    ):
+        raise ValueError(f"{what} is not a permutation")
+    return p
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -259,7 +275,7 @@ def empirical_distribution(phi: Observable) -> Dist:
 
 def joint_pair_distribution(phi: Observable, perm: np.ndarray) -> Coupling:
     """Distribution of the pair ``(phi(x), phi(perm(x)))`` over all n points."""
-    perm = _as_int64(perm, "permutation images")
+    perm = _as_permutation(perm, "perm")
     if perm.shape[0] != phi.n:
         raise ValueError("permutation size does not match observable")
     a = phi.alphabet_size
@@ -275,10 +291,11 @@ def empirical_pair_distribution(phi: Observable, sigma) -> Coupling:
     """
     images = _as_int64(getattr(sigma, "sigma", sigma), "line images")
     n = phi.n
-    if images.shape[0] != n - 1:
+    if images.shape != (n - 1,):
         raise ValueError("line bijection size does not match observable")
     if n < 2:
         raise ValueError("need at least two points for a pair distribution")
+    _as_permutation(np.append(images, 0), "closed line")
     a = phi.alphabet_size
     counts = _cell_counts(phi.labels[: n - 1] * a, phi.labels[images], a)
     return Coupling.from_counts(counts.reshape(a, a), n - 1)

@@ -24,8 +24,14 @@ from .freegroup import (
     refine_partition,
     translated_labels,
 )
-from .permutations import is_permutation
-from .spaces import Coupling, Observable, _as_int64, _cell_counts, _signed_cell_gap
+from .spaces import (
+    Coupling,
+    Observable,
+    _as_int64,
+    _as_permutation,
+    _cell_counts,
+    _signed_cell_gap,
+)
 
 __all__ = [
     "TransportCertificate",
@@ -74,12 +80,9 @@ def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
     ``t`` and ``u`` are permutations of one space and ``sets`` is a finite
     family of index arrays into it; the first set carries weight 1/2.
     """
-    t = _as_int64(t, "permutation images")
-    u = _as_int64(u, "permutation images")
+    t, u = _as_permutation(t, "t"), _as_permutation(u, "u")
     if t.shape != u.shape:
         raise ValueError("permutations must act on the same space")
-    if not (is_permutation(t) and is_permutation(u)):
-        raise ValueError("t and u must be permutations")
     sets = list(sets)
     if not sets:
         raise ValueError("need a nonempty family of sets")
@@ -110,8 +113,8 @@ def _beta_partition(pprime: Observable, beta) -> Observable:
         if beta.n != pprime.n or beta.alphabet_size != k:
             raise ValueError("beta is not a bijection on the refinement atoms")
         return beta
-    beta = _as_int64(beta, "beta")
-    if beta.shape != (k,) or not is_permutation(beta):
+    beta = _as_permutation(beta, "beta")
+    if beta.shape != (k,):
         raise ValueError("beta is not a bijection on the refinement atoms")
     inv = np.empty(k, dtype=np.int64)
     inv[beta] = np.arange(k)

@@ -35,6 +35,16 @@ def test_reduced_word_rejects_unreduced():
         ReducedWord((1, -1))
 
 
+def test_words_refuse_non_integral_letters():
+    # int() would truncate [1.5, -1.7, 2.2] to [1, -1, 2], which reduces to b
+    with pytest.raises(ValueError, match="letters must be integers"):
+        reduce_word([1.5, -1.7, 2.2])
+    with pytest.raises(ValueError, match="letters must be integers"):
+        ReducedWord((1.5,))
+    assert reduce_word([1.0, 2.0]).letters == (1, 2)
+    assert ReducedWord((np.int64(2), -1.0)) == ReducedWord((2, -1))
+
+
 def test_ball_sizes_rank2():
     assert len(ball(2, 0)) == 1
     assert len(ball(2, 1)) == 5

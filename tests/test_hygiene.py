@@ -1,7 +1,8 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
-integer cast of an input outside ``_as_int64``, no cache in an object's
-``__dict__``, the README calls only names the package has, and the public
-options are the registered ones."""
+integer cast of an input outside ``_as_int64``, no permutation test outside
+``_as_permutation``, no cache in an object's ``__dict__``, the README calls
+only names the package has, and the public options are the registered
+ones."""
 
 import ast
 import importlib
@@ -125,6 +126,67 @@ def test_integer_inputs_are_cast_only_by_as_int64():
         f"{path.name}:{name}:{line}"
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
         for name, line in _integer_casts(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def _called_name(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _permutation_tests(tree):
+    """Line of each permutation test written outside ``_as_permutation``.
+
+    A test is a call of ``is_permutation``, or an injectivity test
+    ``np.bincount(...).max()`` (also as ``np.max`` or ``max`` of a bincount).
+    """
+    own = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_as_permutation"
+        for node in ast.walk(fn)
+    }
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in own:
+            continue
+        name = _called_name(call)
+        if name == "is_permutation":
+            yield call.lineno
+        elif name == "max":
+            operand = getattr(call.func, "value", None)
+            if not isinstance(operand, ast.Call):
+                operand = call.args[0] if call.args else None
+            if isinstance(operand, ast.Call) and _called_name(operand) == "bincount":
+                yield call.lineno
+
+
+_PERMUTATION_SAMPLES = """
+def flagged(p, n):
+    if not is_permutation(p):
+        ok = permutations.is_permutation(p)
+    a = np.bincount(p, minlength=n).max() > 1
+    b = np.max(np.bincount(p)) == 1
+    c = max(np.bincount(p))
+def kept(p, n):
+    counts = np.bincount(p, minlength=n)
+    d = counts.argmax(), np.bincount(p).sum(), p.max(), np.max(p), max(n, 1)
+    return _as_permutation(p, "p")
+def _as_permutation(values, what):
+    return np.bincount(values).max() > 1
+"""
+
+
+def test_permutation_test_walk_finds_each_form():
+    found = sorted(_permutation_tests(ast.parse(_PERMUTATION_SAMPLES)))
+    assert found == [3, 4, 5, 6, 7]
+
+
+def test_permutations_are_tested_only_by_as_permutation():
+    # a test of its own drifts from the one every entry point shares
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        for line in _permutation_tests(ast.parse(path.read_text()))
     ]
     assert found == []
 

@@ -375,7 +375,7 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     for module, name in (
         ("orbitforge.permutations", "cycle_min_labels"),
         ("orbitforge.rewire", "cycle_decomposition"),
-        ("orbitforge.permutations", "is_permutation"),
+        ("orbitforge.spaces", "_as_permutation"),
     ):
         original = getattr(importlib.import_module(module), name)
 
@@ -399,9 +399,10 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     # six from merging the built lines and six from verify_oe; the
     # decompositions label their cycles without it
     assert calls["cycle_min_labels"] == 12
-    # only the rows of each built action are checked; the pipeline's own
-    # decompositions and rows are not validated again
-    assert calls["is_permutation"] <= 12
+    # the rows of the five built actions (ten), eight of them again when
+    # the statistics invert them, the two decompositions' inputs and the
+    # lines built for each generator and entry (six)
+    assert calls["_as_permutation"] <= 26
 
 
 def test_run_experiment_counts_each_pair_target_once_per_entry(monkeypatch):

@@ -253,6 +253,19 @@ def test_rearrange_matches_exhaustive_optimum_small():
     assert report.achieved_error <= best + 4 / 3
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", [True, False])
+def test_invalid_eps_refused_even_with_checks_waived(eps, check):
+    # check=False waives hypotheses; a negative or NaN eps would still
+    # certify a negative or NaN bound
+    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        rearrange_line(phi, j, eps, check=check)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        round_coupling(j, empirical_distribution(phi), eps, check=check)
+
+
 def test_rearrange_deterministic():
     rng = np.random.default_rng(10)
     phi = Observable(rng.integers(0, 3, size=500), 3)

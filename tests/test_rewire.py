@@ -1,5 +1,6 @@
 import importlib
 import re
+import sys
 import warnings
 from itertools import permutations
 
@@ -357,20 +358,33 @@ def test_rewire_refuses_a_non_permutation_before_other_checks():
         rewire(np.array([0.5, 1.0, 2.0]), psi, j, 0.5)
 
 
-def test_rewire_checks_the_permutation_once(monkeypatch):
-    calls = []
-    permutations_module = importlib.import_module("orbitforge.permutations")
-    original = permutations_module.is_permutation
-
-    def counted(p):
-        calls.append(p)
-        return original(p)
-
-    for name in ("orbitforge.permutations", "orbitforge.rewire"):
-        monkeypatch.setattr(importlib.import_module(name), "is_permutation", counted)
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", [True, False])
+def test_rewire_refuses_invalid_eps_even_with_checks_waived(eps, check):
+    # with checks waived, eps = -1 would report the bound 9|A|eps = -18
     t, psi, j = _rewire_instance([5, 7, 9], 3, 2)
-    rewire(t, psi, j, 0.15, check=False)
-    assert len(calls) == 1
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        rewire(t, psi, j, eps, check=check)
+
+
+def test_rewire_checks_the_permutation_once(monkeypatch):
+    checked = []
+    original = importlib.import_module("orbitforge.spaces")._as_permutation
+
+    def counted(values, what):
+        checked.append(what)
+        return original(values, what)
+
+    # every orbitforge namespace that binds the test, so a from-import counts
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orbitforge" and "_as_permutation" in vars(module):
+            monkeypatch.setattr(module, "_as_permutation", counted)
+    t, psi, j = _rewire_instance([5, 7, 9], 3, 2)
+    # eps = 0.3 lets two of the three cycles through the deviation gate
+    _, report = rewire(t, psi, j, 0.3, check=False)
+    assert report.good_mass > 0
+    # the input once, by its decomposition; the other check is on the output
+    assert checked == ["input", "rearranged lines"]
 
 
 def test_deviations_refuse_sizes_beyond_exact_range(monkeypatch):

@@ -307,10 +307,12 @@ def test_non_integer_input_rejected_not_truncated(entry):
 
 
 _ATOMS4 = Observable([0, 0, 1, 1], 2), Observable([0, 1, 2, 3], 4)
+_PHI4 = Observable([0, 1, 0, 1], 2)
 
-# index inputs outside their range, each refused with the library's own
-# ValueError: a negative index must not wrap to the far end, and one past
-# the end must not reach numpy's IndexError
+# index inputs outside their range or taken twice, each refused with the
+# library's own ValueError: a negative index must not wrap to the far end,
+# one past the end must not reach numpy's IndexError, and a repeated image
+# must not be counted as if it were a permutation
 OUT_OF_RANGE_INPUTS = {
     "from_atoms(-1)": (
         lambda: Observable.from_atoms([[0, -1], [1]], 3),
@@ -330,14 +332,44 @@ OUT_OF_RANGE_INPUTS = {
     ),
     "weak_distance(t)": (
         lambda: weak_distance([0, 0, 0], np.arange(3), [[0]]),
-        "must be permutations",
+        "t is not a permutation",
     ),
     "weak_distance(u)": (
         lambda: weak_distance(np.arange(3), [2, 2, 0], [[0]]),
-        "must be permutations",
+        "u is not a permutation",
     ),
-    "beta(k)": (lambda: transport_partition(*_ATOMS4, [0, 1, 2, 9]), "bijection"),
-    "beta(-1)": (lambda: transport_partition(*_ATOMS4, [0, 1, 2, -1]), "bijection"),
+    "beta(k)": (
+        lambda: transport_partition(*_ATOMS4, [0, 1, 2, 9]),
+        "beta is not a permutation",
+    ),
+    "beta(-1)": (
+        lambda: transport_partition(*_ATOMS4, [0, 1, 2, -1]),
+        "beta is not a permutation",
+    ),
+    "joint_pair_distribution(-1)": (
+        lambda: joint_pair_distribution(_PHI4, [-1, 0, 1, 2]),
+        "perm is not a permutation",
+    ),
+    "joint_pair_distribution(repeated)": (
+        lambda: joint_pair_distribution(_PHI4, [0, 0, 0, 0]),
+        "perm is not a permutation",
+    ),
+    "empirical_pair_distribution(0)": (
+        lambda: empirical_pair_distribution(_LABELS3, [0, 1]),
+        "closed line is not a permutation",
+    ),
+    "empirical_pair_distribution(repeated)": (
+        lambda: empirical_pair_distribution(_LABELS3, [2, 2]),
+        "closed line is not a permutation",
+    ),
+    "inverse_permutation(repeated)": (
+        lambda: inverse_permutation([0, 0, 1]),
+        "p is not a permutation",
+    ),
+    "rewire_ergodic(empty)": (
+        lambda: rewire_ergodic([], Observable([], 1), Observable([], 1)),
+        "single cycle",
+    ),
 }
 
 
