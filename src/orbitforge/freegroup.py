@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .permutations import CycleDecomposition, cycle_decomposition, inverse_permutation
+from .permutations import CycleDecomposition, _cycle_decomposition, _inverse_permutation
 from .spaces import Observable, _as_int64, _as_permutation, _frozen
 
 __all__ = [
@@ -145,11 +145,11 @@ class FiniteAction:
 
     @cached_property
     def inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(_frozen(inverse_permutation(p)) for p in self.perms)
+        return tuple(_frozen(_inverse_permutation(p)) for p in self.perms)
 
     @cached_property
     def cycle_decompositions(self) -> tuple[CycleDecomposition, ...]:
-        return tuple(cycle_decomposition(p) for p in self.perms)
+        return tuple(_cycle_decomposition(p) for p in self.perms)
 
 
 def _label_dtype(alphabet_size: int) -> np.dtype:
@@ -189,21 +189,26 @@ def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
     """Common refinement of the translated partitions ``{g·P : g in words}``.
 
     Point x lands in the atom determined by its translated-label signature
-    ``(P(g^{-1}x))_{g}``, packed into one int64 code in mixed radix
-    ``|A|``; the code is dense-ranked whenever another digit could pass
-    2^62.  The signatures are read from ``translated_labels(a, p, words)``.
+    ``(P(g^{-1}x))_{g}``, read from ``translated_labels(a, p, words)``.
     Atom ids are dense, numbered by first occurrence in point order, so the
     output is reproducible.
     """
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
-    translated = translated_labels(a, p, words)
-    k = p.alphabet_size
-    code = np.zeros(p.n, dtype=np.int64)
+    return _refine(translated_labels(a, p, words), p.alphabet_size, p.n)
+
+
+def _refine(translated: dict, k: int, n: int) -> Observable:
+    """``refine_partition`` from a ready table of labels in ``{0..k-1}``.
+
+    Signatures are packed into one int64 code in mixed radix ``k``, which is
+    dense-ranked whenever another digit could pass 2^62.
+    """
+    code = np.zeros(n, dtype=np.int64)
     bound = 1  # every code is below bound
-    for g in dict.fromkeys(words):
-        digits, radix = translated[g], k
+    for digits in translated.values():
+        radix = k
         if bound * radix > _PACK_LIMIT:
             distinct, code = np.unique(code, return_inverse=True)
             bound = distinct.shape[0]
@@ -214,11 +219,18 @@ def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
         code *= radix
         code += digits
         bound *= radix
-    _, first_pos, inverse = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    return Observable(rank[inverse], int(order.shape[0]))
+    distinct, inverse = np.unique(code, return_inverse=True)
+    first = _first_points(inverse, distinct.shape[0])
+    # an atom's id counts the atoms whose first point comes before its own
+    rank = np.cumsum(np.bincount(first, minlength=n))[first] - 1
+    return Observable(rank[inverse], distinct.shape[0])
+
+
+def _first_points(labels: np.ndarray, k: int) -> np.ndarray:
+    """Least point of each label in ``{0..k-1}``; the point count if none has it."""
+    first = np.full(k, labels.shape[0], dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(labels.shape[0]))
+    return first
 
 
 # "e" spells the identity, so no generator takes it: a, b, c, d, f, ..., z

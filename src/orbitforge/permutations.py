@@ -66,7 +66,11 @@ def is_permutation(p: np.ndarray) -> bool:
 
 def inverse_permutation(p: np.ndarray) -> np.ndarray:
     """Inverse of a one-line permutation; a non-permutation is refused."""
-    p = _as_permutation(p, "p")
+    return _inverse_permutation(_as_permutation(p, "p"))
+
+
+def _inverse_permutation(p: np.ndarray) -> np.ndarray:
+    """``inverse_permutation`` of an int64 permutation, not checked again."""
     inv = np.empty_like(p)
     inv[p] = np.arange(p.shape[0], dtype=np.int64)
     return inv
@@ -252,7 +256,11 @@ def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
     distance to the end of the cycle; a point's position is then one
     gather away.  O(n) gathers plus O((n/16) log L), as for the labels.
     """
-    t = _as_permutation(t, "input")
+    return _cycle_decomposition(_as_permutation(t, "input"))
+
+
+def _cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
+    """``cycle_decomposition`` of an int64 permutation, not checked again."""
     n = t.shape[0]
     nodes = _contract(t, offsets=True)
     owner, offset = nodes.owner, nodes.offset

@@ -2,12 +2,11 @@
 
 The statistics of an action against a partition are the intersection
 measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
-these numbers agree over a finite word set.  ``kechris_distance`` is the one
-path from word sets to compared statistics: it reads translated-label
-tables and compares each pair of inverse words once.
-``ball_transport_certificate`` carries a partition across an atom bijection
-on a ball refinement and measures, claim by claim, how much each
-transported quantity drifts.
+these numbers agree over a finite word set.  ``_kechris`` is the one path
+from translated-label tables to compared statistics, over one word of each
+inverse pair.  ``ball_transport_certificate`` carries a partition across an
+atom bijection on a ball refinement, reading one table per side, and
+measures, claim by claim, how much each transported quantity drifts.
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ import numpy as np
 from .freegroup import (
     FiniteAction,
     ReducedWord,
+    _first_points,
+    _refine,
     ball,
-    refine_partition,
     translated_labels,
 )
 from .spaces import (
@@ -63,14 +63,25 @@ def kechris_distance(
     """
     if p.alphabet_size != q.alphabet_size:
         raise ValueError("partitions must have the same atom count")
+    compared = _one_per_inverse_pair(words)
+    moved_p = translated_labels(v, p, compared)
+    moved_q = translated_labels(w, q, compared)
+    return _kechris(moved_p, moved_q, p, q, compared)
+
+
+def _one_per_inverse_pair(words) -> list[ReducedWord]:
+    """The words in order, less repeats and words whose inverse came earlier."""
     compared: dict[ReducedWord, None] = {}
     for g in words:
         if ReducedWord(tuple(-s for s in reversed(g.letters))) not in compared:
             compared[g] = None
-    moved_p = translated_labels(v, p, compared)
-    moved_q = translated_labels(w, q, compared)
+    return list(compared)
+
+
+def _kechris(moved_p: dict, moved_q: dict, p: Observable, q: Observable, words):
+    """``kechris_distance`` over ``words``, read from ready translated labels."""
     gap = _signed_cell_gap(p, q)
-    worst = max((gap(moved_p[g], moved_q[g]) for g in compared), default=0)
+    worst = max((gap(moved_p[g], moved_q[g]) for g in words), default=0)
     return float(Fraction(worst, p.n * q.n))
 
 
@@ -128,7 +139,9 @@ def _transport(p: Observable, pprime: Observable, beta):
     ``p.labels[first]`` names the coarse atom containing each refinement atom.
     """
     qprime = _beta_partition(pprime, beta)
-    _, first = np.unique(pprime.labels, return_index=True)
+    first = _first_points(pprime.labels, pprime.alphabet_size)
+    if np.any(first == pprime.n):
+        raise ValueError(f"refinement atom {np.argmax(first == pprime.n)} is empty")
     parents = p.labels[first]
     if np.any(p.labels != parents[pprime.labels]):
         raise ValueError("partition does not refine the coarse partition")
@@ -192,35 +205,32 @@ def ball_transport_certificate(
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
     words = tuple(ball(v.rank, radius))
-    pprime = refine_partition(p, words, v)
+    moved_p = translated_labels(v, p, words)
+    pprime = _refine(moved_p, p.alphabet_size, p.n)
     q, qprime, first = _transport(p, pprime, beta)
     n = p.n
     kref = pprime.alphabet_size
 
     # Claim 1 on the refinement atoms and on the coarse unions they form.
-    sizes_p = pprime.atom_sizes()
-    sizes_q = qprime.atom_sizes()
-    coarse_p = p.atom_sizes()
-    coarse_q = q.atom_sizes()
     claim1 = max(
-        int(np.max(np.abs(sizes_p - sizes_q))),
-        int(np.max(np.abs(coarse_p - coarse_q))),
+        int(np.max(np.abs(a.atom_sizes() - b.atom_sizes())))
+        for a, b in ((pprime, qprime), (p, q))
     )
 
     # Claim 2: beta extends to unions of refinement atoms, so beta(g·P_i) is
     # the union of image atoms whose preimages tile g·P_i.
-    moved_p = translated_labels(v, p, words)
     moved_q = translated_labels(w, q, words)
+    pull = first[qprime.labels]
     claim2: dict[ReducedWord, float] = {}
-    kcoarse = p.alphabet_size
     for g in words:
-        beta_image = moved_p[g][first][qprime.labels]
+        beta_image = moved_p[g][pull]
         mismatch = beta_image != moved_q[g]
-        lost = np.bincount(beta_image[mismatch], minlength=kcoarse)
-        gained = np.bincount(moved_q[g][mismatch], minlength=kcoarse)
+        lost = np.bincount(beta_image[mismatch], minlength=p.alphabet_size)
+        gained = np.bincount(moved_q[g][mismatch], minlength=p.alphabet_size)
         worst = int(np.max(lost + gained)) if mismatch.any() else 0
         claim2[g] = worst / n
-    del moved_p, moved_q  # freed before the statistics below build their own
+    final = _kechris(moved_p, moved_q, p, q, _one_per_inverse_pair(words))
+    del moved_p, moved_q, pull  # freed before the hypothesis builds its own
 
     # Generator-level hypothesis over the symmetric letter set.
     hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])
@@ -234,6 +244,6 @@ def ball_transport_certificate(
         hypothesis_max=hyp,
         hypothesis_bound=bound,
         hypothesis_ok=hyp < bound,
-        final_discrepancy=kechris_distance(v, w, p, q, words),
+        final_discrepancy=final,
         refinement_atoms=kref,
     )

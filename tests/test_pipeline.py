@@ -374,7 +374,7 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     calls = Counter()
     for module, name in (
         ("orbitforge.permutations", "cycle_min_labels"),
-        ("orbitforge.rewire", "cycle_decomposition"),
+        ("orbitforge.permutations", "_cycle_decomposition"),
         ("orbitforge.spaces", "_as_permutation"),
     ):
         original = getattr(importlib.import_module(module), name)
@@ -395,14 +395,14 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     result = run_experiment(config)
     assert all(r.orbit_equivalent for r in result.reports)
     assert all(g.same_orbits for r in result.reports for g in r.generators)
-    assert calls["cycle_decomposition"] == 2
+    assert calls["_cycle_decomposition"] == 2
     # six from merging the built lines and six from verify_oe; the
     # decompositions label their cycles without it
     assert calls["cycle_min_labels"] == 12
-    # the rows of the five built actions (ten), eight of them again when
-    # the statistics invert them, the two decompositions' inputs and the
-    # lines built for each generator and entry (six)
-    assert calls["_as_permutation"] <= 26
+    # the rows of the five built actions (ten) and the lines built for
+    # each generator and entry (six); the cached inverses and
+    # decompositions read rows the actions already checked
+    assert calls["_as_permutation"] == 16
 
 
 def test_run_experiment_counts_each_pair_target_once_per_entry(monkeypatch):

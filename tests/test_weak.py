@@ -177,6 +177,17 @@ def test_transport_rejects_non_bijection():
         transport_partition(p, pprime, np.array([0, 0, 1, 3]))
 
 
+@pytest.mark.parametrize(
+    "labels, k, atom",
+    [([0, 0, 2, 2], 3, 1), ([1, 1, 0, 0], 3, 2)],
+    ids=["inner", "last"],
+)
+def test_transport_rejects_empty_refinement_atom(labels, k, atom):
+    p = Observable.from_labels([0, 0, 1, 1], 2)
+    with pytest.raises(ValueError, match=f"refinement atom {atom} is empty"):
+        transport_partition(p, Observable(labels, k), np.arange(k))
+
+
 def test_transport_requires_refinement():
     p = Observable.from_labels([0, 1, 0, 1], 2)
     not_finer = Observable.from_labels([0, 0, 1, 1], 2)

@@ -163,14 +163,19 @@ def test_wide_signatures_are_reranked(monkeypatch):
     unique = np.unique
 
     def counted(*args, **kwargs):
-        if kwargs.get("return_inverse") and not kwargs.get("return_index"):
+        if kwargs.get("return_index"):
+            reranks["with_index"] += 1
+        elif kwargs.get("return_inverse"):
             reranks["calls"] += 1
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted)
     new = refine_partition(p, words, a)
     monkeypatch.setattr(np, "unique", unique)
-    assert reranks["calls"] >= 2
+    # at least two reranks on the way, then the final ranking
+    assert reranks["calls"] >= 3
+    # atoms are numbered by first occurrence without a stable sort
+    assert reranks["with_index"] == 0
     assert_same_partition(new, ref.refine_partition(p, words, a))
 
 
@@ -235,15 +240,31 @@ def test_certificate_evaluates_no_word(monkeypatch):
     beta = np.arange(atoms.alphabet_size)
     calls = _count_calls(
         monkeypatch,
-        [("orbitforge.permutations", "inverse_permutation")],
+        [("orbitforge.permutations", "_inverse_permutation")],
     )
     first = ball_transport_certificate(v, w, p, 3, beta, 0.2)
     # the first call fills each action's cache of generator inverses
-    assert calls == Counter({"inverse_permutation": 4})
+    assert calls == Counter({"_inverse_permutation": 4})
     calls.clear()
     second = ball_transport_certificate(v, w, p, 3, beta, 0.2)
     assert calls == Counter()
     assert repr(first) == repr(second)
+
+
+def test_certificate_builds_each_ball_table_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 500
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    beta = np.arange(ref.refine_partition(p, ball(2, 3), v).alphabet_size)
+    calls = _count_calls(monkeypatch, [("orbitforge.freegroup", "translated_labels")])
+    cert = ball_transport_certificate(v, w, p, 3, beta, 0.2)
+    # the ball tables of (v, P) and (w, Q), read by the refinement, claim 2
+    # and the final discrepancy, and the hypothesis's letter tables of
+    # (v, P') and (w, Q')
+    assert calls == Counter({"translated_labels": 4})
+    assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
 
 
 def _inverse(g):
@@ -326,6 +347,6 @@ def test_certificate_compares_each_inverse_pair_once(monkeypatch):
     beta = np.arange(ref.refine_partition(p, ball(2, 2), v).alphabet_size)
     compared = _count_compared(monkeypatch)
     cert = ball_transport_certificate(v, w, p, 2, beta, 0.2)
-    # the letter hypothesis compares a and b, the final discrepancy 9 words
-    assert compared == [2, 9]
+    # the final discrepancy compares 9 words, the letter hypothesis a and b
+    assert compared == [9, 2]
     assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 2, beta, 0.2))
