@@ -55,9 +55,7 @@ __all__ = [
     "verify_oe",
     "parse_config",
     "run_experiment",
-    "read_permutation",
     "write_permutation",
-    "read_labels",
     "read_coupling_csv",
     "write_coupling_csv",
 ]
@@ -184,8 +182,8 @@ def oe_approximate(
     b: FiniteAction,
     phi: Observable,
     eps: float,
-    retries: int = 5,
-    seed: int = 0,
+    retries: int,
+    seed: int,
 ) -> tuple[FiniteAction, Observable, PipelineReport]:
     """Rewire ``a`` generator by generator toward the statistics of ``b``.
 
@@ -423,14 +421,13 @@ def _finite_row(text: str) -> list[float]:
     return row
 
 
-def read_permutation(path) -> np.ndarray:
-    rows = _parse_lines(path, int, "an integer image")
-    return np.asarray([v for _, v in rows], dtype=np.int64)
-
-
 def _read_permutations(paths, n: int | None = None) -> np.ndarray:
-    """Stack one permutation per file, all of ``n`` (default: the first's) points."""
-    perms = [read_permutation(path) for path in paths]
+    """Stack one permutation per file, all of ``n`` (default: the first's) points.
+
+    Each file lists one integer image per nonblank line.
+    """
+    rows = [_parse_lines(path, int, "an integer image") for path in paths]
+    perms = [np.asarray([v for _, v in r], dtype=np.int64) for r in rows]
     n = perms[0].shape[0] if n is None else n
     for path, perm in zip(paths, perms):
         if perm.shape[0] != n:
@@ -449,23 +446,18 @@ def write_permutation(path, perm: np.ndarray) -> None:
     Path(path).write_text(_permutation_text(perm))
 
 
-def read_labels(path) -> tuple[Observable, list[str]]:
-    """Read one symbol per line; symbols index alphabets in sorted order."""
-    tokens = [t for _, t in _parse_lines(path, _symbol, "one symbol")]
-    if not tokens:
-        raise ValueError(f"{path}: no symbols")
-    symbols = sorted(set(tokens))
-    index = {sym: i for i, sym in enumerate(symbols)}
-    labels = np.asarray([index[t] for t in tokens], dtype=np.int64)
-    return Observable(labels, len(symbols)), symbols
-
-
 def _read_labels(path, n=None, alphabet=None, alphabet_of=None) -> Observable:
     """The labels of ``path``, checked for ``n`` points and ``alphabet`` symbols.
 
-    ``alphabet_of`` names the file the symbol count comes from, if any.
+    The file holds one symbol per nonblank line; the sorted symbols are the
+    labels ``0, 1, ...``.  ``alphabet_of`` names the file the symbol count
+    comes from, if any.
     """
-    obs, _ = read_labels(path)
+    tokens = [t for _, t in _parse_lines(path, _symbol, "one symbol")]
+    if not tokens:
+        raise ValueError(f"{path}: no symbols")
+    index = {sym: i for i, sym in enumerate(sorted(set(tokens)))}
+    obs = Observable(np.asarray([index[t] for t in tokens], dtype=np.int64), len(index))
     if n is not None and obs.n != n:
         raise ValueError(f"{path}: {obs.n} labels, expected n={n}")
     if alphabet is not None and obs.alphabet_size != alphabet:

@@ -41,6 +41,7 @@ from .spaces import (
     _as_int64,
     _as_permutation,
     _frozen,
+    _margin_gap,
     empirical_distribution,
     empirical_pair_distribution,
     linf,
@@ -82,16 +83,6 @@ class LineBijection:
     def is_connected(self) -> bool:
         return _component_count(self.sigma) == 1
 
-    def walk(self) -> np.ndarray:
-        """Vertex order along the path from 0; length n iff connected."""
-        out = [0]
-        cur = 0
-        images = self.sigma
-        while cur < self.n - 1:
-            cur = int(images[cur])
-            out.append(cur)
-        return np.asarray(out, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class RearrangeReport:
@@ -113,18 +104,6 @@ def _component_count(tau: np.ndarray) -> int:
     if len(tau) == 0:
         return 1
     return int(np.unique(_line_components(tau)).shape[0])
-
-
-def _margin_gap(j: Coupling, target: np.ndarray):
-    """Sup-norm distance from both margins of ``j`` to ``target``.
-
-    ``target`` is one distribution (a float comes back) or a stack of them
-    along the last axis (one gap per row).
-    """
-    return np.maximum(
-        np.abs(j.row_margin() - target).max(axis=-1),
-        np.abs(j.col_margin() - target).max(axis=-1),
-    )
 
 
 def _require_eps(eps: float) -> None:

@@ -21,13 +21,12 @@ from .permutations import CycleDecomposition, cycle_decomposition, cycle_min_lab
 from .rearrange import (
     PreconditionError,
     _close_cycles,
-    _margin_gap,
     _merge_cycles,
     _rearrange_lines,
     _require_eps,
     _round_counts,
 )
-from .spaces import Coupling, Observable, _as_int64, _as_permutation, linf
+from .spaces import Coupling, Observable, _as_int64, _as_permutation, _margin_gap, linf
 
 __all__ = [
     "CycleOutcome",

@@ -23,7 +23,6 @@ __all__ = [
     "linf",
     "product_coupling",
     "mixture_coupling",
-    "coupling_margins_check",
 ]
 
 # ℓ∞ tolerance for real-valued (non exact-count) comparisons.
@@ -107,21 +106,6 @@ class Observable:
     @classmethod
     def constant(cls, n: int) -> "Observable":
         return cls(np.zeros(n, dtype=np.int64), 1)
-
-    @classmethod
-    def from_atoms(cls, atoms, n: int) -> "Observable":
-        """Build a partition observable from a list of disjoint index sets."""
-        labels = np.full(n, -1, dtype=np.int64)
-        for i, atom in enumerate(atoms):
-            atom = _as_int64(atom, "atom indices")
-            if atom.size and (atom.min() < 0 or atom.max() >= n):
-                raise ValueError(f"atom indices must lie in 0..{n - 1}")
-            if np.any(labels[atom] >= 0):
-                raise ValueError("atoms overlap")
-            labels[atom] = i
-        if np.any(labels < 0):
-            raise ValueError("atoms do not cover the space")
-        return cls(labels, len(atoms))
 
     @property
     def n(self) -> int:
@@ -345,22 +329,15 @@ def product_coupling(pi: Dist) -> Coupling:
     return Coupling.from_counts(np.outer(pi.counts, pi.counts), pi.denom * pi.denom)
 
 
-def coupling_margins_check(j: Coupling, pi: Dist) -> bool:
-    """True iff both margins of ``j`` equal ``pi`` (exactly in count view)."""
-    if j.alphabet_size != pi.alphabet_size:
-        return False
-    if j.is_exact:
-        rows = j.counts.sum(axis=1).tolist()
-        cols = j.counts.sum(axis=0).tolist()
-        target = pi.counts.tolist()
-        dj, dp = j.denom, pi.denom
-        return all(r * dp == t * dj for r, t in zip(rows, target)) and all(
-            c * dp == t * dj for c, t in zip(cols, target)
-        )
-    target = pi.real
-    return bool(
-        np.max(np.abs(j.row_margin() - target)) <= REAL_TOL
-        and np.max(np.abs(j.col_margin() - target)) <= REAL_TOL
+def _margin_gap(j: Coupling, target: np.ndarray):
+    """Sup-norm distance from both margins of ``j`` to ``target``.
+
+    ``target`` is one distribution (a float comes back) or a stack of them
+    along the last axis (one gap per row).
+    """
+    return np.maximum(
+        np.abs(j.row_margin() - target).max(axis=-1),
+        np.abs(j.col_margin() - target).max(axis=-1),
     )
 
 
@@ -369,11 +346,22 @@ def mixture_coupling(c: Coupling, eps: float, pi: Dist) -> Coupling:
 
     Every entry moves by at most ``eps`` and is at least ``eps * min(pi)^2``,
     so fully supported ``pi`` and ``eps > 0`` make every entry positive,
-    which is what downstream rounding needs.
+    which is what downstream rounding needs.  Both margins of ``c`` must
+    equal ``pi``: exactly for an exact ``c``, within ``REAL_TOL`` otherwise.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("mixture weight must lie in [0, 1]")
-    if not coupling_margins_check(c, pi):
+    if c.alphabet_size != pi.alphabet_size:
+        match = False
+    elif c.is_exact:
+        # count views compare as Python ints: a float test would pass
+        # margins that differ by less than REAL_TOL
+        margins = c.counts.sum(axis=1).tolist() + c.counts.sum(axis=0).tolist()
+        target = pi.counts.tolist() * 2
+        match = all(m * pi.denom == t * c.denom for m, t in zip(margins, target))
+    else:
+        match = _margin_gap(c, pi.real) <= REAL_TOL
+    if not match:
         raise ValueError("coupling margins do not match the mixing distribution")
     prod = product_coupling(pi)
     return Coupling.from_probs((1.0 - eps) * c.real + eps * prod.real)

@@ -27,7 +27,6 @@ from .freegroup import (
 from .spaces import (
     Coupling,
     Observable,
-    _as_int64,
     _as_permutation,
     _cell_counts,
     _signed_cell_gap,
@@ -37,8 +36,6 @@ __all__ = [
     "TransportCertificate",
     "stats_matrix",
     "kechris_distance",
-    "weak_distance",
-    "transport_partition",
     "ball_transport_certificate",
 ]
 
@@ -85,32 +82,6 @@ def _kechris(moved_p: dict, moved_q: dict, p: Observable, q: Observable, words):
     return float(Fraction(worst, p.n * q.n))
 
 
-def weak_distance(t: np.ndarray, u: np.ndarray, sets) -> float:
-    """Weighted sum of symmetric differences ``sum_i 2^-(i+1) mu(tA_i Δ uA_i)``.
-
-    ``t`` and ``u`` are permutations of one space and ``sets`` is a finite
-    family of index arrays into it; the first set carries weight 1/2.
-    """
-    t, u = _as_permutation(t, "t"), _as_permutation(u, "u")
-    if t.shape != u.shape:
-        raise ValueError("permutations must act on the same space")
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need a nonempty family of sets")
-    n = t.shape[0]
-    total = 0.0
-    for i, subset in enumerate(sets):
-        subset = _as_int64(subset, "index sets")
-        if subset.size and (subset.min() < 0 or subset.max() >= n):
-            raise ValueError(f"index sets must lie in 0..{n - 1}")
-        mt = np.zeros(n, dtype=bool)
-        mu_ = np.zeros(n, dtype=bool)
-        mt[t[subset]] = True
-        mu_[u[subset]] = True
-        total += 2.0 ** -(i + 1) * (np.count_nonzero(mt ^ mu_) / n)
-    return total
-
-
 def _beta_partition(pprime: Observable, beta) -> Observable:
     """Normalize an atom bijection to an aligned image partition.
 
@@ -135,8 +106,10 @@ def _beta_partition(pprime: Observable, beta) -> Observable:
 def _transport(p: Observable, pprime: Observable, beta):
     """Transported partition ``Q``, the aligned image ``Q'`` and atom firsts.
 
-    ``first[i]`` is the first point of refinement atom ``i``, so
-    ``p.labels[first]`` names the coarse atom containing each refinement atom.
+    The transported atom ``Q_i`` is the union of the beta-images of the
+    refinement atoms inside ``P_i``.  ``first[i]`` is the first point of
+    refinement atom ``i``, so ``p.labels[first]`` names the coarse atom
+    containing each refinement atom.
     """
     qprime = _beta_partition(pprime, beta)
     first = _first_points(pprime.labels, pprime.alphabet_size)
@@ -146,15 +119,6 @@ def _transport(p: Observable, pprime: Observable, beta):
     if np.any(p.labels != parents[pprime.labels]):
         raise ValueError("partition does not refine the coarse partition")
     return Observable(parents[qprime.labels], p.alphabet_size), qprime, first
-
-
-def transport_partition(p: Observable, pprime: Observable, beta) -> Observable:
-    """Carry ``P`` across an atom bijection on its refinement.
-
-    The transported atom ``Q_i`` is the union of beta-images of the
-    refinement atoms inside ``P_i``.
-    """
-    return _transport(p, pprime, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +158,8 @@ def ball_transport_certificate(
     """Verify a partition transport over a word ball, claim by claim.
 
     ``beta`` maps atoms of the ball refinement of ``P`` under ``v`` to atoms
-    of an image partition (see ``transport_partition``).  Claim 1 compares
+    of an image partition, given as an integer array permuting the atom ids
+    or as the aligned image partition itself.  Claim 1 compares
     atom sizes, claim 2 each word's transported translate with the
     translate of the transport, the hypothesis is ``kechris_distance`` over
     the letters on the refinements, and the final discrepancy is

@@ -1,8 +1,8 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
 integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no cache in an object's ``__dict__``, the README calls
-only names the package has, and the public options are the registered
-ones."""
+only names the package has, and the public names and options are the
+registered ones."""
 
 import ast
 import importlib
@@ -251,8 +251,6 @@ KNOBS = [
     "pipeline.PipelineConfig(workers=1)",
     "pipeline.PipelineReport(kechris_radius=2)",
     "pipeline.good_observable(gap_below=None)",
-    "pipeline.oe_approximate(retries=5)",
-    "pipeline.oe_approximate(seed=0)",
     "rearrange.rearrange_line(check=True)",
     "rearrange.round_coupling(check=True)",
     "rewire.rewire(check=True)",
@@ -284,3 +282,74 @@ def test_public_options_are_registered():
                     if param.default is not inspect.Parameter.empty:
                         knobs.append(f"{name}.{label}({param.name}={param.default!r})")
     assert sorted(knobs) == KNOBS
+
+
+# Every public name, over each module's __all__.  Adding a name to the API
+# shows up as a change to this list.
+PUBLIC = [
+    "cli.build_parser",
+    "cli.main",
+    "freegroup.FiniteAction",
+    "freegroup.ReducedWord",
+    "freegroup.ball",
+    "freegroup.format_word",
+    "freegroup.parse_word",
+    "freegroup.reduce_word",
+    "freegroup.refine_partition",
+    "freegroup.translated_labels",
+    "permutations.CycleDecomposition",
+    "permutations.cycle_decomposition",
+    "permutations.cycle_min_labels",
+    "permutations.inverse_permutation",
+    "permutations.is_permutation",
+    "permutations.permutation_with_cycle_lengths",
+    "pipeline.CertificationError",
+    "pipeline.ConfigError",
+    "pipeline.ExperimentResult",
+    "pipeline.GeneratorOutcome",
+    "pipeline.GoodObservableError",
+    "pipeline.PipelineConfig",
+    "pipeline.PipelineReport",
+    "pipeline.good_observable",
+    "pipeline.oe_approximate",
+    "pipeline.parse_config",
+    "pipeline.read_coupling_csv",
+    "pipeline.run_experiment",
+    "pipeline.verify_oe",
+    "pipeline.write_coupling_csv",
+    "pipeline.write_permutation",
+    "rearrange.LineBijection",
+    "rearrange.PreconditionError",
+    "rearrange.RearrangeReport",
+    "rearrange.build_tau",
+    "rearrange.rearrange_line",
+    "rearrange.round_coupling",
+    "rewire.CycleOutcome",
+    "rewire.RewireReport",
+    "rewire.ergodic_profile",
+    "rewire.rewire",
+    "rewire.rewire_ergodic",
+    "rewire.verify_same_orbits",
+    "spaces.Coupling",
+    "spaces.Dist",
+    "spaces.Observable",
+    "spaces.empirical_distribution",
+    "spaces.empirical_pair_distribution",
+    "spaces.joint_pair_distribution",
+    "spaces.linf",
+    "spaces.mixture_coupling",
+    "spaces.product_coupling",
+    "weak.TransportCertificate",
+    "weak.ball_transport_certificate",
+    "weak.kechris_distance",
+    "weak.stats_matrix",
+]
+
+
+def test_public_names_are_registered():
+    exported = [
+        f"{name}.{public}"
+        for name in MODULES
+        for public in importlib.import_module(f"orbitforge.{name}").__all__
+    ]
+    assert sorted(exported) == PUBLIC

@@ -9,7 +9,7 @@ from orbitforge import (
     FiniteAction,
     LineBijection,
     Observable,
-    coupling_margins_check,
+    ball_transport_certificate,
     cycle_decomposition,
     cycle_min_labels,
     empirical_distribution,
@@ -23,8 +23,6 @@ from orbitforge import (
     product_coupling,
     rewire,
     rewire_ergodic,
-    transport_partition,
-    weak_distance,
 )
 from orbitforge.rearrange import _close, _merge
 
@@ -144,17 +142,24 @@ def test_mixture_positive_entries():
     c = Coupling.from_counts(np.diag(pi.counts), pi.denom)
     mixed = mixture_coupling(c, 0.125, pi)
     assert mixed.real.min() > 0
-    assert coupling_margins_check(mixed, pi)
+    mixture_coupling(mixed, 0.5, pi)  # its margins are still pi
 
 
 def test_margins_check_examples():
+    # mixture_coupling refuses a coupling whose margins are not pi
     pi = Dist(np.array([1, 1]), 2)
-    assert coupling_margins_check(product_coupling(pi), pi)
-    diagonal = Coupling.from_counts(np.diag(pi.counts), pi.denom)
-    assert coupling_margins_check(diagonal, pi)
+    mixture_coupling(product_coupling(pi), 0.5, pi)
+    mixture_coupling(Coupling.from_counts(np.diag(pi.counts), pi.denom), 0.5, pi)
+    refused = "coupling margins do not match"
     # rows match but columns are (3/4, 1/4)
-    bad = Coupling.from_counts(np.array([[2, 0], [1, 1]]), 4)
-    assert not coupling_margins_check(bad, pi)
+    with pytest.raises(ValueError, match=refused):
+        mixture_coupling(Coupling.from_counts(np.array([[2, 0], [1, 1]]), 4), 0.5, pi)
+    with pytest.raises(ValueError, match=refused):
+        mixture_coupling(Coupling.from_probs([[0.5, 0.0], [0.25, 0.25]]), 0.5, pi)
+    # exact margins 1e-14 apart, closer than the real tolerance REAL_TOL
+    near = Coupling.from_counts([[10**7, 0], [0, 1]], 10**7 + 1)
+    with pytest.raises(ValueError, match=refused):
+        mixture_coupling(near, 0.5, Dist(np.array([10**7 - 1, 1]), 10**7))
 
 
 def test_joint_pair_distribution_counts_all_points():
@@ -175,10 +180,6 @@ def test_dist_invariants():
 def test_observable_invariants():
     with pytest.raises(ValueError):
         Observable(np.array([0, 2]), 2)
-    obs = Observable.from_atoms([[0, 1], [2, 3]], 4)
-    assert np.array_equal(obs.labels, [0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        Observable.from_atoms([[0, 1], [1, 2]], 3)
 
 
 def test_coupling_validation():
@@ -219,6 +220,15 @@ def test_non_finite_inputs_rejected(bad):
 
 _LABELS3 = Observable([0, 1, 0], 2)
 _UNIFORM2 = Coupling.from_probs(np.full((2, 2), 0.25))
+
+
+def _transport4(beta):
+    # at radius 0 the ball refinement of four singletons is themselves, so
+    # beta permutes four atoms
+    shift = FiniteAction.from_perms([[1, 2, 3, 0]])
+    p = Observable([0, 1, 2, 3], 4)
+    return ball_transport_certificate(shift, shift, p, 0, beta, 0.1)
+
 
 # entry point, a non-integral input that an int64 cast would truncate into
 # a valid one (or that numpy would refuse only as an index), and the same
@@ -267,27 +277,10 @@ INTEGER_INPUTS = {
         [1.0, 2.0],
     ),
     "LineBijection": (lambda v: LineBijection(3, v), [1.9, 2.2], [1.0, 2.0]),
-    "Observable.from_atoms": (
-        lambda v: Observable.from_atoms([v, [1]], 2),
-        [0.9],
-        [0.0],
-    ),
-    "transport_partition": (
-        lambda v: transport_partition(
-            Observable([0, 0, 1, 1], 2), Observable([0, 1, 2, 3], 4), v
-        ),
+    "ball_transport_certificate(beta)": (
+        _transport4,
         [0.4, 2.2, 1.9, 3.0],
         [0.0, 2.0, 1.0, 3.0],
-    ),
-    "weak_distance(t)": (
-        lambda v: weak_distance(v, np.arange(3), [[0, 1]]),
-        [1.7, 2.2, 0.9],
-        [1.0, 2.0, 0.0],
-    ),
-    "weak_distance(sets)": (
-        lambda v: weak_distance(np.arange(3), np.arange(3), [v]),
-        [0.4, 1.7],
-        [0.0, 1.0],
     ),
     "rearrange._merge": (
         lambda v: _merge(np.array([0, 1, 0]), 2, v),
@@ -306,7 +299,6 @@ def test_non_integer_input_rejected_not_truncated(entry):
     call(np.array(integral))
 
 
-_ATOMS4 = Observable([0, 0, 1, 1], 2), Observable([0, 1, 2, 3], 4)
 _PHI4 = Observable([0, 1, 0, 1], 2)
 
 # index inputs outside their range or taken twice, each refused with the
@@ -314,36 +306,12 @@ _PHI4 = Observable([0, 1, 0, 1], 2)
 # one past the end must not reach numpy's IndexError, and a repeated image
 # must not be counted as if it were a permutation
 OUT_OF_RANGE_INPUTS = {
-    "from_atoms(-1)": (
-        lambda: Observable.from_atoms([[0, -1], [1]], 3),
-        "must lie in",
-    ),
-    "from_atoms(n)": (
-        lambda: Observable.from_atoms([[0, 3], [1, 2]], 3),
-        "must lie in",
-    ),
-    "weak_distance(sets, -1)": (
-        lambda: weak_distance([1, 2, 0], np.arange(3), [[-1]]),
-        "must lie in",
-    ),
-    "weak_distance(sets, n)": (
-        lambda: weak_distance([1, 2, 0], np.arange(3), [[3]]),
-        "must lie in",
-    ),
-    "weak_distance(t)": (
-        lambda: weak_distance([0, 0, 0], np.arange(3), [[0]]),
-        "t is not a permutation",
-    ),
-    "weak_distance(u)": (
-        lambda: weak_distance(np.arange(3), [2, 2, 0], [[0]]),
-        "u is not a permutation",
-    ),
     "beta(k)": (
-        lambda: transport_partition(*_ATOMS4, [0, 1, 2, 9]),
+        lambda: _transport4([0, 1, 2, 9]),
         "beta is not a permutation",
     ),
     "beta(-1)": (
-        lambda: transport_partition(*_ATOMS4, [0, 1, 2, -1]),
+        lambda: _transport4([0, 1, 2, -1]),
         "beta is not a permutation",
     ),
     "joint_pair_distribution(-1)": (
