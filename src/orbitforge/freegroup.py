@@ -259,6 +259,8 @@ def parse_word(text: str, rank: int) -> ReducedWord:
 def format_word(w: ReducedWord) -> str:
     if w.is_identity:
         return "e"
+    if max(map(abs, w.letters)) > len(_LOWER):
+        raise ValueError(f"only generators 1..{len(_LOWER)} have letter names")
     out = []
     for v in w.letters:
         ch = _LOWER[abs(v) - 1]

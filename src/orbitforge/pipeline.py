@@ -28,7 +28,7 @@ import numpy as np
 
 from .freegroup import FiniteAction, ReducedWord, ball
 from .permutations import cycle_min_labels
-from .rearrange import PreconditionError
+from .rearrange import PreconditionError, _require_eps
 from .rewire import _bad_mass, _rewire_cycles
 from .spaces import (
     REAL_TOL,
@@ -55,9 +55,7 @@ __all__ = [
     "verify_oe",
     "parse_config",
     "run_experiment",
-    "write_permutation",
     "read_coupling_csv",
-    "write_coupling_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -126,6 +124,7 @@ def good_observable(
     """
     if retries < 1:
         raise ValueError("need at least one attempt")
+    _require_eps(eps)
     cum = np.cumsum(pi.real)
     cum[-1] = 1.0
     worst: list[float] | None = None
@@ -442,10 +441,6 @@ def _permutation_text(perm: np.ndarray) -> str:
     return "\n".join(str(int(v)) for v in perm) + "\n"
 
 
-def write_permutation(path, perm: np.ndarray) -> None:
-    Path(path).write_text(_permutation_text(perm))
-
-
 def _read_labels(path, n=None, alphabet=None, alphabet_of=None) -> Observable:
     """The labels of ``path``, checked for ``n`` points and ``alphabet`` symbols.
 
@@ -476,11 +471,6 @@ def read_coupling_csv(path) -> Coupling:
         return Coupling.from_probs(np.asarray([r for _, r in rows], dtype=np.float64))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def write_coupling_csv(path, j: Coupling) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in j.real]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _build_action(spec: str, n: int, rank: int, seed: int, tag: int) -> FiniteAction:

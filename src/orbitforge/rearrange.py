@@ -40,10 +40,10 @@ from .spaces import (
     Observable,
     _as_int64,
     _as_permutation,
+    _cell_counts,
     _frozen,
     _margin_gap,
     empirical_distribution,
-    empirical_pair_distribution,
     linf,
 )
 
@@ -325,8 +325,9 @@ def _rearrange_lines(
     """Build, merge and close B labeled segments against rounded counts.
 
     Returns the closed lines (flat point -> flat point) and each segment's
-    component count after merging.  The lines pass the checks of
-    ``LineBijection``: images stay inside their segment and are injective.
+    component count after merging.  Images are checked to stay inside their
+    segment and to close each line; injectivity is checked by the callers,
+    where they hand the result out.
     """
     b, a, _ = counts.shape
     lengths = np.diff(offsets)
@@ -344,7 +345,6 @@ def _rearrange_lines(
     ext, reps = _merge_cycles(ext, keys)
     del keys
     ext, n_comp = _close_cycles(ext, offsets, reps)
-    _as_permutation(ext, "rearranged lines")
     seg = np.repeat(np.arange(b), lengths)
     if not (
         np.array_equal(seg[ext], seg)
@@ -432,6 +432,7 @@ def rearrange_line(
     ext, n_comp = _rearrange_lines(phi.labels, np.array([0, n]), j_rounded.counts[None])
     k = int(n_comp[0])
     sigma = LineBijection(n, ext[: n - 1])
-    achieved = linf(empirical_pair_distribution(phi, sigma), j)
+    pairs = _cell_counts(phi.labels[: n - 1] * a, phi.labels[sigma.sigma], a)
+    achieved = linf(Coupling.from_counts(pairs.reshape(a, a), n - 1), j)
     bound = 2 * a * eps + 3 * a * a / n
     return sigma, RearrangeReport(achieved, bound, k, k if k > 1 else 0)

@@ -97,7 +97,11 @@ def ergodic_profile(t: np.ndarray, psi: Observable, eps: float):
     Returns ``(bad_mass, deviations)`` where ``deviations`` holds each
     cycle's sup-norm gap to the global distribution, in cycle order.
     """
-    return _bad_mass(cycle_decomposition(t), psi, eps)
+    dec = cycle_decomposition(t)
+    if psi.n != dec.n:
+        raise ValueError("observable size does not match the permutation")
+    _require_eps(eps)
+    return _bad_mass(dec, psi, eps)
 
 
 def rewire(
@@ -124,7 +128,7 @@ def rewire(
     t_new, report, _ = _rewire_cycles(
         t, cycle_decomposition(t), psi, j, eps, check=check
     )
-    return t_new, report
+    return _as_permutation(t_new, "rewired permutation"), report
 
 
 def _rewire_cycles(
@@ -140,7 +144,9 @@ def _rewire_cycles(
 
     ``dec`` must be ``cycle_decomposition(t)``; it is not checked again.
     Also returns the pair distribution of the rewired permutation, which
-    ``achieved_error`` measures against ``j``.
+    ``achieved_error`` measures against ``j``.  The rewired permutation is
+    checked by the callers that hand it out: ``rewire`` and the rows of the
+    ``FiniteAction`` that ``oe_approximate`` builds.
     """
     n = dec.n
     if n == 0:

@@ -114,9 +114,6 @@ class Observable:
     def atom_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.alphabet_size)
 
-    def atom(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == i)
-
 
 @dataclass(frozen=True)
 class Dist:

@@ -8,12 +8,9 @@ from orbitforge.pipeline import (
     _read_labels,
     _read_permutations,
     read_coupling_csv,
-    write_coupling_csv,
-    write_permutation,
 )
 from orbitforge.rearrange import rearrange_line
 from orbitforge.rewire import rewire
-from orbitforge.spaces import Coupling
 
 
 @pytest.fixture
@@ -25,7 +22,7 @@ def balanced_labels(tmp_path):
 
 def test_lemma_rearrange_writes_sigma_and_report(tmp_path, balanced_labels):
     coupling = tmp_path / "j.csv"
-    write_coupling_csv(coupling, Coupling.from_probs([[0.3, 0.2], [0.2, 0.3]]))
+    coupling.write_text("0.3,0.2\n0.2,0.3\n")
     sigma_path = tmp_path / "sigma.txt"
     report_path = tmp_path / "report.json"
     code = main(
@@ -53,7 +50,7 @@ def test_lemma_rearrange_writes_sigma_and_report(tmp_path, balanced_labels):
 
 def test_lemma_rearrange_precondition_exit(tmp_path, balanced_labels, capsys):
     coupling = tmp_path / "j.csv"
-    write_coupling_csv(coupling, Coupling.from_probs([[0.5, 0.0], [0.0, 0.5]]))
+    coupling.write_text("0.5,0.0\n0.0,0.5\n")
     code = main(
         [
             "lemma-rearrange",
@@ -72,9 +69,9 @@ def test_lemma_rearrange_precondition_exit(tmp_path, balanced_labels, capsys):
 def test_rewire_cli_roundtrip(tmp_path, balanced_labels):
     rng = np.random.default_rng(1)
     perm_path = tmp_path / "perm.txt"
-    write_permutation(perm_path, rng.permutation(600))
+    perm_path.write_text("".join(f"{v}\n" for v in rng.permutation(600)))
     coupling = tmp_path / "j.csv"
-    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    coupling.write_text("0.25,0.25\n" * 2)
     out_perm = tmp_path / "out.txt"
     out_report = tmp_path / "report.json"
     code = main(
@@ -104,7 +101,7 @@ def test_rewire_cli_roundtrip(tmp_path, balanced_labels):
 
 def test_stats_csv_output(tmp_path, capsys):
     perm_path = tmp_path / "perm.txt"
-    write_permutation(perm_path, np.roll(np.arange(4), -1))
+    perm_path.write_text("1\n2\n3\n0\n")
     labels = tmp_path / "labels.txt"
     labels.write_text("a\na\nb\nb\n")
     code = main(
@@ -213,9 +210,10 @@ def _rewire_args(perm, labels, coupling):
 @pytest.fixture
 def rewire_files(tmp_path, balanced_labels):
     perm = tmp_path / "perm.txt"
-    write_permutation(perm, np.random.default_rng(1).permutation(600))
+    images = np.random.default_rng(1).permutation(600)
+    perm.write_text("".join(f"{v}\n" for v in images))
     coupling = tmp_path / "j.csv"
-    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    coupling.write_text("0.25,0.25\n" * 2)
     return perm, balanced_labels, coupling
 
 
@@ -274,7 +272,7 @@ def test_non_finite_eps_exits_2_and_writes_nothing(rewire_files, capsys, command
 def stats_files(tmp_path):
     perms = [tmp_path / "a.txt", tmp_path / "b.txt"]
     for path, perm in zip(perms, ([1, 2, 3, 0], [3, 2, 1, 0])):
-        write_permutation(path, np.array(perm))
+        path.write_text("".join(f"{v}\n" for v in perm))
     labels = tmp_path / "labels.txt"
     labels.write_text("a\na\nb\nb\n")
     return perms, labels
@@ -351,7 +349,7 @@ def test_refused_permutation_file_is_named(tmp_path, capsys, command, perm_text)
     labels = tmp_path / "labels.txt"
     labels.write_text("a\nb\na\nb\n")
     coupling = tmp_path / "j.csv"
-    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    coupling.write_text("0.25,0.25\n" * 2)
     outputs = [tmp_path / "out.txt", tmp_path / "report.json"]
     if command == "pipeline":
         config, *outputs = _pipeline_config(
@@ -377,9 +375,9 @@ def test_rewire_report_is_one_line_of_fields_and_rows(tmp_path):
     cycles = [np.roll(np.arange(s, s + k), -1) for s, k in zip(starts, lengths)]
     t = np.concatenate(cycles)
     perm, labels, coupling = tmp_path / "t.txt", tmp_path / "l.txt", tmp_path / "j.csv"
-    write_permutation(perm, t)
+    perm.write_text("".join(f"{v}\n" for v in t))
     labels.write_text("a\nb\n" * 200)
-    write_coupling_csv(coupling, Coupling.from_probs(np.full((2, 2), 0.25)))
+    coupling.write_text("0.25,0.25\n" * 2)
     out_report = tmp_path / "report.json"
     args = [*_rewire_args(perm, labels, coupling), "--out-report", str(out_report)]
     assert main([*args, "--out-perm", str(tmp_path / "out.txt")]) == 0
@@ -405,7 +403,7 @@ def test_rewire_report_is_one_line_of_fields_and_rows(tmp_path):
 
 def test_lemma_rearrange_report_is_one_line_of_fields(tmp_path, balanced_labels):
     coupling = tmp_path / "j.csv"
-    write_coupling_csv(coupling, Coupling.from_probs([[0.3, 0.2], [0.2, 0.3]]))
+    coupling.write_text("0.3,0.2\n0.2,0.3\n")
     out_report = tmp_path / "report.json"
     args = ["lemma-rearrange", "--labels", str(balanced_labels)]
     args += ["--coupling", str(coupling), "--eps", "0.01"]

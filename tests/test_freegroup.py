@@ -157,6 +157,14 @@ def test_fifth_generator_is_not_the_identity():
         parse_word("a e", 5)
 
 
+@pytest.mark.parametrize("letter", [26, -26])
+def test_format_word_refuses_generators_without_a_letter(letter):
+    # a..z without e names 25 generators, as parse_word documents
+    assert str(ReducedWord((25, -24, -25))) == "z Y Z"
+    with pytest.raises(ValueError, match="only generators 1..25"):
+        str(ReducedWord((letter,)))
+
+
 def test_word_parse_format_roundtrip():
     w = parse_word("a B a", 2)
     assert w.letters == (1, -2, 1)

@@ -316,8 +316,6 @@ PUBLIC = [
     "pipeline.read_coupling_csv",
     "pipeline.run_experiment",
     "pipeline.verify_oe",
-    "pipeline.write_coupling_csv",
-    "pipeline.write_permutation",
     "rearrange.LineBijection",
     "rearrange.PreconditionError",
     "rearrange.RearrangeReport",

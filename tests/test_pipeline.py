@@ -28,6 +28,8 @@ from orbitforge import (
     oe_approximate,
     parse_config,
     permutation_with_cycle_lengths,
+    rearrange_line,
+    rewire,
     run_experiment,
     verify_oe,
 )
@@ -36,8 +38,6 @@ from orbitforge.pipeline import (
     _read_labels,
     _read_permutations,
     read_coupling_csv,
-    write_coupling_csv,
-    write_permutation,
 )
 
 
@@ -58,6 +58,14 @@ def test_good_observable_rejects_short_cycles():
         good_observable(a, Dist(np.array([1, 1]), 2), 0.01, 3, seed=2)
     assert info.value.attempts == 3
     assert info.value.worst_bad_mass
+
+
+def test_good_observable_refuses_a_nan_eps():
+    # a NaN eps fails every acceptance test; the error must name eps, not
+    # the cycles
+    a = FiniteAction.from_perms([np.roll(np.arange(50), -1)])
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        good_observable(a, Dist(np.array([25, 25]), 50), float("nan"), 3, seed=1)
 
 
 def test_good_observable_refuses_a_label_gap_at_the_bound():
@@ -240,7 +248,7 @@ def _file_specs(tmp_path, config):
         )
         paths = [tmp_path / f"{field}{s}.txt" for s in range(config.rank)]
         for path, perm in zip(paths, action.perms):
-            write_permutation(path, perm)
+            path.write_text("".join(f"{v}\n" for v in perm))
         specs[field] = "file:" + ",".join(map(str, paths))
     phi = pipeline._build_phi("balanced", config.n, config.alphabet)
     (tmp_path / "phi.txt").write_text("".join(f"{v}\n" for v in phi.labels))
@@ -263,7 +271,7 @@ def test_file_specs_of_the_wrong_length_name_the_file(tmp_path):
     config = PipelineConfig(n=50, rank=2, alphabet=2, eps_schedule=(0.1,), seed=0)
     specs = _file_specs(tmp_path, config)
     short = tmp_path / "source1.txt"
-    write_permutation(short, np.arange(49))
+    short.write_text("".join(f"{v}\n" for v in range(49)))
     message = f"{short}: 49 images, expected n=50"
     with pytest.raises(ConfigError, match=re.escape(message)):
         run_experiment(dataclasses.replace(config, source=specs["source"]))
@@ -285,7 +293,7 @@ def test_phi_file_with_another_symbol_count_names_the_file(tmp_path):
 
 def test_file_roundtrips(tmp_path):
     perm = np.random.default_rng(0).permutation(20)
-    write_permutation(tmp_path / "p.txt", perm)
+    (tmp_path / "p.txt").write_text("".join(f"{v}\n" for v in perm))
     assert np.array_equal(_read_permutations([tmp_path / "p.txt"])[0], perm)
 
     (tmp_path / "labels.txt").write_text("x\ny\nx\nz\n")
@@ -294,7 +302,7 @@ def test_file_roundtrips(tmp_path):
     assert np.array_equal(obs.labels, [0, 1, 0, 2])
 
     j = Coupling.from_probs([[0.25, 0.25], [0.25, 0.25]])
-    write_coupling_csv(tmp_path / "j.csv", j)
+    (tmp_path / "j.csv").write_text("0.25,0.25\n" * 2)
     back = read_coupling_csv(tmp_path / "j.csv")
     assert np.array_equal(back.real, j.real)
 
@@ -372,6 +380,7 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     # wrap each function in every orbitforge namespace that binds it, so
     # calls made through a from-import are counted too
     calls = Counter()
+    checked = Counter()
     for module, name in (
         ("orbitforge.permutations", "cycle_min_labels"),
         ("orbitforge.permutations", "_cycle_decomposition"),
@@ -381,6 +390,8 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "_as_permutation":
+                checked[args[1]] += 1
             return _fn(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):
@@ -399,10 +410,46 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     # six from merging the built lines and six from verify_oe; the
     # decompositions label their cycles without it
     assert calls["cycle_min_labels"] == 12
-    # the rows of the five built actions (ten) and the lines built for
-    # each generator and entry (six); the cached inverses and
-    # decompositions read rows the actions already checked
-    assert calls["_as_permutation"] == 16
+    # the rows of the five built actions: source and target (four) and the
+    # rewired action of each entry (six); the rearranged lines, the cached
+    # inverses and the decompositions are not checked again
+    assert calls["_as_permutation"] == 10
+    assert checked == {"generator 1": 5, "generator 2": 5}
+
+
+def test_each_construction_refuses_a_line_that_is_not_injective(monkeypatch):
+    # the line stages check that images stay in their segment and that each
+    # line closes, not injectivity; the output check of each construction
+    # must refuse two points that share an image
+    rearrange_module = importlib.import_module("orbitforge.rearrange")
+    close = rearrange_module._close_cycles
+    corrupted = []
+
+    def close_then_collide(perm, offsets, reps):
+        perm, n_comp = close(perm, offsets, reps)
+        # the first segment has at least three points (a rewired cycle does),
+        # so neither of its first two points is its last
+        perm[offsets[0] + 1] = perm[offsets[0]]
+        corrupted.append(len(offsets) - 1)
+        return perm, n_comp
+
+    monkeypatch.setattr(rearrange_module, "_close_cycles", close_then_collide)
+    n = 2000
+    phi = Observable(np.arange(n) % 2, 2)
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="^closed line is not a permutation$"):
+        rearrange_line(phi, j, 0.05)
+    t = np.roll(np.arange(n), -1)
+    with pytest.raises(ValueError, match="^rewired permutation is not a permutation$"):
+        rewire(t, phi, j, 0.05)
+    rng = np.random.default_rng(6)
+    a = FiniteAction.from_perms(
+        [permutation_with_cycle_lengths([n], rng) for _ in range(2)]
+    )
+    with pytest.raises(ValueError, match="^generator 1 is not a permutation$"):
+        oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
+    # one line each for rearrange_line and rewire, one per generator after
+    assert corrupted == [1, 1, 1, 1]
 
 
 def test_run_experiment_counts_each_pair_target_once_per_entry(monkeypatch):

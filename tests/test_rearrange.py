@@ -1,3 +1,5 @@
+import importlib
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -287,6 +289,25 @@ def test_rearrange_randomized_bound():
         sigma, report = rearrange_line(phi, j, eps)
         assert sigma.is_connected()
         assert report.achieved_error < report.bound
+
+
+def test_rearrange_line_checks_its_line_once(monkeypatch):
+    checked = []
+    original = importlib.import_module("orbitforge.spaces")._as_permutation
+
+    def counted(values, what):
+        checked.append(what)
+        return original(values, what)
+
+    # every orbitforge namespace that binds the test, so a from-import counts
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orbitforge" and "_as_permutation" in vars(module):
+            monkeypatch.setattr(module, "_as_permutation", counted)
+    phi = Observable(np.arange(1000) % 2, 2)
+    rearrange_line(phi, Coupling.from_probs([[0.3, 0.2], [0.2, 0.3]]), 0.01)
+    # LineBijection checks the line it hands out; the pairs are counted
+    # from it without a second check
+    assert checked == ["closed line"]
 
 
 def test_rearrange_needs_two_points():
