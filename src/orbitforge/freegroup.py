@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .permutations import CycleDecomposition, _cycle_decomposition, _inverse_permutation
-from .spaces import Observable, _as_int64, _as_permutation, _frozen
+from .spaces import _PACK_LIMIT, Observable, _as_int64, _as_permutation, _frozen
 
 __all__ = [
     "ReducedWord",
@@ -179,10 +179,6 @@ def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
         if letters:
             table[letters] = _frozen(table[letters[1:]][a.generator(-letters[0])])
     return {g: table[g.letters] for g in words}
-
-
-# codes stay below this bound, so code * radix + digit never overflows int64
-_PACK_LIMIT = 2**62
 
 
 def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .freegroup import FiniteAction, ReducedWord, ball
+from .freegroup import FiniteAction, ReducedWord, ball, translated_labels
 from .permutations import cycle_min_labels
 from .rearrange import PreconditionError, _require_eps
 from .rewire import _bad_mass, _rewire_cycles
@@ -36,11 +36,13 @@ from .spaces import (
     Dist,
     Observable,
     _as_permutation,
+    _cell_counts,
+    _signed_cell_gap,
     empirical_distribution,
     linf,
     mixture_coupling,
 )
-from .weak import kechris_distance, stats_matrix
+from .weak import _kechris, _one_per_inverse_pair
 
 __all__ = [
     "CertificationError",
@@ -200,6 +202,28 @@ def oe_approximate(
         raise ValueError("actions must share rank and space size")
     if phi.n != a.n:
         raise ValueError("observable size does not match the actions")
+    return _oe_approximate(a, phi, eps, retries, seed, _target_side(b, phi))
+
+
+def _target_side(b: FiniteAction, phi: Observable):
+    """``(pair targets, word table)`` of ``(b, phi)``, counted once per schedule.
+
+    The pair target of generator s, the statistics of s^-1, is the transpose
+    of the counts of the letter s.  The table holds the ``_signed_cell_gap``
+    tallies of the Kechris ball, one word of each inverse pair, against any
+    observable of phi's size and alphabet.
+    """
+    k, words = phi.alphabet_size, ball(b.rank, KECHRIS_RADIUS)
+    moved = translated_labels(b, phi, _one_per_inverse_pair(words))
+    letters = [moved[ReducedWord((s,))] for s in range(1, b.rank + 1)]
+    pairs = [_cell_counts(phi.labels * k, m, k).reshape(k, k).T for m in letters]
+    tally, _ = _signed_cell_gap(phi, phi)
+    table = {g: tally(m) for g, m in moved.items()}
+    return [Coupling.from_counts(c, phi.n) for c in pairs], table
+
+
+def _oe_approximate(a, phi, eps, retries, seed, target):
+    """``oe_approximate`` against the ready ``_target_side`` of ``(b, phi)``."""
     if not eps < 1 / 6:
         raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
     pi = empirical_distribution(phi)
@@ -208,11 +232,7 @@ def oe_approximate(
             "observable does not use every symbol; restrict the alphabet "
             "to its range first"
         )
-    # generator s's pair statistics are those of the word s^-1: entry (i, j)
-    # counts the points x with phi(x) = i and phi(b_s x) = j
-    pair_targets = [
-        stats_matrix(b, phi, ReducedWord((-s,))) for s in range(1, b.rank + 1)
-    ]
+    pair_targets, table = target
     targets = [mixture_coupling(j, eps, pi) for j in pair_targets]
     alpha = phi.alphabet_size
     jmins = [float(j.real.min()) for j in targets]
@@ -264,7 +284,8 @@ def oe_approximate(
     del new_perms, t_new
     if not verify_oe(a, a_new):
         raise CertificationError("rewiring did not preserve orbits generator-wise")
-    kech = kechris_distance(b, a_new, phi, psi, ball(a.rank, KECHRIS_RADIUS))
+    _, gap = _signed_cell_gap(phi, psi)
+    kech = _kechris(table, translated_labels(a_new, psi, table), gap, a.n * a.n)
     report = PipelineReport(
         eps=eps,
         alphabet_size=alpha,
@@ -324,6 +345,8 @@ class PipelineConfig:
             raise ValueError("retries must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not self.eps_schedule:  # it would certify nothing, yet hold every bound
+            raise ValueError("field 'eps': the schedule lists no value")
         for e in self.eps_schedule:
             if not 0 < e < 1 / 6:
                 raise ValueError(f"eps={e} outside (0, 1/6)")
@@ -526,18 +549,16 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     a = _build_action(config.source, config.n, config.rank, config.seed, 101)
     b = _build_action(config.target, config.n, config.rank, config.seed, 202)
     phi = _build_phi(config.phi, config.n, config.alphabet)
-    # every schedule entry reads the cycles of a and the inverses of b;
-    # building them before the entries start leaves workers only reading
-    _ = (a.cycle_decompositions, b.inverses)
+    # every schedule entry reads the cycles of a and the statistics of
+    # (b, phi); building both first leaves workers only reading
+    _, target = a.cycle_decompositions, _target_side(b, phi)
 
     def entry(idx_eps: tuple[int, float]) -> PipelineReport:
         idx, eps = idx_eps
         entry_seed = int(
             np.random.SeedSequence((config.seed, 303, idx)).generate_state(1)[0]
         )
-        _, _, report = oe_approximate(
-            a, b, phi, eps, retries=config.retries, seed=entry_seed
-        )
+        _, _, report = _oe_approximate(a, phi, eps, config.retries, entry_seed, target)
         return report
 
     items = list(enumerate(config.eps_schedule))

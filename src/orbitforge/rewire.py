@@ -25,6 +25,7 @@ from .rearrange import (
     _rearrange_lines,
     _require_eps,
     _round_counts,
+    _stable_order,
 )
 from .spaces import Coupling, Observable, _as_int64, _as_permutation, _margin_gap, linf
 
@@ -249,14 +250,13 @@ def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
     ):
         raise ValueError("atom-count mismatch between source and target partitions")
 
-    by_c = np.argsort(c.labels, kind="stable")
-    by_d = np.argsort(d.labels, kind="stable")
+    k = c.alphabet_size
     beta = np.empty(n, dtype=np.int64)
-    beta[by_c] = by_d
+    beta[_stable_order(c.labels, k)] = _stable_order(d.labels, k)
     # merge within labels: edges x -> beta(x) all map C_i into D_i, so
     # swapping two images with the same source label keeps that property;
     # then chain the remaining cycles into one through their smallest points
-    beta, reps = _merge_cycles(beta, c.labels.copy())
+    beta, reps = _merge_cycles(beta, c.labels, np.array([0, n]))
     beta, _ = _close_cycles(beta, np.array([0, n]), reps)
     return beta
 

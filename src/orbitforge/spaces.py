@@ -28,6 +28,9 @@ __all__ = [
 # ℓ∞ tolerance for real-valued (non exact-count) comparisons.
 REAL_TOL = 1e-12
 
+# every packed int64 code stays below this bound, so no packing step wraps
+_PACK_LIMIT = 2**62
+
 
 def _require_finite(values, what: str) -> None:
     # NaN passes every comparison-based check, and casting it to an integer
@@ -212,12 +215,14 @@ def _cell_counts(rows: np.ndarray, moved: np.ndarray, k: int) -> np.ndarray:
 
 
 def _signed_cell_gap(p: Observable, q: Observable):
-    """``gap(moved_p, moved_q)``: the exact ``max |c_p·n_q - c_q·n_p|`` over cells.
+    """``(tally, gap)``: ``gap(tally(moved_p), moved_q)`` is the exact
+    ``max |c_p·n_q - c_q·n_p|`` over cells.
 
     ``c_p`` counts the points x in a cell ``(P(x), moved_p[x])``, ``c_q`` the
     same on the ``q`` side, so ``gap / (n_p·n_q)`` is the largest frequency
-    gap.  With ``k*k <= max(n_p, n_q)`` the cells are counted densely;
-    otherwise both sides' codes ``label·2k + 2·moved + side`` are sorted
+    gap; one tally serves many gaps.  With ``k*k <= max(n_p, n_q)`` it holds
+    the cell counts; otherwise it is ``moved_p``, and both sides' codes
+    ``label·2k + 2·moved + side``, below ``2k^2 <= _PACK_LIMIT``, are sorted
     together and the weights ``n_q`` / ``-n_p`` summed over each cell's run.
     """
     k, n_p, n_q = p.alphabet_size, p.n, q.n
@@ -226,13 +231,16 @@ def _signed_cell_gap(p: Observable, q: Observable):
     if k * k <= max(n_p, n_q):
         rows_p, rows_q = p.labels * k, q.labels * k
 
-        def gap(moved_p, moved_q) -> int:
-            diff = _cell_counts(rows_p, moved_p, k) * n_q
+        def tally(moved_p) -> np.ndarray:
+            return _frozen(_cell_counts(rows_p, moved_p, k))
+
+        def gap(counts_p, moved_q) -> int:
+            diff = counts_p * n_q
             diff -= _cell_counts(rows_q, moved_q, k) * n_p
             return int(np.abs(diff).max())
 
-        return gap
-    if 2 * k * k > 2**62:
+        return tally, gap
+    if 2 * k * k > _PACK_LIMIT:
         raise ValueError(f"{k} atoms are too many for int64 cell codes")
     base = np.concatenate((p.labels * (2 * k), q.labels * (2 * k) + 1))
 
@@ -246,7 +254,7 @@ def _signed_cell_gap(p: Observable, q: Observable):
         weights = (codes & 1) * -(n_p + n_q) + n_q
         return int(np.abs(np.add.reduceat(weights, starts)).max())
 
-    return gap
+    return (lambda moved_p: moved_p), gap
 
 
 def empirical_distribution(phi: Observable) -> Dist:

@@ -3,7 +3,8 @@
 The statistics of an action against a partition are the intersection
 measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
 these numbers agree over a finite word set.  ``_kechris`` is the one path
-from translated-label tables to compared statistics, over one word of each
+from one side's tallies, reusable against many actions, and the other
+side's translated labels to compared statistics, over one word of each
 inverse pair.  ``ball_transport_certificate`` carries a partition across an
 atom bijection on a ball refinement, reading one table per side, and
 measures, claim by claim, how much each transported quantity drifts.
@@ -58,12 +59,10 @@ def kechris_distance(
     the transpose of those of ``g`` on both sides and give the same gap, so
     a word whose inverse was already compared is skipped.
     """
-    if p.alphabet_size != q.alphabet_size:
-        raise ValueError("partitions must have the same atom count")
+    tally, gap = _signed_cell_gap(p, q)
     compared = _one_per_inverse_pair(words)
-    moved_p = translated_labels(v, p, compared)
-    moved_q = translated_labels(w, q, compared)
-    return _kechris(moved_p, moved_q, p, q, compared)
+    table = {g: tally(m) for g, m in translated_labels(v, p, compared).items()}
+    return _kechris(table, translated_labels(w, q, compared), gap, p.n * q.n)
 
 
 def _one_per_inverse_pair(words) -> list[ReducedWord]:
@@ -75,11 +74,11 @@ def _one_per_inverse_pair(words) -> list[ReducedWord]:
     return list(compared)
 
 
-def _kechris(moved_p: dict, moved_q: dict, p: Observable, q: Observable, words):
-    """``kechris_distance`` over ``words``, read from ready translated labels."""
-    gap = _signed_cell_gap(p, q)
-    worst = max((gap(moved_p[g], moved_q[g]) for g in words), default=0)
-    return float(Fraction(worst, p.n * q.n))
+def _kechris(table: dict, moved_q: dict, gap, cells: int) -> float:
+    """Largest ``gap`` of the tallies ``table`` (word -> one side's
+    ``_signed_cell_gap`` tally) to translated labels of the other side."""
+    worst = max((gap(t, moved_q[g]) for g, t in table.items()), default=0)
+    return float(Fraction(worst, cells))
 
 
 def _beta_partition(pprime: Observable, beta) -> Observable:
@@ -194,7 +193,9 @@ def ball_transport_certificate(
         gained = np.bincount(moved_q[g][mismatch], minlength=p.alphabet_size)
         worst = int(np.max(lost + gained)) if mismatch.any() else 0
         claim2[g] = worst / n
-    final = _kechris(moved_p, moved_q, p, q, _one_per_inverse_pair(words))
+    tally, gap = _signed_cell_gap(p, q)
+    compared = _one_per_inverse_pair(words)
+    final = _kechris({g: tally(moved_p[g]) for g in compared}, moved_q, gap, n * n)
     del moved_p, moved_q, pull  # freed before the hypothesis builds its own
 
     # Generator-level hypothesis over the symmetric letter set.

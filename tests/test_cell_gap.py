@@ -1,13 +1,15 @@
 """The signed cell-count kernel against the frozen sort-and-merge oracle.
 
-``spaces._signed_cell_gap`` returns, per word, the exact largest
-``|c_p·n_q - c_q·n_p|`` over the cells ``(label, moved label)``: dense
-``bincount`` when ``k*k <= max(n_p, n_q)``, one sort of both sides' codes
-otherwise.  ``reference_impl`` holds the per-side ``np.unique`` counts and
-the ``union1d``/``searchsorted`` merge it replaced; every gap must equal
-that oracle's ``Fraction`` exactly, on both branches, at the branch
-boundary, with unequal point counts, one-sided cells, empty atoms, a single
-atom and a single point.
+``spaces._signed_cell_gap`` returns a tally of the ``p`` side and a gap
+that gives, per word, the exact largest ``|c_p·n_q - c_q·n_p|`` over the
+cells ``(label, moved label)``: dense ``bincount`` when
+``k*k <= max(n_p, n_q)``, one sort of both sides' codes otherwise.
+``reference_impl`` holds the per-side ``np.unique`` counts and the
+``union1d``/``searchsorted`` merge it replaced; every gap must equal that
+oracle's ``Fraction`` exactly, on both branches, at the branch boundary,
+with unequal point counts, one-sided cells, empty atoms, a single atom and
+a single point.  A tally made once must give the same gaps against every
+other side.
 """
 
 from fractions import Fraction
@@ -37,8 +39,14 @@ def _oracle(p, moved_p, q, moved_q) -> Fraction:
     return ref._max_cell_diff(keys_p, cnt_p, p.n, keys_q, cnt_q, q.n)
 
 
+def _label_gap(p, q):
+    """One gap of ``_signed_cell_gap`` from translated labels on both sides."""
+    tally, gap = _signed_cell_gap(p, q)
+    return lambda moved_p, moved_q: gap(tally(moved_p), moved_q)
+
+
 def _gap(p, moved_p, q, moved_q) -> Fraction:
-    return Fraction(_signed_cell_gap(p, q)(moved_p, moved_q), p.n * q.n)
+    return Fraction(_label_gap(p, q)(moved_p, moved_q), p.n * q.n)
 
 
 def _side(n, k, seed):
@@ -122,13 +130,28 @@ def test_unequal_point_counts_weigh_each_side(monkeypatch, k, n, dense):
     assert bool(calls) == dense
 
 
+@pytest.mark.parametrize("k, n", [(3, 60), (3, 9), (8, 60), (1, 5)])
+def test_one_tally_serves_every_other_side_of_its_size(k, n):
+    # the pipeline tallies its target once, against itself, and reads the
+    # tallies through the gap of each sampled side of the same size and
+    # alphabet; dense (k*k <= n) and sparse cases alike
+    p, moved_p = _side(n, k, 1)
+    tally, _ = _signed_cell_gap(p, p)
+    table = tally(moved_p)
+    for seed in (2, 3, 4):
+        q, moved_q = _side(n, k, seed)
+        _, gap = _signed_cell_gap(p, q)
+        got = Fraction(gap(table, moved_q), n * n)
+        assert got == _oracle(p, moved_p, q, moved_q)
+
+
 @pytest.mark.parametrize("n", [1, 5, 50])
 def test_identical_sides_and_single_atom_give_zero(n):
     p, moved = _side(n, 3, 7)
-    assert _signed_cell_gap(p, p)(moved, moved) == 0
+    assert _label_gap(p, p)(moved, moved) == 0
     one = Observable(np.zeros(n, dtype=np.int64), 1)
     zeros = np.zeros(n, dtype=np.uint8)
-    assert _signed_cell_gap(one, one)(zeros, zeros) == 0
+    assert _label_gap(one, one)(zeros, zeros) == 0
 
 
 def test_cells_on_one_side_only():
@@ -152,7 +175,7 @@ def test_refuses_mismatched_alphabets_and_overflowing_codes():
         _signed_cell_gap(wide, wide)
     fits = Observable(np.zeros(1, dtype=np.int64), 2**30)
     zero = np.zeros(1, dtype=np.uint32)
-    assert _signed_cell_gap(fits, fits)(zero, zero) == 0
+    assert _label_gap(fits, fits)(zero, zero) == 0
 
 
 @given(
@@ -173,7 +196,7 @@ def test_word_statistics_match_frozen_oracle(rank, k, n_p, n_q, seed):
     words = ball(rank, 2)
     moved_p = translated_labels(v, p, words)
     moved_q = translated_labels(w, q, words)
-    gap = _signed_cell_gap(p, q)
+    gap = _label_gap(p, q)
     for g in words:
         kp, cp = ref._sparse_pair_counts(v, p, g, k)
         kq, cq = ref._sparse_pair_counts(w, q, g, k)
@@ -197,7 +220,7 @@ def test_generator_letters_on_a_fine_refinement():
     letters = [ReducedWord((s,)) for s in (1, -1, 2, -2)]
     moved_p = translated_labels(v, p, letters)
     moved_q = translated_labels(w, q, letters)
-    gap = _signed_cell_gap(p, q)
+    gap = _label_gap(p, q)
     for g in letters:
         want = _oracle(p, moved_p[g], q, moved_q[g])
         assert Fraction(gap(moved_p[g], moved_q[g]), n * n) == want

@@ -162,6 +162,19 @@ def test_pipeline_cli_reports_a_failed_certificate_in_one_line(
     assert not out_csv.exists() and not out_json.exists()
 
 
+@pytest.mark.parametrize("eps", ["", ","])
+def test_pipeline_cli_refuses_an_empty_schedule(tmp_path, capsys, eps):
+    # it exited 0 with "entries": [] and "all_bounds_held": true
+    config, out_csv, out_json = _pipeline_config(
+        tmp_path, f"n = 100\nrank = 1\nalphabet = 2\neps = {eps}\nseed = 0\n"
+    )
+    assert main(["pipeline", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: field 'eps': the schedule lists no value\n"
+    assert not out_csv.exists() and not out_json.exists()
+
+
 def test_pipeline_cli_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("n = 100\nwhat = 1\n")

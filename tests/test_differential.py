@@ -242,6 +242,51 @@ def test_line_stages_match_oracle():
         assert build_tau(phi, rounded).tobytes() == ref.build_tau(phi, rounded).tobytes()
 
 
+def _wide_coupling(rng, a, empty_cells):
+    w = rng.random((a, a)) + 0.1
+    if empty_cells:
+        w[rng.random((a, a)) < 0.5] = 0.0
+        w[0, 0] = 1.0
+    return Coupling.from_probs(w / w.sum())
+
+
+# the shapes where the packed sort codes of the line stages are largest: up
+# to 64 symbols (4,096 pair codes), thousands of 3-point segments, one
+# n-point segment, one symbol, and couplings with empty cells
+WIDE_CASES = [(1, False), (2, True), (64, False), (64, True)]
+
+
+@pytest.mark.parametrize("a, empty_cells", WIDE_CASES)
+def test_line_stages_match_oracle_on_one_long_line(a, empty_cells):
+    rng = np.random.default_rng(100 + a)
+    n = 20_000
+    phi = Observable(rng.integers(0, a, size=n), a)
+    j = _wide_coupling(rng, a, empty_cells)
+    tau = 1 + rng.permutation(n - 1)
+    merged, n_comp = _merge(phi.labels, a, tau)
+    merged_old, n_comp_old = ref._merge(phi.labels, a, tau)
+    assert merged.tobytes() == merged_old.tobytes() and n_comp == n_comp_old
+    rounded = round_coupling(j, empirical_distribution(phi), 1.0, check=False)
+    assert build_tau(phi, rounded).tobytes() == ref.build_tau(phi, rounded).tobytes()
+    new = rearrange_line(phi, j, 1.0, check=False)
+    old = ref.rearrange_line(phi, j, 1.0, check=False)
+    assert new[0].sigma.tobytes() == old[0].sigma.tobytes() and new[1] == old[1]
+
+
+@pytest.mark.parametrize("a, empty_cells", WIDE_CASES)
+@pytest.mark.parametrize("shape", ["3-point", "one"])
+def test_rewire_equals_oracle_where_codes_are_largest(a, empty_cells, shape):
+    # with checks waived and eps = 1 every cycle is one segment of the pass;
+    # the per-cycle oracle takes about 45 ms per 3-cycle at 64 symbols
+    rng = np.random.default_rng(200 + a)
+    lengths = [9000] if shape == "one" else [3] * (3000 if a <= 2 else 100)
+    t = permutation_with_cycle_lengths(lengths, rng)
+    psi = Observable(rng.integers(0, a, size=t.shape[0]), a)
+    j = _wide_coupling(rng, a, empty_cells)
+    report = assert_same_rewire(t, psi, j, 1.0, check=False)
+    assert report.good_mass == 1.0
+
+
 def test_rewire_ergodic_matches_oracle():
     rng = np.random.default_rng(10)
     for _ in range(50):

@@ -1,8 +1,8 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
 integer cast of an input outside ``_as_int64``, no permutation test outside
-``_as_permutation``, no cache in an object's ``__dict__``, the README calls
-only names the package has, and the public names and options are the
-registered ones."""
+``_as_permutation``, no stable sort, no cache in an object's ``__dict__``,
+the README calls only names the package has, and the public names and
+options are the registered ones."""
 
 import ast
 import importlib
@@ -187,6 +187,56 @@ def test_permutations_are_tested_only_by_as_permutation():
         f"{path.name}:{line}"
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
         for line in _permutation_tests(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+_STABLE_KINDS = ("stable", "mergesort")
+
+
+def _stable_sorts(tree):
+    """Line of each stable sort: a ``kind="stable"`` or ``"mergesort"``, also
+    passed by position to ``sort`` or ``argsort``, or a ``return_index=True``,
+    with which ``np.unique`` sorts stably."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        kinds = call.args if _called_name(call) in ("sort", "argsort") else []
+        kinds = [getattr(a, "value", None) for a in kinds] + [
+            getattr(k.value, "value", None) for k in call.keywords if k.arg == "kind"
+        ]
+        first_index = any(
+            k.arg == "return_index" and getattr(k.value, "value", None) is True
+            for k in call.keywords
+        )
+        if first_index or any(isinstance(v, str) and v in _STABLE_KINDS for v in kinds):
+            yield call.lineno
+
+
+_SORT_SAMPLES = """
+def flagged(x):
+    a = np.argsort(x, kind="stable")
+    b = np.sort(x, kind="mergesort")
+    x.sort(kind="stable")
+    c = np.unique(x, return_index=True)
+    d = np.argsort(x, -1, "mergesort")
+def kept(x):
+    e = np.argsort(x), np.sort(x, kind="quicksort"), x.sort()
+    f = np.unique(x, return_index=False), np.unique(x, return_inverse=True)
+    return np.lexsort((x, x)), "kind='stable'", print("stable")
+"""
+
+
+def test_stable_sort_walk_finds_each_form():
+    assert sorted(_stable_sorts(ast.parse(_SORT_SAMPLES))) == [3, 4, 5, 6, 7]
+
+
+def test_no_stable_sort_in_src():
+    # one packed unstable sort (rearrange._stable_order) gives the same order
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        for line in _stable_sorts(ast.parse(path.read_text()))
     ]
     assert found == []
 

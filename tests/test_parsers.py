@@ -34,6 +34,7 @@ def configs(draw):
             draw(
                 st.lists(
                     st.floats(0, 1 / 6, exclude_min=True, exclude_max=True),
+                    min_size=1,  # an empty schedule is refused
                     max_size=4,
                 )
             )

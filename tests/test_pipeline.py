@@ -203,8 +203,10 @@ def test_parse_config_diagnostics():
 
 
 def test_parse_config_empty_schedule():
-    cfg = parse_config("n = 10\nrank = 1\nalphabet = 2\neps =\nseed = 0")
-    assert cfg.eps_schedule == ()
+    # an empty schedule certifies nothing; it used to pass with every bound held
+    for eps in ("", ",", " , ,"):
+        with pytest.raises(ConfigError, match="^field 'eps': "):
+            parse_config(f"n = 10\nrank = 1\nalphabet = 2\neps = {eps}\nseed = 0")
 
 
 def test_run_experiment_deterministic_across_workers(tmp_path):
@@ -225,18 +227,18 @@ def test_run_experiment_deterministic_across_workers(tmp_path):
 
 
 def test_run_experiment_empty_schedule(tmp_path):
-    cfg = PipelineConfig(
-        n=100,
-        rank=1,
-        alphabet=2,
-        eps_schedule=(),
-        seed=0,
-        out_csv=str(tmp_path / "out.csv"),
-        out_json=str(tmp_path / "out.json"),
-    )
-    result = run_experiment(cfg)
-    assert result.all_bounds_held
-    assert (tmp_path / "out.csv").read_text() == "eps,generator,achieved_error,bound,kechris_distance\n"
+    # refused before any output is written
+    with pytest.raises(ValueError, match="schedule lists no value"):
+        PipelineConfig(
+            n=100,
+            rank=1,
+            alphabet=2,
+            eps_schedule=(),
+            seed=0,
+            out_csv=str(tmp_path / "out.csv"),
+            out_json=str(tmp_path / "out.json"),
+        )
+    assert not any(tmp_path.iterdir())
 
 
 def _file_specs(tmp_path, config):
@@ -452,19 +454,25 @@ def test_each_construction_refuses_a_line_that_is_not_injective(monkeypatch):
     assert corrupted == [1, 1, 1, 1]
 
 
-def test_run_experiment_counts_each_pair_target_once_per_entry(monkeypatch):
-    # rank 2, three eps: each entry reads each generator's pair target as
-    # the statistics of its inverse letter once; no pair distribution is
-    # counted apart from them
+def test_run_experiment_counts_the_target_once_per_run(monkeypatch):
+    # rank 2, three eps: the target (b, phi) is translated once, before the
+    # entries, and each entry translates its rewired source once; the pair
+    # targets are the transposed letter counts of that one table, so no
+    # stats_matrix, pair distribution or public kechris_distance is called
     calls = Counter()
+    actions = []
     for module, name in (
         ("orbitforge.weak", "stats_matrix"),
+        ("orbitforge.weak", "kechris_distance"),
         ("orbitforge.spaces", "joint_pair_distribution"),
+        ("orbitforge.freegroup", "translated_labels"),
     ):
         original = getattr(importlib.import_module(module), name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "translated_labels":
+                actions.append(args[0])
             return _fn(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):
@@ -478,8 +486,29 @@ def test_run_experiment_counts_each_pair_target_once_per_entry(monkeypatch):
     )
     result = run_experiment(config)
     assert result.all_bounds_held
-    assert calls["stats_matrix"] == 6
+    assert calls["translated_labels"] == 4
+    b = pipeline._build_action("random", config.n, config.rank, config.seed, 202)
+    assert np.array_equal(actions[0].perms, b.perms)
+    assert calls["stats_matrix"] == 0
+    assert calls["kechris_distance"] == 0
     assert calls["joint_pair_distribution"] == 0
+
+
+def test_oe_approximate_matches_the_run_experiment_entry():
+    # the public call counts its own target side; the run counts it once for
+    # every entry, and both must report the same
+    config = PipelineConfig(
+        n=6000, rank=2, alphabet=3, eps_schedule=(0.1, 0.05), seed=4, retries=5
+    )
+    result = run_experiment(config)
+    a = pipeline._build_action("random", config.n, config.rank, config.seed, 101)
+    b = pipeline._build_action("random", config.n, config.rank, config.seed, 202)
+    phi = pipeline._build_phi("balanced", config.n, config.alphabet)
+    for idx, eps in enumerate(config.eps_schedule):
+        seq = np.random.SeedSequence((config.seed, 303, idx))
+        seed = int(seq.generate_state(1)[0])
+        _, _, report = oe_approximate(a, b, phi, eps, retries=config.retries, seed=seed)
+        assert report == result.reports[idx]
 
 
 def test_errors_are_measured_against_the_target_pairs_at_three_symbols():

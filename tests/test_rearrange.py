@@ -31,7 +31,11 @@ from orbitforge.rearrange import (
     _merge,
     _merge_cycles,
     _round_counts,
+    _stable_order,
 )
+from orbitforge.rewire import rewire_ergodic
+
+rearrange_module = importlib.import_module("orbitforge.rearrange")
 
 
 def random_target(rng, alphabet, eps, n, headroom=0.25):
@@ -344,7 +348,10 @@ def test_line_components_path_plus_cycles():
 def test_merge_returns_cycle_minima_of_merged(perm_keys):
     perm, keys = perm_keys
     perm = np.asarray(perm, dtype=np.int64)
-    merged, minima = _merge_cycles(perm.copy(), np.asarray(keys, dtype=np.int64))
+    one_line = np.array([0, perm.shape[0]])
+    merged, minima = _merge_cycles(
+        perm.copy(), np.asarray(keys, dtype=np.int64), one_line
+    )
     want = np.flatnonzero(cycle_min_labels(merged) == np.arange(perm.shape[0]))
     assert minima.dtype == want.dtype and minima.tobytes() == want.tobytes()
 
@@ -407,7 +414,7 @@ def test_merge_keeps_bucket_pair_counts(shape):
         return np.bincount(cells, minlength=b * a * a).reshape(b, a * a)
 
     before = buckets(perm)
-    merged, _ = _merge_cycles(perm.copy(), (seg * a + labels) * a + labels[perm])
+    merged, _ = _merge_cycles(perm.copy(), labels * a + labels[perm], offsets)
     assert np.array_equal(np.sort(merged), np.arange(perm.shape[0]))
     assert np.array_equal(seg[merged], seg)
     assert np.array_equal(buckets(merged), before)
@@ -430,3 +437,73 @@ def test_close_leaves_one_cycle_per_segment(shape):
     assert np.all(_cycles_per_segment(closed, seg) == 1)
     # only the minima of segments with several cycles change their image
     assert np.count_nonzero(closed != perm) == before[before > 1].sum()
+
+
+# packed sort codes: each stage checks its bound before it packs anything
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=300))
+def test_stable_order_is_the_stable_argsort(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    want = np.argsort(keys, kind="stable")
+    assert _stable_order(keys, 7).tobytes() == want.tobytes()
+
+
+def test_stable_order_refuses_codes_past_the_limit(monkeypatch):
+    # 100 keys below 5 pack into codes below 5·128 = 640
+    keys = np.random.default_rng(3).integers(0, 5, size=100)
+    want = np.argsort(keys, kind="stable")
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 640)
+    assert np.array_equal(_stable_order(keys, 5), want)
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 639)
+    with pytest.raises(ValueError, match="5 keys on 100 points overflow int64 codes"):
+        _stable_order(keys, 5)
+    monkeypatch.undo()
+    # at the real limit: 2^56 keys on 100 points would need 2^63
+    with pytest.raises(ValueError, match="overflow int64 codes"):
+        _stable_order(keys, 2**56)
+
+
+def test_merge_refuses_codes_past_the_limit(monkeypatch):
+    # 50 points with pair codes 0..3 pack into codes below 4·50² = 10,000
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(50)
+    pairs = rng.integers(0, 4, size=50)
+    pairs[[0, 1]] = 3
+    offsets = np.array([0, 50])
+    want = _merge_cycles(perm.copy(), pairs.copy(), offsets)
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 10_000)
+    got = _merge_cycles(perm.copy(), pairs.copy(), offsets)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 9_999)
+    merged = perm.copy()
+    with pytest.raises(ValueError, match="4 pair codes on 50 points overflow"):
+        _merge_cycles(merged, pairs.copy(), offsets)
+    assert np.array_equal(merged, perm)
+    monkeypatch.undo()
+    # at the real limit: a pair code of 2^52 on 4,096 points would need 2^76
+    pairs = np.zeros(4096, dtype=np.int64)
+    pairs[7] = 2**52
+    with pytest.raises(ValueError, match="overflow int64 codes"):
+        _merge_cycles(np.arange(4096), pairs, np.array([0, 4096]))
+
+
+def test_public_line_stages_refuse_instead_of_wrapping(monkeypatch):
+    # with the limit below the bound of the first packed stage, the callers
+    # raise; they never return an order the codes could not represent
+    n = 100
+    phi = Observable(np.arange(n) % 2, 2)
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 255)
+    with pytest.raises(ValueError, match="overflow int64 codes"):
+        rearrange_line(phi, j, 0.05)
+    with pytest.raises(ValueError, match="overflow int64 codes"):
+        build_tau(phi, round_coupling(j, empirical_distribution(phi), 0.05))
+    t = permutation_with_cycle_lengths([n], np.random.default_rng(5))
+    with pytest.raises(ValueError, match="overflow int64 codes"):
+        rewire_ergodic(t, phi, Observable(phi.labels[::-1], 2))
+    # the build stage fits (2·128 = 256), the merge does not (4·100² pair codes)
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 256)
+    with pytest.raises(ValueError, match="4 pair codes on 100 points overflow"):
+        rearrange_line(phi, j, 0.05)

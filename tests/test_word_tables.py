@@ -294,13 +294,13 @@ def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
         return original(*args)
 
     monkeypatch.setattr(spaces, "_cell_counts", counted)
-    gap = _signed_cell_gap(p, q)
+    tally, gap = _signed_cell_gap(p, q)
     for g in words:
         h = _inverse(g)
         for a, part in ((v, p), (w, q)):
             forward, backward = stats_matrix(a, part, g), stats_matrix(a, part, h)
             assert np.array_equal(backward.counts, forward.counts.T)
-        assert gap(moved_p[g], moved_q[g]) == gap(moved_p[h], moved_q[h])
+        assert gap(tally(moved_p[g]), moved_q[g]) == gap(tally(moved_p[h]), moved_q[h])
     assert bool(dense_calls) == dense
 
 
@@ -310,14 +310,14 @@ def _count_compared(monkeypatch):
     original = weak._signed_cell_gap
 
     def counted_gap(p, q):
-        gap = original(p, q)
+        tally, gap = original(p, q)
         compared.append(0)
 
-        def counted(moved_p, moved_q):
+        def counted(tally_p, moved_q):
             compared[-1] += 1
-            return gap(moved_p, moved_q)
+            return gap(tally_p, moved_q)
 
-        return counted
+        return tally, counted
 
     monkeypatch.setattr(weak, "_signed_cell_gap", counted_gap)
     return compared
