@@ -29,7 +29,7 @@ from .pipeline import (
     run_experiment,
 )
 from .rearrange import PreconditionError, rearrange_line
-from .rewire import rewire
+from .rewire import RewireReport, rewire
 from .weak import stats_matrix
 
 __all__ = ["build_parser", "main"]
@@ -52,6 +52,10 @@ def _cmd_pipeline(args) -> int:
 def _report_line(report) -> str:
     """The report's fields and ``schema_version`` as one JSON line."""
     payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    if isinstance(report, RewireReport):
+        # the per-cycle arrays go out as one [length, good, error] row each
+        del payload["lengths"], payload["good"], payload["error"]
+        payload["per_cycle"] = report.per_cycle
     payload["schema_version"] = SCHEMA_VERSION
     # a NaN or infinity in a report is an error, not a token for the reader
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"

@@ -20,6 +20,7 @@ runs and worker counts.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -539,6 +540,24 @@ class ExperimentResult:
 CSV_HEADER = "eps,generator,achieved_error,bound,kechris_distance"
 
 
+def _write_all(outputs: list[tuple[Path, str]]) -> None:
+    """Write every ``(path, text)`` or none, each through a temporary file."""
+    staged = [p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p, _ in outputs]
+    placed = 0
+    try:
+        for tmp, (path, text) in zip(staged, outputs):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+        # no output is renamed into place before every text is written
+        for tmp, (path, _) in zip(staged, outputs):
+            tmp.replace(path)
+            placed += 1
+    except BaseException:
+        for i, (tmp, (path, _)) in enumerate(zip(staged, outputs)):
+            (path if i < placed else tmp).unlink(missing_ok=True)
+        raise
+
+
 def run_experiment(config: PipelineConfig) -> ExperimentResult:
     """Run the schedule, gather deterministically, write CSV and JSON.
 
@@ -592,10 +611,6 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
         )
         + "\n"
     )
-    if config.out_csv:
-        Path(config.out_csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(config.out_csv).write_text(csv_text)
-    if config.out_json:
-        Path(config.out_json).parent.mkdir(parents=True, exist_ok=True)
-        Path(config.out_json).write_text(json_text)
+    outputs = ((config.out_csv, csv_text), (config.out_json, json_text))
+    _write_all([(Path(path), text) for path, text in outputs if path])
     return ExperimentResult(config, reports, csv_text, json_text, all_held)

@@ -12,29 +12,29 @@ distribution lands within ``9*|A|*eps`` of the target coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .permutations import CycleDecomposition, cycle_decomposition, cycle_min_labels
-from .rearrange import (
-    PreconditionError,
-    _close_cycles,
-    _merge_cycles,
-    _rearrange_lines,
-    _require_eps,
-    _round_counts,
-    _stable_order,
+from .rearrange import PreconditionError, _rearrange_lines, _require_eps, _round_counts
+from .spaces import (
+    Coupling,
+    Observable,
+    _as_int64,
+    _as_permutation,
+    _frozen,
+    _margin_gap,
+    linf,
 )
-from .spaces import Coupling, Observable, _as_int64, _as_permutation, _margin_gap, linf
 
 __all__ = [
     "CycleOutcome",
     "RewireReport",
     "ergodic_profile",
     "rewire",
-    "rewire_ergodic",
     "verify_same_orbits",
 ]
 
@@ -45,14 +45,37 @@ class CycleOutcome(NamedTuple):
     error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewireReport:
-    """Mass actually rewired, achieved sup-norm error and its budget."""
+    """Mass actually rewired, achieved sup-norm error and its budget.
+
+    Per-cycle outcomes are read-only arrays in ``cycle_decomposition(t)``
+    order: ``lengths``, ``good`` (rewired) and ``error`` (sup-norm gap of
+    the cycle's own pair statistics to the target).  ``per_cycle`` holds
+    them as ``CycleOutcome`` rows, built on first read.
+    """
 
     good_mass: float
     achieved_error: float
     bound: float
-    per_cycle: tuple[CycleOutcome, ...]
+    lengths: np.ndarray
+    good: np.ndarray
+    error: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("lengths", np.int64), ("good", bool), ("error", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def __eq__(self, other):
+        return isinstance(other, RewireReport) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    @cached_property
+    def per_cycle(self) -> tuple[CycleOutcome, ...]:
+        rows = self.lengths.tolist(), self.good.tolist(), self.error.tolist()
+        return tuple(map(CycleOutcome, *rows))
 
 
 def _label_counts_per_cycle(dec: CycleDecomposition, psi: Observable) -> np.ndarray:
@@ -160,10 +183,10 @@ def _rewire_cycles(
     _require_eps(eps)
     lengths = dec.lengths()
     label_counts = _label_counts_per_cycle(dec, psi)
+    jmin = float(j.real.min())
     if check:
         if not eps < 1 / 6:
             raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
-        jmin = float(j.real.min())
         if not jmin > 2 * a * eps:
             raise PreconditionError(
                 f"min coupling entry {jmin:.6g} is not above 2|A|eps={2 * a * eps:.6g}"
@@ -180,7 +203,6 @@ def _rewire_cycles(
         # the rounding hypothesis must hold against the block's own margin
         # gap, which picks up the coupling's global margin slack; with
         # checks waived the gate is dropped and rounding self-repairs
-        jmin = float(j.real.min())
         eps_block = _margin_gap(j, label_counts[good] / lengths[good, None])
         good[good] = jmin > 2 * a * eps_block + a * a / lengths[good]
 
@@ -215,50 +237,16 @@ def _rewire_cycles(
     cycle_cells = cycle_cells.reshape(-1, a * a)
     flat = j.real.reshape(1, -1)
     per_cycle_err = np.abs(cycle_cells / lengths[:, None] - flat).max(axis=1)
-
-    outcomes = tuple(
-        map(CycleOutcome, lengths.tolist(), good.tolist(), per_cycle_err.tolist())
-    )
     pairs = Coupling.from_counts(cycle_cells.sum(axis=0).reshape(a, a), n)
     report = RewireReport(
         good_mass=float(lengths[good].sum() / n),
         achieved_error=linf(pairs, j),
         bound=9 * a * eps,
-        per_cycle=outcomes,
+        lengths=lengths,
+        good=good,
+        error=per_cycle_err,
     )
     return t_new, report, pairs
-
-
-def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
-    """Single-cycle rewiring that carries each ``C_i`` onto ``D_i``.
-
-    Builds the ascending set-respecting bijection, merges its cycles by
-    image swaps inside each label (preserving the set mapping exactly) and
-    chains the remaining cycles through one representative each, so at most
-    ``k`` edges leave their target set and every symmetric difference
-    ``|T'(C_i) Δ D_i|`` stays at most ``2k``.
-    """
-    t = _as_permutation(t, "t")
-    n = t.shape[0]
-    # one cycle: every point's cycle minimum is 0
-    if n == 0 or cycle_min_labels(t).any():
-        raise ValueError("input must be a single cycle")
-    if c.n != n or d.n != n:
-        raise ValueError("partition size does not match the permutation")
-    if c.alphabet_size != d.alphabet_size or not np.array_equal(
-        c.atom_sizes(), d.atom_sizes()
-    ):
-        raise ValueError("atom-count mismatch between source and target partitions")
-
-    k = c.alphabet_size
-    beta = np.empty(n, dtype=np.int64)
-    beta[_stable_order(c.labels, k)] = _stable_order(d.labels, k)
-    # merge within labels: edges x -> beta(x) all map C_i into D_i, so
-    # swapping two images with the same source label keeps that property;
-    # then chain the remaining cycles into one through their smallest points
-    beta, reps = _merge_cycles(beta, c.labels, np.array([0, n]))
-    beta, _ = _close_cycles(beta, np.array([0, n]), reps)
-    return beta
 
 
 def verify_same_orbits(t: np.ndarray, t2: np.ndarray) -> bool:

@@ -72,8 +72,8 @@ def _as_permutation(values, what: str) -> np.ndarray:
     return p
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype)
     a.flags.writeable = False
     return a
 
@@ -98,13 +98,6 @@ class Observable:
         if labels.size and (labels.min() < 0 or labels.max() >= self.alphabet_size):
             raise ValueError("label out of alphabet range")
         object.__setattr__(self, "labels", _frozen(labels))
-
-    @classmethod
-    def from_labels(cls, labels, alphabet_size: int | None = None) -> "Observable":
-        labels = _as_int64(labels, "labels")
-        if alphabet_size is None:
-            alphabet_size = int(labels.max()) + 1 if labels.size else 1
-        return cls(labels, alphabet_size)
 
     @classmethod
     def constant(cls, n: int) -> "Observable":

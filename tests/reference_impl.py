@@ -22,7 +22,7 @@ import numpy as np
 from orbitforge.freegroup import FiniteAction, ReducedWord, ball
 from orbitforge.permutations import inverse_permutation, is_permutation
 from orbitforge.rearrange import LineBijection, PreconditionError, RearrangeReport
-from orbitforge.rewire import CycleOutcome, RewireReport
+from orbitforge.rewire import RewireReport
 from orbitforge.weak import TransportCertificate
 from orbitforge.spaces import (
     Coupling,
@@ -460,75 +460,15 @@ def rewire(
     flat = jreal.reshape(1, -1)
     per_cycle_err = np.abs(cycle_cells / lengths[:, None] - flat).max(axis=1)
 
-    outcomes = tuple(
-        CycleOutcome(int(L), bool(g), float(e))
-        for L, g, e in zip(lengths, good_flags, per_cycle_err)
-    )
     report = RewireReport(
         good_mass=float(lengths[good_flags].sum() / n),
         achieved_error=linf(joint_pair_distribution(psi, t_new), j),
         bound=9 * a * eps,
-        per_cycle=outcomes,
+        lengths=lengths,
+        good=good_flags,
+        error=per_cycle_err,
     )
     return t_new, report
-
-
-def rewire_ergodic(t: np.ndarray, c: Observable, d: Observable) -> np.ndarray:
-    """Single-cycle rewiring that carries each ``C_i`` onto ``D_i``.
-
-    Builds the ascending set-respecting bijection, merges its cycles by
-    image swaps inside each label (preserving the set mapping exactly) and
-    chains the remaining cycles through one representative each, so at most
-    ``k`` edges leave their target set and every symmetric difference
-    ``|T'(C_i) Δ D_i|`` stays at most ``2k``.
-    """
-    t = np.asarray(t, dtype=np.int64)
-    if not is_permutation(t):
-        raise ValueError("input is not a permutation")
-    n = t.shape[0]
-    dec = cycle_decomposition(t)
-    if len(dec.cycles) != 1:
-        raise ValueError("input must be a single cycle")
-    if c.n != n or d.n != n:
-        raise ValueError("partition size does not match the permutation")
-    if c.alphabet_size != d.alphabet_size or not np.array_equal(
-        c.atom_sizes(), d.atom_sizes()
-    ):
-        raise ValueError("atom-count mismatch between source and target partitions")
-
-    by_c = np.argsort(c.labels, kind="stable")
-    by_d = np.argsort(d.labels, kind="stable")
-    beta = np.empty(n, dtype=np.int64)
-    beta[by_c] = by_d
-
-    # merge within labels: edges x -> beta(x) all map C_i into D_i, so
-    # swapping two images with the same source label keeps that property
-    comp = cycle_min_labels(beta)
-    order = np.argsort(c.labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(c.labels[order])) + 1
-    uf = _UnionFind()
-    for group in np.split(order, cuts):
-        if group.shape[0] < 2:
-            continue
-        uniq, first = np.unique(comp[group], return_index=True)
-        if uniq.shape[0] < 2:
-            continue
-        candidates = sorted((int(group[f]), int(cid)) for f, cid in zip(first, uniq))
-        anchor_pt, anchor_comp = candidates[0]
-        for pt, cid in candidates[1:]:
-            if uf.find(cid) != uf.find(anchor_comp):
-                beta[anchor_pt], beta[pt] = beta[pt], beta[anchor_pt]
-                uf.union(cid, anchor_comp)
-
-    # chain the remaining cycles into one through their smallest points
-    comp = cycle_min_labels(beta)
-    uniq, first = np.unique(comp, return_index=True)
-    if uniq.shape[0] > 1:
-        reps = np.sort(first)
-        beta[reps] = beta[np.roll(reps, -1)]
-    return beta
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,28 @@ def test_pipeline_cli_refuses_an_empty_schedule(tmp_path, capsys, eps):
     assert not out_csv.exists() and not out_json.exists()
 
 
+@pytest.mark.parametrize("blocked", ["parent is a file", "target is a directory"])
+def test_pipeline_cli_writes_both_outputs_or_neither(tmp_path, capsys, blocked):
+    # the CSV was written before the JSON was tried, and stayed behind
+    # after the exit 2; a directory at the JSON path fails only at the rename
+    block = tmp_path / "block"
+    if blocked == "parent is a file":
+        block.write_text("")
+        out_json = block / "r.json"
+    else:
+        block.mkdir()
+        out_json = block
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "n = 2000\nrank = 1\nalphabet = 2\neps = 0.05\nseed = 3\n"
+        f"out_csv = {tmp_path / 'r.csv'}\nout_json = {out_json}\n"
+    )
+    assert main(["pipeline", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["block", "run.cfg"]
+
+
 def test_pipeline_cli_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("n = 100\nwhat = 1\n")

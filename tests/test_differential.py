@@ -26,7 +26,6 @@ from orbitforge import (
     product_coupling,
     rearrange_line,
     rewire,
-    rewire_ergodic,
     round_coupling,
 )
 from orbitforge.rearrange import _close, _merge
@@ -285,17 +284,6 @@ def test_rewire_equals_oracle_where_codes_are_largest(a, empty_cells, shape):
     j = _wide_coupling(rng, a, empty_cells)
     report = assert_same_rewire(t, psi, j, 1.0, check=False)
     assert report.good_mass == 1.0
-
-
-def test_rewire_ergodic_matches_oracle():
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        n = int(rng.integers(1, 300))
-        k = int(rng.integers(1, 4))
-        c = Observable(rng.integers(0, k, size=n), k)
-        d = Observable(rng.permutation(c.labels), k)
-        t = permutation_with_cycle_lengths([n], rng)
-        assert rewire_ergodic(t, c, d).tobytes() == ref.rewire_ergodic(t, c, d).tobytes()
 
 
 # ---------------------------------------------------------------------------

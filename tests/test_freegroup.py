@@ -85,7 +85,7 @@ def test_translated_labels_identity_and_generators():
     # (g·P)(x) = P(g^-1 x): the identity keeps the labels, s1 reads them
     # through perms[0]^-1 and s1^-1 through perms[0]
     a = FiniteAction.from_perms([[1, 2, 0], [1, 0, 2]])
-    p = Observable.from_labels([0, 1, 2], 3)
+    p = Observable([0, 1, 2], 3)
     e, s1, s1_inv = ReducedWord(), ReducedWord((1,)), ReducedWord((-1,))
     table = translated_labels(a, p, [e, s1, s1_inv])
     assert np.array_equal(table[e], p.labels)
@@ -97,7 +97,7 @@ def test_translated_labels_composition_convention():
     # leftmost letter acts last: (s1 s2)·P = s1·(s2·P), so the labels are
     # read through the inverse of s2 first and that of s1 last
     a = FiniteAction.from_perms([[1, 2, 0], [1, 0, 2]])
-    p = Observable.from_labels([0, 1, 2], 3)
+    p = Observable([0, 1, 2], 3)
     w = ReducedWord((1, 2))
     table = translated_labels(a, p, [w])
     assert np.array_equal(table[w], [2, 1, 0])
@@ -105,7 +105,7 @@ def test_translated_labels_composition_convention():
 
 
 def test_refine_with_identity_is_relabeling():
-    p = Observable.from_labels([0, 1, 1, 0, 2], 3)
+    p = Observable([0, 1, 1, 0, 2], 3)
     a = FiniteAction.from_perms([np.arange(5)])
     q = refine_partition(p, [ReducedWord()], a)
     # same partition, atoms renumbered by first appearance
@@ -122,7 +122,7 @@ def test_refine_single_atom():
 
 def test_refine_four_point_example():
     # P = {{0,1},{2,3}}, s1: i -> i+1 mod 4; refinement cuts to singletons
-    p = Observable.from_labels([0, 0, 1, 1], 2)
+    p = Observable([0, 0, 1, 1], 2)
     shift = np.array([1, 2, 3, 0])
     a = FiniteAction.from_perms([shift])
     q = refine_partition(p, [ReducedWord(), ReducedWord((1,))], a)

@@ -306,7 +306,6 @@ KNOBS = [
     "rewire.rewire(check=True)",
     "spaces.Coupling(counts=None)",
     "spaces.Coupling(denom=None)",
-    "spaces.Observable.from_labels(alphabet_size=None)",
 ]
 
 
@@ -376,7 +375,6 @@ PUBLIC = [
     "rewire.RewireReport",
     "rewire.ergodic_profile",
     "rewire.rewire",
-    "rewire.rewire_ergodic",
     "rewire.verify_same_orbits",
     "spaces.Coupling",
     "spaces.Dist",

@@ -33,7 +33,6 @@ from orbitforge.rearrange import (
     _round_counts,
     _stable_order,
 )
-from orbitforge.rewire import rewire_ergodic
 
 rearrange_module = importlib.import_module("orbitforge.rearrange")
 
@@ -137,7 +136,7 @@ def test_round_error_bound_randomized():
 
 
 def test_build_tau_four_point_example():
-    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    phi = Observable([0, 1, 0, 1], 2)
     jp = Coupling.from_counts(np.ones((2, 2), dtype=np.int64), 4)
     tau = build_tau(phi, jp)
     assert sorted(tau.tolist()) == [1, 2, 3]
@@ -156,13 +155,13 @@ def test_build_tau_constant_labels_gives_consecutive():
 
 
 def test_build_tau_forced_two_points():
-    phi = Observable.from_labels([0, 1], 2)
+    phi = Observable([0, 1], 2)
     jp = Coupling.from_counts(np.array([[0, 1], [1, 0]]), 2)
     assert np.array_equal(build_tau(phi, jp), [1])
 
 
 def test_build_tau_margin_mismatch():
-    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    phi = Observable([0, 1, 0, 1], 2)
     jp = Coupling.from_counts(np.array([[2, 1], [0, 1]]), 4)
     with pytest.raises(PreconditionError):
         build_tau(phi, jp)
@@ -251,7 +250,7 @@ def test_rearrange_constant_labels():
 
 
 def test_rearrange_matches_exhaustive_optimum_small():
-    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    phi = Observable([0, 1, 0, 1], 2)
     j = Coupling.from_probs(np.full((2, 2), 0.25))
     sigma, report = rearrange_line(phi, j, 0.25, check=False)
     assert sigma.is_connected()
@@ -264,7 +263,7 @@ def test_rearrange_matches_exhaustive_optimum_small():
 def test_invalid_eps_refused_even_with_checks_waived(eps, check):
     # check=False waives hypotheses; a negative or NaN eps would still
     # certify a negative or NaN bound
-    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    phi = Observable([0, 1, 0, 1], 2)
     j = Coupling.from_probs(np.full((2, 2), 0.25))
     with pytest.raises(ValueError, match="eps must be finite and positive"):
         rearrange_line(phi, j, eps, check=check)
@@ -500,9 +499,6 @@ def test_public_line_stages_refuse_instead_of_wrapping(monkeypatch):
         rearrange_line(phi, j, 0.05)
     with pytest.raises(ValueError, match="overflow int64 codes"):
         build_tau(phi, round_coupling(j, empirical_distribution(phi), 0.05))
-    t = permutation_with_cycle_lengths([n], np.random.default_rng(5))
-    with pytest.raises(ValueError, match="overflow int64 codes"):
-        rewire_ergodic(t, phi, Observable(phi.labels[::-1], 2))
     # the build stage fits (2·128 = 256), the merge does not (4·100² pair codes)
     monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 256)
     with pytest.raises(ValueError, match="4 pair codes on 100 points overflow"):

@@ -2,7 +2,7 @@ import importlib
 import re
 import sys
 import warnings
-from itertools import permutations
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,10 +22,9 @@ from orbitforge import (
     permutation_with_cycle_lengths,
     product_coupling,
     rewire,
-    rewire_ergodic,
     verify_same_orbits,
 )
-from orbitforge.rewire import _rewire_cycles
+from orbitforge.rewire import CycleOutcome, RewireReport, _rewire_cycles
 
 
 def test_cycle_decomposition_examples():
@@ -53,7 +52,7 @@ def test_ergodic_profile_constant_labels():
 def test_ergodic_profile_homogeneous_cycles():
     # one all-a cycle, one all-b cycle, global (1/2, 1/2)
     t = np.array([1, 0, 3, 2])
-    psi = Observable.from_labels([0, 0, 1, 1], 2)
+    psi = Observable([0, 0, 1, 1], 2)
     bad_mass, dev = ergodic_profile(t, psi, 0.1)
     assert bad_mass == 1.0
     assert np.all(dev == 0.5)
@@ -84,7 +83,7 @@ def test_ergodic_profile_refuses_an_invalid_eps(eps):
 
 def test_rewire_six_cycle_hand_trace():
     t = np.array([1, 2, 3, 4, 5, 0])
-    psi = Observable.from_labels([0, 1, 0, 1, 0, 1], 2)
+    psi = Observable([0, 1, 0, 1, 0, 1], 2)
     j = Coupling.from_probs([[0.5, 0.0], [0.0, 0.5]])
     t2, report = rewire(t, psi, j, 0.05, check=False)
     assert t2.tolist() == [1, 3, 4, 5, 0, 2]
@@ -96,7 +95,7 @@ def test_rewire_six_cycle_hand_trace():
 
 def test_rewire_identity_permutation_all_bad():
     t = np.arange(8)
-    psi = Observable.from_labels([0, 1] * 4, 2)
+    psi = Observable([0, 1] * 4, 2)
     j = Coupling.from_probs(np.full((2, 2), 0.25))
     t2, report = rewire(t, psi, j, 0.05)
     assert np.array_equal(t2, t)
@@ -106,14 +105,14 @@ def test_rewire_identity_permutation_all_bad():
 
 def test_rewire_preconditions():
     t = np.roll(np.arange(10), -1)
-    psi = Observable.from_labels([0, 1] * 5, 2)
+    psi = Observable([0, 1] * 5, 2)
     j = Coupling.from_probs(np.full((2, 2), 0.25))
     with pytest.raises(PreconditionError, match="1/6"):
         rewire(t, psi, j, 0.3)
     thin = Coupling.from_probs([[0.45, 0.05], [0.05, 0.45]])
     with pytest.raises(PreconditionError, match="min coupling entry"):
         rewire(t, psi, thin, 0.05)
-    skew = Observable.from_labels([0, 0, 0, 1] * 2 + [0, 0], 2)
+    skew = Observable([0, 0, 0, 1] * 2 + [0, 0], 2)
     with pytest.raises(PreconditionError, match="margins"):
         rewire(t, skew, j, 0.05)
 
@@ -191,81 +190,6 @@ def test_rewire_forcing_bad_cycles_degrades_gracefully():
     assert forced[1].achieved_error == linf(joint_pair_distribution(psi, t), j)
 
 
-def brute_force_min_symdiff(n, c, d):
-    best = None
-    for middle in permutations(range(1, n)):
-        order = (0, *middle)
-        t = np.empty(n, dtype=np.int64)
-        for u, v in zip(order, order[1:] + (0,)):
-            t[u] = v
-        worst = 0
-        for i in range(c.alphabet_size):
-            img = set(t[np.flatnonzero(c.labels == i)].tolist())
-            tgt = set(np.flatnonzero(d.labels == i).tolist())
-            worst = max(worst, len(img ^ tgt))
-        if best is None or worst < best:
-            best = worst
-    return best
-
-
-def test_rewire_ergodic_examples_and_oracle():
-    rng = np.random.default_rng(25)
-    for n in (4, 6, 8):
-        for _ in range(4 if n < 8 else 2):
-            k = 2
-            labels_c = rng.integers(0, k, size=n)
-            perm = rng.permutation(n)
-            labels_d = labels_c[perm]
-            c = Observable(labels_c, k)
-            d = Observable(labels_d, k)
-            t = permutation_with_cycle_lengths([n], rng)
-            t2 = rewire_ergodic(t, c, d)
-            assert len(cycle_decomposition(t2).cycles) == 1
-            worst = max(
-                len(
-                    set(t2[np.flatnonzero(c.labels == i)].tolist())
-                    ^ set(np.flatnonzero(d.labels == i).tolist())
-                )
-                for i in range(k)
-            )
-            assert worst <= 2 * k
-            assert worst <= brute_force_min_symdiff(n, c, d) + 2 * k
-
-
-def test_rewire_ergodic_single_atom():
-    t = np.roll(np.arange(5), -1)
-    c = Observable.constant(5)
-    t2 = rewire_ergodic(t, c, c)
-    assert len(cycle_decomposition(t2).cycles) == 1
-
-
-def test_rewire_ergodic_swapped_halves():
-    t = np.roll(np.arange(4), -1)
-    c = Observable.from_labels([0, 0, 1, 1], 2)
-    d = Observable.from_labels([1, 1, 0, 0], 2)
-    t2 = rewire_ergodic(t, c, d)
-    assert len(cycle_decomposition(t2).cycles) == 1
-    # exact mapping is achievable at this size
-    image = set(t2[np.flatnonzero(c.labels == 0)].tolist())
-    assert image == {0, 1} or image == set(np.flatnonzero(d.labels == 0).tolist())
-
-
-def test_rewire_ergodic_validation():
-    t = np.roll(np.arange(4), -1)
-    with pytest.raises(ValueError, match="atom-count"):
-        rewire_ergodic(
-            t,
-            Observable.from_labels([0, 0, 1, 1], 2),
-            Observable.from_labels([0, 1, 1, 1], 2),
-        )
-    with pytest.raises(ValueError, match="single cycle"):
-        rewire_ergodic(
-            np.array([1, 0, 3, 2]),
-            Observable.from_labels([0, 0, 1, 1], 2),
-            Observable.from_labels([1, 1, 0, 0], 2),
-        )
-
-
 def test_verify_same_orbits_refuses_non_integer_images():
     # an int64 cast would truncate [1.7, 0.2, 2.9] into the permutation [1, 0, 2]
     with pytest.raises(ValueError, match="t must be integers"):
@@ -297,6 +221,48 @@ def _rewire_instance(lengths, seed, a):
     w = rng.random((a, a)) + 0.1
     j = Coupling.from_probs((w + w.T) / (w + w.T).sum())
     return t, psi, j
+
+
+def test_rewire_report_holds_read_only_arrays_and_builds_rows_on_first_read():
+    lengths = [1, 2, 2, 3, 7, 40, 40, 120]
+    t, psi, j = _rewire_instance(lengths, 8, 2)
+    _, report = rewire(t, psi, j, 0.3, check=False)
+    # the call itself builds no CycleOutcome
+    assert "per_cycle" not in vars(report)
+    dec = cycle_decomposition(t)
+    assert report.lengths.dtype == np.int64
+    assert np.array_equal(report.lengths, dec.lengths())
+    assert report.good.dtype == bool and report.error.dtype == np.float64
+    assert report.good.shape == report.error.shape == (len(dec.cycles),)
+    assert not report.good[report.lengths < 3].any() and report.good.any()
+    assert report.good_mass == report.lengths[report.good].sum() / t.shape[0]
+    for name in ("lengths", "good", "error"):
+        array = getattr(report, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(AttributeError):
+        report.good = report.good.copy()
+
+    rows = tuple(
+        CycleOutcome(int(length), bool(good), float(error))
+        for length, good, error in zip(report.lengths, report.good, report.error)
+    )
+    assert report.per_cycle == rows
+    assert vars(report)["per_cycle"] is report.per_cycle
+
+
+def test_rewire_reports_compare_by_value():
+    t, psi, j = _rewire_instance([3, 5, 40], 4, 2)
+    _, report = rewire(t, psi, j, 0.3, check=False)
+    _, again = rewire(t, psi, j, 0.3, check=False)
+    assert again.per_cycle  # a built row cache takes no part in ==
+    assert report == again and not report != again
+    same = {f.name: getattr(report, f.name) for f in fields(report)}
+    error = report.error.copy()
+    error[0] += 1.0
+    assert report != RewireReport(**{**same, "error": error})
+    assert report != RewireReport(**{**same, "bound": report.bound * 2})
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,31 +22,30 @@ from orbitforge import (
     permutation_with_cycle_lengths,
     product_coupling,
     rewire,
-    rewire_ergodic,
 )
 from orbitforge.rearrange import _close, _merge
 
 
 def test_empirical_distribution_examples():
     assert np.array_equal(
-        empirical_distribution(Observable.from_labels([0, 0, 1, 1], 2)).counts, [2, 2]
+        empirical_distribution(Observable([0, 0, 1, 1], 2)).counts, [2, 2]
     )
     assert np.array_equal(
-        empirical_distribution(Observable.from_labels([0, 0, 0, 0], 2)).counts, [4, 0]
+        empirical_distribution(Observable([0, 0, 0, 0], 2)).counts, [4, 0]
     )
-    d = empirical_distribution(Observable.from_labels([0, 1, 0, 1, 0], 2))
+    d = empirical_distribution(Observable([0, 1, 0, 1, 0], 2))
     assert np.array_equal(d.counts, [3, 2]) and d.denom == 5
 
 
 def test_pair_distribution_constant_labels():
-    phi = Observable.from_labels([0, 0, 0], 1)
+    phi = Observable([0, 0, 0], 1)
     j = empirical_pair_distribution(phi, np.array([1, 2]))
     assert j.counts[0, 0] == 2 and j.denom == 2
 
 
 def test_pair_distribution_hand_count():
     # edges (0,2), (2,1), (1,3): labels (a,a), (a,b), (b,b)
-    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    phi = Observable([0, 1, 0, 1], 2)
     sigma = np.array([2, 3, 1])
     j = empirical_pair_distribution(phi, sigma)
     assert np.array_equal(j.counts, [[1, 1], [0, 1]])
@@ -54,7 +53,7 @@ def test_pair_distribution_hand_count():
 
 
 def test_pair_distribution_single_edge():
-    phi = Observable.from_labels([0, 1], 2)
+    phi = Observable([0, 1], 2)
     j = empirical_pair_distribution(phi, np.array([1]))
     assert np.array_equal(j.counts, [[0, 1], [0, 0]])
 
@@ -163,7 +162,7 @@ def test_margins_check_examples():
 
 
 def test_joint_pair_distribution_counts_all_points():
-    phi = Observable.from_labels([0, 1, 0, 1], 2)
+    phi = Observable([0, 1, 0, 1], 2)
     shift = np.array([1, 2, 3, 0])
     j = joint_pair_distribution(phi, shift)
     assert j.denom == 4
@@ -203,7 +202,7 @@ def test_exact_coupling_entries_must_match_counts():
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_empirical_distribution_sums_to_one(labels):
-    phi = Observable.from_labels(labels, 4)
+    phi = Observable(labels, 4)
     d = empirical_distribution(phi)
     assert int(d.counts.sum()) == d.denom == phi.n
 
@@ -241,11 +240,6 @@ INTEGER_INPUTS = {
         [1.7, 2.2, 0.9],
         [1.0, 2.0, 0.0],
     ),
-    "rewire_ergodic": (
-        lambda t: rewire_ergodic(t, _LABELS3, _LABELS3),
-        [1.7, 2.2, 0.9],
-        [1.0, 2.0, 0.0],
-    ),
     "Observable": (lambda v: Observable(v, 2), [0.6, 1.4], [0.0, 1.0]),
     "Dist": (lambda v: Dist(v, 1), [0.5, 1.5], [0.0, 1.0]),
     "Coupling": (
@@ -258,7 +252,6 @@ INTEGER_INPUTS = {
         [0.5, 1.5, 1.0, 1.0],
         [0.0, 1.0, 1.0, 1.0],
     ),
-    "from_labels": (Observable.from_labels, [0.6, 1.4], [0.0, 1.0]),
     "cycle_min_labels": (cycle_min_labels, [1.7, 0.2, 2.9], [1.0, 0.0, 2.0]),
     "inverse_permutation": (inverse_permutation, [1.7, 0.2, 2.9], [1.0, 0.0, 2.0]),
     "permutation_with_cycle_lengths": (
@@ -333,10 +326,6 @@ OUT_OF_RANGE_INPUTS = {
     "inverse_permutation(repeated)": (
         lambda: inverse_permutation([0, 0, 1]),
         "p is not a permutation",
-    ),
-    "rewire_ergodic(empty)": (
-        lambda: rewire_ergodic([], Observable([], 1), Observable([], 1)),
-        "single cycle",
     ),
 }
 

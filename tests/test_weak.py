@@ -26,14 +26,14 @@ def shift_action(n):
 
 
 def test_stats_identity_word_is_diagonal():
-    p = Observable.from_labels([0, 0, 1, 1, 2], 3)
+    p = Observable([0, 0, 1, 1, 2], 3)
     a = FiniteAction.from_perms([np.random.default_rng(0).permutation(5)])
     m = stats_matrix(a, p, ReducedWord())
     assert np.array_equal(m.counts, np.diag(p.atom_sizes()))
 
 
 def test_stats_shift_example():
-    p = Observable.from_labels([0, 0, 1, 1], 2)
+    p = Observable([0, 0, 1, 1], 2)
     a = shift_action(4)
     m = stats_matrix(a, p, ReducedWord((1,)))
     assert np.all(m.counts == 1) and m.denom == 4
@@ -61,7 +61,7 @@ def test_stats_row_sums_equal_atom_sizes():
 def test_stats_matrix_is_an_exact_coupling():
     # labels 000111 under the shift: cells (0,0) and (1,1) twice, the
     # others once, all over 6; linf against another exact coupling is exact
-    p = Observable.from_labels([0, 0, 0, 1, 1, 1], 2)
+    p = Observable([0, 0, 0, 1, 1, 1], 2)
     m = stats_matrix(shift_action(6), p, ReducedWord((1,)))
     assert np.array_equal(m.counts, [[2, 1], [1, 2]]) and m.denom == 6
     diagonal = Coupling.from_counts([[3, 0], [0, 3]], 6)
@@ -100,7 +100,7 @@ def test_kechris_zero_on_equal_pairs():
 
 
 def test_kechris_shift_vs_identity():
-    p = Observable.from_labels([0, 0, 1, 1], 2)
+    p = Observable([0, 0, 1, 1], 2)
     v = shift_action(4)
     w = FiniteAction.from_perms([np.arange(4)])
     assert kechris_distance(v, w, p, p, [ReducedWord((1,))]) == 0.25
@@ -112,8 +112,8 @@ def test_kechris_atom_count_mismatch():
         kechris_distance(
             v,
             v,
-            Observable.from_labels([0, 0, 1, 1], 2),
-            Observable.from_labels([0, 1, 2, 0], 3),
+            Observable([0, 0, 1, 1], 2),
+            Observable([0, 1, 2, 0], 3),
             [ReducedWord()],
         )
 
@@ -135,29 +135,29 @@ def test_kechris_symmetry_and_triangle():
 
 
 def test_transport_identity():
-    p = Observable.from_labels([0, 0, 1, 1], 2)
+    p = Observable([0, 0, 1, 1], 2)
     q = _transport(p, p, np.array([0, 1]))[0]
     assert np.array_equal(q.labels, p.labels)
 
 
 def test_transport_one_atom():
     p = Observable.constant(5)
-    pprime = Observable.from_labels([0, 1, 2, 0, 1], 3)
+    pprime = Observable([0, 1, 2, 0, 1], 3)
     q = _transport(p, pprime, np.array([2, 0, 1]))[0]
     assert q.alphabet_size == 1
 
 
 def test_transport_transposition_example():
     # singleton refinement; swapping atoms 1 and 2 swaps points 1 and 2
-    p = Observable.from_labels([0, 0, 1, 1], 2)
-    pprime = Observable.from_labels([0, 1, 2, 3], 4)
+    p = Observable([0, 0, 1, 1], 2)
+    pprime = Observable([0, 1, 2, 3], 4)
     q = _transport(p, pprime, np.array([0, 2, 1, 3]))[0]
     assert np.array_equal(q.labels, [0, 1, 0, 1])
 
 
 def test_transport_rejects_non_bijection():
-    p = Observable.from_labels([0, 0, 1, 1], 2)
-    pprime = Observable.from_labels([0, 1, 2, 3], 4)
+    p = Observable([0, 0, 1, 1], 2)
+    pprime = Observable([0, 1, 2, 3], 4)
     with pytest.raises(ValueError):
         _transport(p, pprime, np.array([0, 0, 1, 3]))[0]
 
@@ -168,14 +168,14 @@ def test_transport_rejects_non_bijection():
     ids=["inner", "last"],
 )
 def test_transport_rejects_empty_refinement_atom(labels, k, atom):
-    p = Observable.from_labels([0, 0, 1, 1], 2)
+    p = Observable([0, 0, 1, 1], 2)
     with pytest.raises(ValueError, match=f"refinement atom {atom} is empty"):
         _transport(p, Observable(labels, k), np.arange(k))[0]
 
 
 def test_transport_requires_refinement():
-    p = Observable.from_labels([0, 1, 0, 1], 2)
-    not_finer = Observable.from_labels([0, 0, 1, 1], 2)
+    p = Observable([0, 1, 0, 1], 2)
+    not_finer = Observable([0, 0, 1, 1], 2)
     with pytest.raises(ValueError):
         _transport(p, not_finer, np.array([0, 1]))[0]
 
@@ -214,8 +214,8 @@ def test_certificate_conjugacy_instance():
 def test_certificate_flags_gross_mismatch():
     n = 8
     v = shift_action(n)
-    p = Observable.from_labels([0, 0, 0, 0, 1, 1, 1, 1], 2)
-    lopsided = Observable.from_labels([0, 1, 1, 1, 1, 1, 1, 1], 2)
+    p = Observable([0, 0, 0, 0, 1, 1, 1, 1], 2)
+    lopsided = Observable([0, 1, 1, 1, 1, 1, 1, 1], 2)
     cert = ball_transport_certificate(v, v, p, 0, lopsided, eps=0.01)
     assert cert.claim1_max >= 1 / n
     assert not cert.hypothesis_ok
