@@ -2,13 +2,14 @@
 
 Symbols in label files are arbitrary tokens, one per line, and index
 coupling matrices in sorted order; permutations and line bijections are one
-0-based image per line.
+0-based image per line.  Every command writes its outputs through ``_write_all``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -42,10 +43,7 @@ def _cmd_pipeline(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     result = run_experiment(config)
-    if not config.out_csv:
-        sys.stdout.write(result.csv_text)
-    if not config.out_json:
-        sys.stdout.write(result.json_text)
+    _write_all([(config.out_csv, result.csv_text), (config.out_json, result.json_text)])
     return 0 if result.all_bounds_held else 1
 
 
@@ -61,19 +59,39 @@ def _report_line(report) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_or_print(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write_all(outputs: list[tuple[str | None, str]]) -> None:
+    """Write every ``(path, text)`` or none; a text with no path goes to stdout.
+
+    Each file is written to a temporary file beside its target and renamed
+    into place once all are written; stdout comes last, so a failed file
+    write prints nothing, and a failed print removes the files placed.
+    """
+    files = [(Path(path), text) for path, text in outputs if path]
+    staged = [p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p, _ in files]
+    placed = 0
+    try:
+        for tmp, (path, text) in zip(staged, files):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+        for tmp, (path, _) in zip(staged, files):
+            tmp.replace(path)
+            placed += 1
+        for path, text in outputs:
+            if not path:
+                sys.stdout.write(text)
+        sys.stdout.flush()
+    except BaseException:
+        for i, (tmp, (path, _)) in enumerate(zip(staged, files)):
+            (path if i < placed else tmp).unlink(missing_ok=True)
+        raise
 
 
 def _cmd_lemma_rearrange(args) -> int:
     j = read_coupling_csv(args.coupling)
     phi = _read_labels(args.labels, alphabet=j.alphabet_size, alphabet_of=args.coupling)
     sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
-    _write_or_print(args.out_sigma, _permutation_text(sigma.sigma))
-    _write_or_print(args.out_report, _report_line(report))
+    text = _permutation_text(sigma.sigma)
+    _write_all([(args.out_sigma, text), (args.out_report, _report_line(report))])
     return 0
 
 
@@ -82,8 +100,8 @@ def _cmd_rewire(args) -> int:
     j = read_coupling_csv(args.coupling)
     psi = _read_labels(args.labels, t.shape[0], j.alphabet_size, args.coupling)
     t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
-    _write_or_print(args.out_perm, _permutation_text(t_new))
-    _write_or_print(args.out_report, _report_line(report))
+    text = _permutation_text(t_new)
+    _write_all([(args.out_perm, text), (args.out_report, _report_line(report))])
     return 0
 
 

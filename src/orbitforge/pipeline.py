@@ -11,18 +11,17 @@ statistics within ``10*|A|*eps`` of the target while the orbit partition of
 the source action is untouched.
 
 ``run_experiment`` drives a schedule of eps values from a flat key=value
-config, writing a CSV (fixed columns eps,generator,achieved_error,bound,
-kechris_distance) and a JSON report.  All randomness flows from one 64-bit
-seed through named seed-sequence keys, so reports are byte-identical across
-runs and worker counts.
+config, returning the texts of a CSV (fixed columns eps,generator,
+achieved_error,bound,kechris_distance) and a JSON report.  All randomness
+flows from one 64-bit seed through named seed-sequence keys, so reports are
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +172,7 @@ class PipelineReport:
     orbit_equivalent: bool
     retries_used: int
     kechris_distance: float
-    kechris_radius: int = KECHRIS_RADIUS
+    kechris_radius: int = field(default=KECHRIS_RADIUS, init=False)
 
     def bounds_held(self) -> bool:
         return all(g.achieved_error <= g.bound for g in self.generators)
@@ -540,27 +539,11 @@ class ExperimentResult:
 CSV_HEADER = "eps,generator,achieved_error,bound,kechris_distance"
 
 
-def _write_all(outputs: list[tuple[Path, str]]) -> None:
-    """Write every ``(path, text)`` or none, each through a temporary file."""
-    staged = [p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p, _ in outputs]
-    placed = 0
-    try:
-        for tmp, (path, text) in zip(staged, outputs):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text)
-        # no output is renamed into place before every text is written
-        for tmp, (path, _) in zip(staged, outputs):
-            tmp.replace(path)
-            placed += 1
-    except BaseException:
-        for i, (tmp, (path, _)) in enumerate(zip(staged, outputs)):
-            (path if i < placed else tmp).unlink(missing_ok=True)
-        raise
-
-
 def run_experiment(config: PipelineConfig) -> ExperimentResult:
-    """Run the schedule, gather deterministically, write CSV and JSON.
+    """Run the schedule, gather deterministically, return the CSV and JSON texts.
 
+    No file is written: ``orbit-forge pipeline`` writes the texts to
+    ``out_csv`` and ``out_json``, which the JSON's ``config`` block records.
     Schedule entries are independent pure computations; with ``workers > 1``
     they run on a thread pool, and outputs are gathered in schedule order,
     so reports do not depend on the worker count.
@@ -611,6 +594,4 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
         )
         + "\n"
     )
-    outputs = ((config.out_csv, csv_text), (config.out_json, json_text))
-    _write_all([(Path(path), text) for path, text in outputs if path])
     return ExperimentResult(config, reports, csv_text, json_text, all_held)

@@ -8,7 +8,7 @@ values are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -144,14 +144,14 @@ class Dist:
 class Coupling:
     """Probability matrix on ``A x A`` with its two margins.
 
-    Exact couplings store integer ``counts`` over a common ``denom``;
-    real couplings store only the float matrix.  Constructive targets stay
-    exact; analysis-side mixtures are real.
+    Exact couplings, built only by ``from_counts``, also store integer
+    ``counts`` over a common ``denom``; real couplings store only the float
+    matrix.  Constructive targets stay exact; analysis-side mixtures are real.
     """
 
     entries: np.ndarray
-    counts: np.ndarray | None = None
-    denom: int | None = None
+    counts: np.ndarray | None = field(default=None, init=False)
+    denom: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -160,24 +160,22 @@ class Coupling:
         _require_finite(entries, "coupling entries")
         if entries.size and entries.min() < 0:
             raise ValueError("coupling entries must be nonnegative")
-        if self.counts is not None:
-            _require_finite(self.counts, "counts")
-            counts = _as_int64(self.counts, "counts")
-            if counts.shape != entries.shape or self.denom is None or self.denom < 1:
-                raise ValueError("count view inconsistent with entries")
-            if int(counts.sum()) != self.denom:
-                raise ValueError("counts must sum to the denominator")
-            if np.abs(entries - counts / self.denom).max() > REAL_TOL:
-                raise ValueError("entries differ from counts / denom")
-            object.__setattr__(self, "counts", _frozen(counts))
-        elif abs(float(entries.sum()) - 1.0) > REAL_TOL:
+        if abs(float(entries.sum()) - 1.0) > REAL_TOL:
             raise ValueError("coupling entries must sum to 1")
         object.__setattr__(self, "entries", _frozen(entries))
 
     @classmethod
     def from_counts(cls, counts, denom: int) -> "Coupling":
+        _require_finite(counts, "counts")
         counts = _as_int64(counts, "counts")
-        return cls(counts / denom, counts, denom)
+        if denom < 1:
+            raise ValueError("denominator must be positive")
+        if int(counts.sum()) != denom:
+            raise ValueError("counts must sum to the denominator")
+        coupling = cls(counts / denom)
+        object.__setattr__(coupling, "counts", _frozen(counts))
+        object.__setattr__(coupling, "denom", denom)
+        return coupling
 
     @classmethod
     def from_probs(cls, matrix) -> "Coupling":

@@ -264,18 +264,6 @@ def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
     return tau, n_comp
 
 
-def merge_components(phi: Observable, tau: np.ndarray) -> np.ndarray:
-    """Connect pair-graph components without touching pair counts.
-
-    Two edges whose endpoints carry the same label pair may swap images;
-    when the edges lie in different components the swap merges them.  Edges
-    are bucketed by label pair and, per bucket, swapped against the
-    smallest edge, so the component count drops to at most ``|A|^2``.
-    """
-    tau_star, _ = _merge(phi.labels, phi.alphabet_size, np.asarray(tau, np.int64))
-    return tau_star
-
-
 def _close(tau: np.ndarray):
     m = tau.shape[0]
     if m == 0:
@@ -289,18 +277,6 @@ def _close(tau: np.ndarray):
     sigma = tau.copy()
     sigma[reps] = tau[np.roll(reps, -1)]
     return sigma, k, k
-
-
-def close_line(tau: np.ndarray) -> LineBijection:
-    """Re-route one representative edge per component into a single line.
-
-    Representatives are the smallest out-edge vertex of each component
-    (vertex N-1 never qualifies); shifting their images cyclically chains
-    the components into one path from 0 to N-1, changing exactly k edges.
-    """
-    tau = np.asarray(tau, dtype=np.int64)
-    sigma, _, _ = _close(tau)
-    return LineBijection(tau.shape[0] + 1, sigma)
 
 
 def rearrange_line(

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -175,26 +177,84 @@ def test_pipeline_cli_refuses_an_empty_schedule(tmp_path, capsys, eps):
     assert not out_csv.exists() and not out_json.exists()
 
 
-@pytest.mark.parametrize("blocked", ["parent is a file", "target is a directory"])
-def test_pipeline_cli_writes_both_outputs_or_neither(tmp_path, capsys, blocked):
-    # the CSV was written before the JSON was tried, and stayed behind
-    # after the exit 2; a directory at the JSON path fails only at the rename
-    block = tmp_path / "block"
+def _command_args(tmp_path, command, first, second):
+    """Arguments that run ``command`` on small inputs written to ``tmp_path``.
+
+    ``first`` and ``second`` are its two outputs in the order the command
+    lists them (``None`` prints that output).
+    """
+    labels, coupling = tmp_path / "labels.txt", tmp_path / "j.csv"
+    labels.write_text("a\nb\n" * 300)
+    coupling.write_text("0.25,0.25\n" * 2)
+    if command == "pipeline":
+        config = tmp_path / "run.cfg"
+        text = "n = 2000\nrank = 1\nalphabet = 2\neps = 0.05\nseed = 3\n"
+        for key, path in (("out_csv", first), ("out_json", second)):
+            text += f"{key} = {path}\n" if path else ""
+        config.write_text(text)
+        return ["pipeline", "--config", str(config)]
+    args = [command, f"--labels={labels}", f"--coupling={coupling}", "--eps=0.05"]
+    first_flag = "--out-sigma"
+    if command == "rewire":
+        perm = tmp_path / "perm.txt"
+        images = np.random.default_rng(1).permutation(600)
+        perm.write_text("".join(f"{v}\n" for v in images))
+        args.append(f"--perm={perm}")
+        first_flag = "--out-perm"
+    for flag, path in ((first_flag, first), ("--out-report", second)):
+        args += [f"{flag}={path}"] if path else []
+    return args
+
+
+COMMANDS = ["pipeline", "rewire", "lemma-rearrange"]
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "blocked", ["parent is a file", "target is a directory", "stdout is closed"]
+)
+def test_cli_writes_all_outputs_or_none(
+    tmp_path, capsys, monkeypatch, blocked, command
+):
+    # the first output was written before the second was tried, and stayed
+    # behind after the exit 2; a directory at the second path fails only at
+    # the rename, and a closed stdout only once the file is in place
+    block, second = tmp_path / "block", None
     if blocked == "parent is a file":
         block.write_text("")
-        out_json = block / "r.json"
-    else:
+        second = block / "second.txt"
+    elif blocked == "target is a directory":
         block.mkdir()
-        out_json = block
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "n = 2000\nrank = 1\nalphabet = 2\neps = 0.05\nseed = 3\n"
-        f"out_csv = {tmp_path / 'r.csv'}\nout_json = {out_json}\n"
-    )
-    assert main(["pipeline", "--config", str(config)]) == 2
+        second = block
+    args = _command_args(tmp_path, command, tmp_path / "first.txt", second)
+    before = sorted(tmp_path.rglob("*"))
+    if blocked == "stdout is closed":
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["block", "run.cfg"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_creates_missing_directories_and_prints_the_same_texts(
+    tmp_path, capsys, command
+):
+    # rewire and lemma-rearrange failed with ENOENT where pipeline created
+    # the directory
+    first, second = tmp_path / "new" / "first.txt", tmp_path / "new" / "a" / "b.txt"
+    assert main(_command_args(tmp_path, command, first, second)) == 0
+    assert capsys.readouterr().out == ""
+    assert main(_command_args(tmp_path, command, None, None)) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(first.read_text())
+    if command != "pipeline":  # the pipeline JSON records its output paths
+        assert printed == first.read_text() + second.read_text()
 
 
 def test_pipeline_cli_malformed_config(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
 integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no stable sort, no cache in an object's ``__dict__``,
-the README calls only names the package has, and the public names and
-options are the registered ones."""
+no file written outside ``cli._write_all``, the README calls only names the
+package has, and the public names and options are the registered ones."""
 
 import ast
 import importlib
@@ -278,6 +278,70 @@ def test_no_instance_dict_caches_in_src():
     assert found == []
 
 
+_FILE_WRITES = ("write_text", "write_bytes", "open", "mkdir", "unlink")
+
+
+def _file_writes(tree):
+    """``(function, line)`` of each call that writes or removes a file.
+
+    A call is ``write_text``, ``write_bytes``, ``open``, ``mkdir`` or
+    ``unlink``, as a method or a function; ``<module>`` is the top level.
+    ``replace`` is not one: ``str.replace`` reads the same as ``Path.replace``.
+    """
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _called_name(child) in _FILE_WRITES:
+                yield function, child.lineno
+            yield from visit(child, function)
+
+    yield from visit(tree, "<module>")
+
+
+_WRITE_SAMPLES = """
+def flagged(path, text):
+    path.write_text(text)
+    Path(path).write_bytes(b"")
+    with open(path, "w") as f:
+        path.open("a")
+    def inner():
+        path.parent.mkdir(parents=True)
+    os.unlink(path)
+LOG = open("log.txt", "w")
+def kept(path, text):
+    tmp = path.read_text().replace("a", "b")
+    tmp.replace(path)
+    return path.read_bytes(), print(text), "write_text", path.opened
+"""
+
+
+def test_file_write_walk_finds_each_form():
+    found = sorted(_file_writes(ast.parse(_WRITE_SAMPLES)))
+    assert found == [
+        ("<module>", 10),
+        ("flagged", 3),
+        ("flagged", 4),
+        ("flagged", 5),
+        ("flagged", 6),
+        ("flagged", 9),
+        ("inner", 8),
+    ]
+
+
+def test_files_are_written_only_by_the_cli_writer():
+    # one writer holds the all-or-nothing policy for every command; the
+    # library returns texts and writes no file
+    found = {
+        f"{path.name}:{function}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        for function, _ in _file_writes(ast.parse(path.read_text()))
+    }
+    assert found == {"cli.py:_write_all"}
+
+
 def test_readme_calls_resolve():
     # a code span written as `name(...)` names a function of the package
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -299,13 +363,10 @@ KNOBS = [
     "pipeline.PipelineConfig(source='random')",
     "pipeline.PipelineConfig(target='random')",
     "pipeline.PipelineConfig(workers=1)",
-    "pipeline.PipelineReport(kechris_radius=2)",
     "pipeline.good_observable(gap_below=None)",
     "rearrange.rearrange_line(check=True)",
     "rearrange.round_coupling(check=True)",
     "rewire.rewire(check=True)",
-    "spaces.Coupling(counts=None)",
-    "spaces.Coupling(denom=None)",
 ]
 
 

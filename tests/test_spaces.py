@@ -188,17 +188,6 @@ def test_coupling_validation():
         Coupling.from_probs([[1.5, -0.5], [0.0, 0.0]])
 
 
-def test_exact_coupling_entries_must_match_counts():
-    counts = np.array([[1, 0], [1, 1]])
-    with pytest.raises(ValueError, match="entries differ from counts / denom"):
-        Coupling(np.full((2, 2), 0.25), counts, 3)
-    with pytest.raises(ValueError, match="entries differ from counts / denom"):
-        Coupling(counts / 3 + 1e-9, counts, 3)
-    # float rounding of counts / denom stays within REAL_TOL
-    j = Coupling(counts / 3 + 1e-15, counts, 3)
-    assert np.array_equal(j.counts, counts)
-
-
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_empirical_distribution_sums_to_one(labels):
@@ -212,7 +201,7 @@ def test_non_finite_inputs_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         Coupling.from_probs([[bad, 0.5], [0.25, 0.25]])
     with pytest.raises(ValueError, match="finite"):
-        Coupling(np.full((2, 2), 0.25), np.array([[bad, 1.0], [1.0, 1.0]]), 4)
+        Coupling.from_counts(np.array([[bad, 1.0], [1.0, 1.0]]), 4)
     with pytest.raises(ValueError, match="finite"):
         Dist(np.array([bad, 1.0]), 2)
 
@@ -242,11 +231,6 @@ INTEGER_INPUTS = {
     ),
     "Observable": (lambda v: Observable(v, 2), [0.6, 1.4], [0.0, 1.0]),
     "Dist": (lambda v: Dist(v, 1), [0.5, 1.5], [0.0, 1.0]),
-    "Coupling": (
-        lambda v: Coupling(np.array([[0, 1], [1, 1]]) / 3, v.reshape(2, 2), 3),
-        [0.5, 1.5, 1.0, 1.0],
-        [0.0, 1.0, 1.0, 1.0],
-    ),
     "Coupling.from_counts": (
         lambda v: Coupling.from_counts(v.reshape(2, 2), 3),
         [0.5, 1.5, 1.0, 1.0],
