@@ -23,10 +23,10 @@ from .pipeline import (
     ConfigError,
     GoodObservableError,
     _permutation_text,
+    _read_coupling_csv,
     _read_labels,
     _read_permutations,
     parse_config,
-    read_coupling_csv,
     run_experiment,
 )
 from .rearrange import PreconditionError, rearrange_line
@@ -87,7 +87,7 @@ def _write_all(outputs: list[tuple[str | None, str]]) -> None:
 
 
 def _cmd_lemma_rearrange(args) -> int:
-    j = read_coupling_csv(args.coupling)
+    j = _read_coupling_csv(args.coupling)
     phi = _read_labels(args.labels, alphabet=j.alphabet_size, alphabet_of=args.coupling)
     sigma, report = rearrange_line(phi, j, args.eps, check=not args.no_check)
     text = _permutation_text(sigma.sigma)
@@ -97,7 +97,7 @@ def _cmd_lemma_rearrange(args) -> int:
 
 def _cmd_rewire(args) -> int:
     t = _read_permutations([args.perm])[0]
-    j = read_coupling_csv(args.coupling)
+    j = _read_coupling_csv(args.coupling)
     psi = _read_labels(args.labels, t.shape[0], j.alphabet_size, args.coupling)
     t_new, report = rewire(t, psi, j, args.eps, check=not args.no_check)
     text = _permutation_text(t_new)
@@ -109,8 +109,8 @@ def _cmd_stats(args) -> int:
     action = FiniteAction(_read_permutations(args.perm))
     p = _read_labels(args.labels, action.n)
     word = parse_word(args.word, action.rank)
-    for (i, jx), value in np.ndenumerate(stats_matrix(action, p, word).real):
-        sys.stdout.write(f"{i},{jx},{float(value)!r}\n")
+    cells = np.ndenumerate(stats_matrix(action, p, word).real)
+    _write_all([(None, "".join(f"{i},{jx},{float(v)!r}\n" for (i, jx), v in cells))])
     return 0
 
 

@@ -124,15 +124,14 @@ def _short_cycles(p: np.ndarray) -> bool:
     return 2 * int(np.count_nonzero(back)) > start.shape[0]
 
 
-def _contract(p: np.ndarray, offsets: bool) -> _Nodes:
+def _contract(p: np.ndarray) -> _Nodes:
     """Contract int64 permutation ``p`` onto its rulers by one lockstep walk.
 
     Each ruler walks ``p`` until it meets the next ruler, marking every
-    point it passes as its own; the walked run is the ruler's node.  Points
-    no walker reached (cycles without a ruler, tails of cut walks) are
-    nodes of one point.  With ``offsets`` each point also gets its steps
-    from its ruler.  When ``_short_cycles`` holds, every point is its own
-    node.
+    point it passes as its own together with its steps from the ruler; the
+    walked run is the ruler's node.  Points no walker reached (cycles
+    without a ruler, tails of cut walks) are nodes of one point.  When
+    ``_short_cycles`` holds, every point is its own node.
     """
     n = p.shape[0]
     if _short_cycles(p):
@@ -148,13 +147,12 @@ def _contract(p: np.ndarray, offsets: bool) -> _Nodes:
     ext = np.empty(sink + 1, dtype=np.int64)
     ext[:n] = p
     ext[n:] = sink
-    shift = _OFFSET_BITS if offsets else 0
+    tag = walker << _OFFSET_BITS
     code = np.full(sink + 1, -1, dtype=np.int64)
-    code[:n:_RULER_GAP] = walker << shift
+    code[:n:_RULER_GAP] = tag
     least = walker * _RULER_GAP
     cur = p[::_RULER_GAP].copy()
     run_min = least.copy()
-    tag = walker << shift
     out = m
     step = 1
     while True:
@@ -169,10 +167,10 @@ def _contract(p: np.ndarray, offsets: bool) -> _Nodes:
             if 2 * out < cur.shape[0]:
                 keep = np.flatnonzero(cur != sink)
                 walker, cur, run_min = walker[keep], cur[keep], run_min[keep]
-                tag = walker << shift
+                tag = walker << _OFFSET_BITS
         if out * _WALK_QUORUM < m or step > _WALK_STEPS:
             break
-        code[cur] = tag + step if offsets else tag
+        code[cur] = tag + step
         # the sink lies past every point, so parked walkers keep their run_min
         np.minimum(run_min, cur, out=run_min)
         cur = ext[cur]
@@ -187,17 +185,12 @@ def _contract(p: np.ndarray, offsets: bool) -> _Nodes:
     code = code[:n]
     left = np.flatnonzero(code < 0)
     nodes = m + left.shape[0]
-    if offsets:
-        owner = code >> _OFFSET_BITS
-        code &= (1 << _OFFSET_BITS) - 1
-        code[left] = 0
-    else:
-        owner = code
+    owner = code >> _OFFSET_BITS
+    code &= (1 << _OFFSET_BITS) - 1
+    code[left] = 0
     owner[left] = np.arange(m, nodes)
     least = np.concatenate([least, left])
     succ = np.concatenate([owner[stop], owner[p[left]]])
-    if not offsets:
-        return _Nodes(succ, least, owner=owner)
     size = np.concatenate([size, np.ones(left.shape[0], dtype=np.int64)])
     return _Nodes(succ, least, size, owner, code)
 
@@ -228,11 +221,12 @@ def cycle_min_labels(p: np.ndarray) -> np.ndarray:
     and the label is the minimum of that cycle.  List contraction with a
     sparse ruling set: one lockstep walk from every 16th point contracts
     the cycles to about n/16 nodes, pointer doubling finds each node's cycle
-    minimum, and one gather hands it to the points.  O(n) gathers plus
-    O((n/16) log L) for longest cycle L; the Python loop runs over the walk's
-    steps (at most 128), not over points.  When most of 64 sampled points
-    lie on cycles of at most 16 points, doubling runs on the points
-    themselves instead, in O(n log L) with L small.
+    minimum, and one gather hands it to the points.  The contraction is the
+    one ``cycle_decomposition`` runs; the labels ignore its offsets.  O(n)
+    gathers plus O((n/16) log L) for longest cycle L; the Python loop runs
+    over the walk's steps (at most 128), not over points.  When most of 64
+    sampled points lie on cycles of at most 16 points, doubling runs on the
+    points themselves instead, in O(n log L) with L small.
 
     ``p`` must be a permutation, and only its integrality is checked: the
     non-permutation ``[0, 0, 1]`` gets the labels ``[0, 0, 0]``.
@@ -241,9 +235,12 @@ def cycle_min_labels(p: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     if n == 0:
         return p.copy()
-    nodes = _contract(p, offsets=False)
-    low = _node_minima(nodes.succ, nodes.least)
-    return low if nodes.owner is None else low[nodes.owner]
+    nodes = _contract(p)
+    succ, least, owner = nodes.succ, nodes.least, nodes.owner
+    # the offsets go before doubling and the gather allocate
+    del nodes
+    low = _node_minima(succ, least)
+    return low if owner is None else low[owner]
 
 
 def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
@@ -262,7 +259,7 @@ def cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
 def _cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
     """``cycle_decomposition`` of an int64 permutation, not checked again."""
     n = t.shape[0]
-    nodes = _contract(t, offsets=True)
+    nodes = _contract(t)
     owner, offset = nodes.owner, nodes.offset
     succ = nodes.succ
     k = succ.shape[0]

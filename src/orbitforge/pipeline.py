@@ -57,7 +57,6 @@ __all__ = [
     "verify_oe",
     "parse_config",
     "run_experiment",
-    "read_coupling_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -484,7 +483,7 @@ def _read_labels(path, n=None, alphabet=None, alphabet_of=None) -> Observable:
     return obs
 
 
-def read_coupling_csv(path) -> Coupling:
+def _read_coupling_csv(path) -> Coupling:
     rows = _parse_lines(path, _finite_row, "a row of finite numbers")
     for lineno, row in rows:
         if len(row) != len(rows):

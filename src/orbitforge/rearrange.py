@@ -23,9 +23,9 @@ with counts and cells keyed by (segment, label pair).  ``rewire``
 rearranges all of its good cycles in one such pass; ``rearrange_line`` is
 the case B = 1, and ``_merge`` and ``_close`` run stages 3 and 4 alone on
 one line.  Everything but the merge loop over candidate edges is
-vectorized; the build and merge stages each rank their points with one
-unstable sort of packed int64 codes.  One line of N = 10^6 points with two
-labels takes about 0.15 s on one core of a 2-core x86 host (numpy 2.4).
+vectorized; the build and merge stages rank their points through
+``_stable_order``.  One line of N = 10^6 points with two labels takes
+about 0.15 s on one core of a 2-core x86 host (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ def _line_components(tau: np.ndarray) -> np.ndarray:
 
 
 def _component_count(tau: np.ndarray) -> int:
-    if len(tau) == 0:
-        return 1
-    return int(np.unique(_line_components(tau)).shape[0])
+    # each component holds one cycle minimum, the point labelled by itself
+    labels = _line_components(tau)
+    return int(np.count_nonzero(labels == np.arange(labels.shape[0])))
 
 
 def _require_eps(eps: float) -> None:
@@ -198,19 +198,22 @@ def round_coupling(
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """The stable sort order of ``keys``, each below ``bound``.
+    """The stable sort order of int64 ``keys``, each in ``[-bound, bound)``.
 
-    One unstable sort of the codes ``key·2^s + index``, ``2^s`` above every
-    index; they stay below ``bound·2^s``, and a bound above ``_PACK_LIMIT``
-    is refused.
+    ``keys`` holds the codes ``key·2^s + index`` (``2^s`` above every index;
+    a negative key keeps its low ``s`` bits clear) for one unstable sort and
+    is shifted back, so it ends sorted.  The one guard of the line stages:
+    a ``bound·2^s`` above ``_PACK_LIMIT`` is refused before ``keys`` changes.
     """
     shift = (keys.shape[0] - 1).bit_length()
     if bound << shift > _PACK_LIMIT:
         raise ValueError(f"{bound} keys on {keys.shape[0]} points overflow int64 codes")
-    codes = keys << shift
-    codes |= np.arange(keys.shape[0])
-    codes.sort()
-    return codes & ((1 << shift) - 1)
+    keys <<= shift
+    keys |= np.arange(keys.shape[0])
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    return order
 
 
 def _build_lines(
@@ -271,31 +274,29 @@ def _merge_cycles(perm: np.ndarray, pairs: np.ndarray, offsets: np.ndarray):
     least minimum of its parts.
     """
     n = perm.shape[0]
-    # a cycle minimum names its segment, so (pair·n + minimum)·n + point
-    # ranks the points of each (bucket, cycle), below (max pair + 1)·n²
     radix = int(pairs.max(initial=-1)) + 1
-    if radix * n * n > _PACK_LIMIT:
-        raise ValueError(f"{radix} pair codes on {n} points overflow int64 codes")
     comp = cycle_min_labels(perm)
-    codes = pairs * n + comp
-    codes *= n
-    codes += np.arange(n)
-    codes.sort()
+    # a cycle minimum names its segment, so the key pair·n + minimum ranks
+    # the points of each (bucket, cycle) together; the segment ends carry
+    # pair -1, so the keys lie in [-n, radix·n)
+    rank = pairs * n + comp
+    order = _stable_order(rank, max(radix, 1) * n)
     # the first point of each (bucket, cycle) run is its least
-    pair_cycle = codes // n
-    head = pair_cycle >= 0
-    head[1:] &= pair_cycle[1:] != pair_cycle[:-1]
-    pair_cycle, points = pair_cycle[head], codes[head] % n
+    head = rank >= 0
+    head[1:] &= rank[1:] != rank[:-1]
+    points = order[head]
+    del rank, order
     # bucket keys segment·radix + pair stay below n·radix
-    key = (np.searchsorted(offsets, points, side="right") - 1) * radix + pair_cycle // n
+    key = (np.searchsorted(offsets, points, side="right") - 1) * radix + pairs[points]
     # buckets that meet at least two cycles (the minima, so the segments,
-    # ascend within one pair), candidates by point
+    # ascend within one pair), candidates by point: the codes key·n + point
+    # stay below radix·n², inside the bound _stable_order checked
     head = np.ones(key.shape[0], dtype=bool)
     head[1:] = key[1:] != key[:-1]
     bucket = np.cumsum(head) - 1
     keep = np.bincount(bucket)[bucket] >= 2
     key, points = key[keep], points[keep]
-    order = np.lexsort((points, key))
+    order = np.argsort(key * n + points)
     key, points = key[order], points[order]
     anchors = np.ones(key.shape[0], dtype=bool)
     anchors[1:] = key[1:] != key[:-1]

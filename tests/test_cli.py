@@ -7,9 +7,9 @@ import pytest
 
 from orbitforge.cli import main
 from orbitforge.pipeline import (
+    _read_coupling_csv,
     _read_labels,
     _read_permutations,
-    read_coupling_csv,
 )
 from orbitforge.rearrange import rearrange_line
 from orbitforge.rewire import rewire
@@ -477,7 +477,7 @@ def test_rewire_report_is_one_line_of_fields_and_rows(tmp_path):
     args = [*_rewire_args(perm, labels, coupling), "--out-report", str(out_report)]
     assert main([*args, "--out-perm", str(tmp_path / "out.txt")]) == 0
 
-    _, rep = rewire(t, _read_labels(labels), read_coupling_csv(coupling), 0.05)
+    _, rep = rewire(t, _read_labels(labels), _read_coupling_csv(coupling), 0.05)
     assert [row.length for row in rep.per_cycle] == lengths
     assert [row.good for row in rep.per_cycle] == [False] * 4 + [True] * 2
     for row in rep.per_cycle:
@@ -505,7 +505,7 @@ def test_lemma_rearrange_report_is_one_line_of_fields(tmp_path, balanced_labels)
     assert main([*args, "--out-report", str(out_report)]) == 0
 
     phi = _read_labels(balanced_labels)
-    _, rep = rearrange_line(phi, read_coupling_csv(coupling), 0.01)
+    _, rep = rearrange_line(phi, _read_coupling_csv(coupling), 0.01)
     expected = json.dumps(
         {
             "achieved_error": rep.achieved_error,

@@ -36,7 +36,7 @@ def assert_matches_oracle(p):
 
 
 def contracted(p) -> bool:
-    nodes = permutations._contract(np.asarray(p, dtype=np.int64), False)
+    nodes = permutations._contract(np.asarray(p, dtype=np.int64))
     return nodes.owner is not None
 
 
@@ -152,11 +152,11 @@ def test_walks_cut_short_leave_their_tails_to_doubling():
     m = n // GAP
     # the rulers map to each other except the last, whose gap holds every
     # other point; its walk stops at once and the tail becomes nodes
-    nodes = permutations._contract(rulers_first(n), True)
+    nodes = permutations._contract(rulers_first(n))
     assert nodes.owner is not None and nodes.succ.shape[0] > n - m - GAP
     # a fourteenth of the walks would take 201 steps: they stop at the step
     # limit, each leaving 200 - _WALK_STEPS points as nodes of one point
-    nodes = permutations._contract(long_gaps(n, 200), True)
+    nodes = permutations._contract(long_gaps(n, 200))
     tails = (m // 14) * (200 - permutations._WALK_STEPS)
     assert nodes.succ.shape[0] == m + tails
     assert int(nodes.size.max()) == permutations._WALK_STEPS + 1

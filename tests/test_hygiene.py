@@ -1,8 +1,9 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
 integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no stable sort, no cache in an object's ``__dict__``,
-no file written outside ``cli._write_all``, the README calls only names the
-package has, and the public names and options are the registered ones."""
+no file or stdout written outside ``cli._write_all``, the README calls only
+names the package has, and the public names and options are the registered
+ones."""
 
 import ast
 import importlib
@@ -196,10 +197,14 @@ _STABLE_KINDS = ("stable", "mergesort")
 
 def _stable_sorts(tree):
     """Line of each stable sort: a ``kind="stable"`` or ``"mergesort"``, also
-    passed by position to ``sort`` or ``argsort``, or a ``return_index=True``,
-    with which ``np.unique`` sorts stably."""
+    passed by position to ``sort`` or ``argsort``, a ``return_index=True``,
+    with which ``np.unique`` sorts stably, or an ``np.lexsort``, which is
+    stable by definition."""
     for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
+            continue
+        if _called_name(call) == "lexsort":
+            yield call.lineno
             continue
         kinds = call.args if _called_name(call) in ("sort", "argsort") else []
         kinds = [getattr(a, "value", None) for a in kinds] + [
@@ -220,15 +225,16 @@ def flagged(x):
     x.sort(kind="stable")
     c = np.unique(x, return_index=True)
     d = np.argsort(x, -1, "mergesort")
+    e = np.lexsort((x, x))
 def kept(x):
-    e = np.argsort(x), np.sort(x, kind="quicksort"), x.sort()
-    f = np.unique(x, return_index=False), np.unique(x, return_inverse=True)
-    return np.lexsort((x, x)), "kind='stable'", print("stable")
+    f = np.argsort(x), np.sort(x, kind="quicksort"), x.sort()
+    g = np.unique(x, return_index=False), np.unique(x, return_inverse=True)
+    return "np.lexsort", "kind='stable'", print("stable")
 """
 
 
 def test_stable_sort_walk_finds_each_form():
-    assert sorted(_stable_sorts(ast.parse(_SORT_SAMPLES))) == [3, 4, 5, 6, 7]
+    assert sorted(_stable_sorts(ast.parse(_SORT_SAMPLES))) == [3, 4, 5, 6, 7, 8]
 
 
 def test_no_stable_sort_in_src():
@@ -281,12 +287,20 @@ def test_no_instance_dict_caches_in_src():
 _FILE_WRITES = ("write_text", "write_bytes", "open", "mkdir", "unlink")
 
 
+def _writes_stdout(call) -> bool:
+    # sys.stdout.write(...), or stdout.write(...) after a from-import
+    owner = getattr(call.func, "value", None)
+    stdout = getattr(owner, "attr", getattr(owner, "id", None)) == "stdout"
+    return stdout and _called_name(call) in ("write", "writelines")
+
+
 def _file_writes(tree):
     """``(function, line)`` of each call that writes or removes a file.
 
     A call is ``write_text``, ``write_bytes``, ``open``, ``mkdir`` or
-    ``unlink``, as a method or a function; ``<module>`` is the top level.
-    ``replace`` is not one: ``str.replace`` reads the same as ``Path.replace``.
+    ``unlink``, as a method or a function, or a ``write`` or ``writelines``
+    on ``stdout``; ``<module>`` is the top level.  ``replace`` is not one:
+    ``str.replace`` reads the same as ``Path.replace``.
     """
 
     def visit(node, function):
@@ -294,7 +308,9 @@ def _file_writes(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and _called_name(child) in _FILE_WRITES:
+            if isinstance(child, ast.Call) and (
+                _called_name(child) in _FILE_WRITES or _writes_stdout(child)
+            ):
                 yield function, child.lineno
             yield from visit(child, function)
 
@@ -310,10 +326,13 @@ def flagged(path, text):
     def inner():
         path.parent.mkdir(parents=True)
     os.unlink(path)
+    sys.stdout.write(text)
+    stdout.writelines([text])
 LOG = open("log.txt", "w")
 def kept(path, text):
     tmp = path.read_text().replace("a", "b")
     tmp.replace(path)
+    sys.stdout.flush(), sys.stderr.write(text), buffer.write(text)
     return path.read_bytes(), print(text), "write_text", path.opened
 """
 
@@ -321,19 +340,21 @@ def kept(path, text):
 def test_file_write_walk_finds_each_form():
     found = sorted(_file_writes(ast.parse(_WRITE_SAMPLES)))
     assert found == [
-        ("<module>", 10),
+        ("<module>", 12),
         ("flagged", 3),
         ("flagged", 4),
         ("flagged", 5),
         ("flagged", 6),
         ("flagged", 9),
+        ("flagged", 10),
+        ("flagged", 11),
         ("inner", 8),
     ]
 
 
 def test_files_are_written_only_by_the_cli_writer():
-    # one writer holds the all-or-nothing policy for every command; the
-    # library returns texts and writes no file
+    # one writer holds the all-or-nothing policy for every command, stdout
+    # included; the library returns texts and writes no file
     found = {
         f"{path.name}:{function}"
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
@@ -423,7 +444,6 @@ PUBLIC = [
     "pipeline.good_observable",
     "pipeline.oe_approximate",
     "pipeline.parse_config",
-    "pipeline.read_coupling_csv",
     "pipeline.run_experiment",
     "pipeline.verify_oe",
     "rearrange.LineBijection",

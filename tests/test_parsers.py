@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from orbitforge import Coupling, PipelineConfig, parse_config
 from orbitforge.pipeline import (
     ConfigError,
+    _read_coupling_csv,
     _read_labels,
     _read_permutations,
-    read_coupling_csv,
 )
 
 INT_KEYS = ("n", "rank", "alphabet", "seed", "retries", "workers")
@@ -157,7 +157,7 @@ def test_coupling_csv_round_trip(weights, exact):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "j.csv"
         path.write_text("".join(",".join(map(repr, r)) + "\n" for r in j.real.tolist()))
-        back = read_coupling_csv(path)
+        back = _read_coupling_csv(path)
     assert back.real.tobytes() == j.real.tobytes()
 
 
@@ -193,7 +193,7 @@ def test_refused_coupling_content_names_the_file(tmp_path, text, message):
     path = tmp_path / "j.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
-        read_coupling_csv(path)
+        _read_coupling_csv(path)
 
 
 def test_readme_config_example_parses():

@@ -14,6 +14,7 @@ import pytest
 import orbitforge
 from orbitforge import pipeline
 from orbitforge import (
+    CertificationError,
     Coupling,
     Dist,
     FiniteAction,
@@ -35,9 +36,9 @@ from orbitforge import (
 )
 from orbitforge.pipeline import (
     ConfigError,
+    _read_coupling_csv,
     _read_labels,
     _read_permutations,
-    read_coupling_csv,
 )
 
 
@@ -128,13 +129,17 @@ def test_oe_approximate_refuses_an_unused_symbol():
         oe_approximate(b, b, phi, 0.1, retries=5, seed=0)
 
 
-def test_oe_approximate_self_target():
+def _long_cycle_instance():
     rng = np.random.default_rng(6)
     n = 2000
     a = FiniteAction.from_perms(
         [permutation_with_cycle_lengths([n], rng) for _ in range(2)]
     )
-    phi = Observable(np.arange(n) % 2, 2)
+    return a, Observable(np.arange(n) % 2, 2)
+
+
+def test_oe_approximate_self_target():
+    a, phi = _long_cycle_instance()
     a2, psi, report = oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
     # one long cycle per generator: the first sampled observable is accepted
     assert report.retries_used == 1
@@ -144,6 +149,32 @@ def test_oe_approximate_self_target():
         assert g.achieved_error <= g.bound
         assert g.mixture_gap <= 0.05 + 1e-12
         assert g.same_orbits
+
+
+def test_oe_approximate_reports_the_10_a_eps_bound():
+    a, phi = _long_cycle_instance()
+    for eps in (0.05, 0.03):
+        _, _, report = oe_approximate(a, a, phi, eps, retries=5, seed=0)
+        assert report.bound == 10 * 2 * eps
+        assert [g.bound for g in report.generators] == [10 * 2 * eps] * 2
+
+
+def test_oe_approximate_certifies_the_mixture_gap_at_eps(monkeypatch):
+    # a stand-in mixture moves every entry by d and keeps the margins, so
+    # its gap to the pair target is d
+    a, phi = _long_cycle_instance()
+    eps = 0.05
+
+    def shifted(d):
+        step = d * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return lambda c, eps, pi: Coupling.from_probs(c.real + step)
+
+    monkeypatch.setattr(pipeline, "mixture_coupling", shifted(eps))
+    _, _, report = oe_approximate(a, a, phi, eps, retries=5, seed=0)
+    assert all(abs(g.mixture_gap - eps) < 1e-12 for g in report.generators)
+    monkeypatch.setattr(pipeline, "mixture_coupling", shifted(1.01 * eps))
+    with pytest.raises(CertificationError, match="generator 0: mixture gap"):
+        oe_approximate(a, a, phi, eps, retries=5, seed=0)
 
 
 def test_oe_approximate_identity_generator_reports_failure():
@@ -305,7 +336,7 @@ def test_file_roundtrips(tmp_path):
 
     j = Coupling.from_probs([[0.25, 0.25], [0.25, 0.25]])
     (tmp_path / "j.csv").write_text("0.25,0.25\n" * 2)
-    back = read_coupling_csv(tmp_path / "j.csv")
+    back = _read_coupling_csv(tmp_path / "j.csv")
     assert np.array_equal(back.real, j.real)
 
 

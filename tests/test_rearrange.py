@@ -442,11 +442,15 @@ def test_close_leaves_one_cycle_per_segment(shape):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 6), max_size=300))
+@given(st.lists(st.integers(-7, 6), max_size=300))
 def test_stable_order_is_the_stable_argsort(keys):
+    # keys may be negative, down to -bound: the merge's segment ends carry
+    # pair -1
     keys = np.asarray(keys, dtype=np.int64)
     want = np.argsort(keys, kind="stable")
+    sorted_keys = np.sort(keys)
     assert _stable_order(keys, 7).tobytes() == want.tobytes()
+    assert np.array_equal(keys, sorted_keys)
 
 
 def test_stable_order_refuses_codes_past_the_limit(monkeypatch):
@@ -465,19 +469,20 @@ def test_stable_order_refuses_codes_past_the_limit(monkeypatch):
 
 
 def test_merge_refuses_codes_past_the_limit(monkeypatch):
-    # 50 points with pair codes 0..3 pack into codes below 4·50² = 10,000
+    # 50 points with pair codes 0..3 rank by keys below 4·50 = 200, which
+    # _stable_order packs into codes below 200·64 = 12,800
     rng = np.random.default_rng(4)
     perm = rng.permutation(50)
     pairs = rng.integers(0, 4, size=50)
     pairs[[0, 1]] = 3
     offsets = np.array([0, 50])
     want = _merge_cycles(perm.copy(), pairs.copy(), offsets)
-    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 10_000)
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 12_800)
     got = _merge_cycles(perm.copy(), pairs.copy(), offsets)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 9_999)
+    monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 12_799)
     merged = perm.copy()
-    with pytest.raises(ValueError, match="4 pair codes on 50 points overflow"):
+    with pytest.raises(ValueError, match="200 keys on 50 points overflow"):
         _merge_cycles(merged, pairs.copy(), offsets)
     assert np.array_equal(merged, perm)
     monkeypatch.undo()
@@ -499,7 +504,7 @@ def test_public_line_stages_refuse_instead_of_wrapping(monkeypatch):
         rearrange_line(phi, j, 0.05)
     with pytest.raises(ValueError, match="overflow int64 codes"):
         build_tau(phi, round_coupling(j, empirical_distribution(phi), 0.05))
-    # the build stage fits (2·128 = 256), the merge does not (4·100² pair codes)
+    # the build stage fits (2·128 = 256), the merge does not (4·100·128)
     monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 256)
-    with pytest.raises(ValueError, match="4 pair codes on 100 points overflow"):
+    with pytest.raises(ValueError, match="400 keys on 100 points overflow"):
         rearrange_line(phi, j, 0.05)

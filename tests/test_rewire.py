@@ -117,6 +117,29 @@ def test_rewire_preconditions():
         rewire(t, skew, j, 0.05)
 
 
+def test_rewire_margin_precondition_sits_at_eps():
+    # coupling margins (0.5 + d, 0.5 - d) against balanced labels: gap d
+    t = np.roll(np.arange(100), -1)
+    psi = Observable([0, 1] * 50, 2)
+    eps = 0.02
+
+    def shifted(d):
+        return Coupling.from_probs([[0.25 + d, 0.25], [0.25, 0.25 - d]])
+
+    rewire(t, psi, shifted(0.99 * eps), eps)
+    with pytest.raises(PreconditionError, match="margins sit"):
+        rewire(t, psi, shifted(1.01 * eps), eps)
+
+
+def test_rewire_min_entry_precondition_sits_at_2_a_eps():
+    # |A| = 2, eps = 0.05: the least entry must exceed 2|A|eps = 0.2
+    t = np.roll(np.arange(100), -1)
+    psi = Observable([0, 1] * 50, 2)
+    rewire(t, psi, Coupling.from_probs([[0.29, 0.21], [0.21, 0.29]]), 0.05)
+    with pytest.raises(PreconditionError, match="min coupling entry 0.2 "):
+        rewire(t, psi, Coupling.from_probs([[0.3, 0.2], [0.2, 0.3]]), 0.05)
+
+
 def test_rewire_self_statistics_within_bound():
     rng = np.random.default_rng(21)
     n = 4000
