@@ -104,7 +104,9 @@ class FiniteAction:
 
     The generators' cycle decompositions and inverses are read-only and
     built on first use, once per action: rewiring keeps orbits, so one
-    source action serves a whole eps schedule.  Threads that meet an empty
+    source action serves a whole eps schedule.  Only ``generator`` of a
+    negative letter reads the inverses; the library's own paths, word
+    translation included, never build them.  Threads that meet an empty
     cache at once may each build it; the results are equal, as they depend
     on the immutable ``perms`` alone.
     """
@@ -162,10 +164,13 @@ def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
     """Labels of each translate ``g·P``: point x gets ``P(g^{-1}x)``.
 
     Words are built in order of length from their suffix parents: for
-    ``g = s·h``, ``(g·P)(x) = (h·P)(s^{-1}x)``, one gather through the cached
-    inverse of ``s``.  Suffixes missing from ``words`` are built on the way;
-    the identity maps to the labels themselves.  Arrays are read-only, in the
-    smallest unsigned dtype that holds every label.
+    ``g = s·h``, ``(g·P)(x) = (h·P)(s^{-1}x)``.  An inverse letter ``s = -k``
+    is one gather through generator ``k``; a generator ``s = k`` is one
+    scatter through it, ``moved[perms[k-1]] = parent``, as
+    ``(g·P)(s·y) = (h·P)(y)``; no inverse permutation is built.  Suffixes
+    missing from ``words`` are built on the way; the identity maps to the
+    labels themselves.  Arrays are read-only, in the smallest unsigned dtype
+    that holds every label.
     """
     if p.n != a.n:
         raise ValueError("partition size does not match the action")
@@ -176,8 +181,18 @@ def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
             needed.add(g.letters[i:])
     table = {(): _frozen(p.labels.astype(_label_dtype(p.alphabet_size)))}
     for letters in sorted(needed, key=len):
-        if letters:
-            table[letters] = _frozen(table[letters[1:]][a.generator(-letters[0])])
+        if not letters:
+            continue
+        s, parent = letters[0], table[letters[1:]]
+        if abs(s) > a.rank:
+            raise ValueError(f"letter {s} outside rank {a.rank}")
+        perm = a.perms[abs(s) - 1]
+        if s < 0:
+            moved = parent[perm]
+        else:
+            moved = np.empty_like(parent)
+            moved[perm] = parent
+        table[letters] = _frozen(moved)
     return {g: table[g.letters] for g in words}
 
 

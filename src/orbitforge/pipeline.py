@@ -543,16 +543,21 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
 
     No file is written: ``orbit-forge pipeline`` writes the texts to
     ``out_csv`` and ``out_json``, which the JSON's ``config`` block records.
-    Schedule entries are independent pure computations; with ``workers > 1``
-    they run on a thread pool, and outputs are gathered in schedule order,
-    so reports do not depend on the worker count.
+    The target action is read only by its statistics, counted once before
+    any entry runs; it is released then, so no entry holds it.  Schedule
+    entries are independent pure computations; with ``workers > 1`` they
+    run on a thread pool, and outputs are gathered in schedule order, so
+    reports do not depend on the worker count.
     """
     a = _build_action(config.source, config.n, config.rank, config.seed, 101)
     b = _build_action(config.target, config.n, config.rank, config.seed, 202)
     phi = _build_phi(config.phi, config.n, config.alphabet)
-    # every schedule entry reads the cycles of a and the statistics of
-    # (b, phi); building both first leaves workers only reading
-    _, target = a.cycle_decompositions, _target_side(b, phi)
+    # every schedule entry reads the statistics of (b, phi) and the cycles
+    # of a; building both first leaves workers only reading.  Nothing else
+    # reads b, so it goes first, and the cycles of a reuse its memory
+    target = _target_side(b, phi)
+    del b
+    _ = a.cycle_decompositions
 
     def entry(idx_eps: tuple[int, float]) -> PipelineReport:
         idx, eps = idx_eps

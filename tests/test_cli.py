@@ -1,9 +1,15 @@
+import contextlib
 import io
 import json
+import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitforge.cli import main
 from orbitforge.pipeline import (
@@ -518,3 +524,122 @@ def test_lemma_rearrange_report_is_one_line_of_fields(tmp_path, balanced_labels)
         allow_nan=False,
     )
     assert out_report.read_text() == expected + "\n"
+
+
+# the stats property: damaged permutation, label and word inputs, each damage
+# either harmless (the clean rows print) or refused (exit 2, nothing printed)
+_LETTERS = "abcdfghijklmnopqrstuvwxyz"  # generators 1..25; "e" is the identity
+_SYMBOLS = ["a", "b", "c", "x_1", "Z", "0", "-"]
+_HARMLESS = ["none", "blank lines", "padded lines"]
+_REFUSED = {
+    "perm": ["duplicate", "non-integral", "out of range", "short", "long"],
+    "labels": ["duplicate", "two tokens", "short", "long"],
+    "word": ["beyond the rank", "two letters", "digit", "identity among letters"],
+}
+
+
+def _damage(lines, kind, data, pad):
+    """Apply one damage of ``kind`` to ``lines``; ``pad`` fills padded lines."""
+    n = len(lines)
+    at = data.draw(st.integers(0, n - 1))
+    if kind == "blank lines":
+        spots = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=3))
+        for spot in sorted(spots, reverse=True):
+            lines.insert(spot, data.draw(st.sampled_from(["", " ", "\t"])))
+    elif kind == "padded lines":
+        lines[at] = f"{pad}{lines[at]}{pad}"
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "non-integral":
+        lines[at] = data.draw(st.sampled_from(["1.5", "2.0", "x", "nan", "0x1"]))
+    elif kind == "out of range":
+        lines[at] = data.draw(st.sampled_from([str(n), str(n + 3), "-1"]))
+    elif kind == "short":
+        del lines[at]
+    elif kind == "long":
+        lines.append(data.draw(st.sampled_from([str(n), "a"])))
+    elif kind == "two tokens":
+        lines[at] = f"{lines[at]} {lines[at]}"
+
+
+def _stats_rows(perms, labels, letters):
+    """Expected ``stats`` rows, counted point by point."""
+    n = len(labels)
+    index = {sym: i for i, sym in enumerate(sorted(set(labels)))}
+    inverse = [[0] * n for _ in perms]
+    for k, perm in enumerate(perms):
+        for y, x in enumerate(perm):
+            inverse[k][x] = y
+    k = len(index)
+    counts = [[0] * k for _ in range(k)]
+    for x in range(n):
+        y = x  # g^{-1}x, the leftmost letter's inverse applied first
+        for s in letters:
+            y = inverse[s - 1][y] if s > 0 else perms[-s - 1][y]
+        counts[index[labels[x]]][index[labels[y]]] += 1
+    return [f"{i},{j},{counts[i][j] / n!r}" for i in range(k) for j in range(k)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_stats_prints_its_rows_or_nothing(data):
+    n = data.draw(st.integers(1, 30))
+    rank = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perms = [rng.permutation(n).tolist() for _ in range(rank)]
+    labels = data.draw(st.lists(st.sampled_from(_SYMBOLS), min_size=n, max_size=n))
+    letters = data.draw(
+        st.lists(st.sampled_from([s for k in range(1, rank + 1) for s in (k, -k)]))
+    )
+    target = data.draw(st.sampled_from(["perm", "labels", "word"]))
+    kind = data.draw(st.sampled_from(_HARMLESS + _REFUSED[target]))
+    tokens = [_LETTERS[s - 1] if s > 0 else _LETTERS[-s - 1].upper() for s in letters]
+    word = " ".join(tokens)
+    perm_lines = [[str(v) for v in perm] for perm in perms]
+    label_lines = list(labels)
+    if target == "perm":
+        which = data.draw(st.integers(0, rank - 1))
+        _damage(perm_lines[which], kind, data, " ")
+    elif target == "labels":
+        _damage(label_lines, kind, data, "\t")
+    elif kind == "blank lines":
+        word = "  ".join(tokens)
+    elif kind == "padded lines":
+        word = f" {word}\t"
+    elif kind != "none":
+        bad = {
+            "beyond the rank": _LETTERS[rank],
+            "two letters": "ab",
+            "digit": "1",
+            "identity among letters": "e",  # alone, "e" is the identity
+        }[kind]
+        tokens = tokens or [_LETTERS[0]]
+        at = data.draw(st.integers(0, len(tokens)))
+        word = " ".join(tokens[:at] + [bad] + tokens[at:])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"perm{k}.txt" for k in range(rank)]
+        for path, lines in zip(paths, perm_lines):
+            path.write_text("".join(f"{line}\n" for line in lines))
+        labels_path = Path(tmp) / "labels.txt"
+        labels_path.write_text("".join(f"{line}\n" for line in label_lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                [
+                    "stats",
+                    *(f"--perm={path}" for path in paths),
+                    f"--labels={labels_path}",
+                    f"--word={word}",
+                ]
+            )
+    if kind in _HARMLESS:
+        assert code == 0, err.getvalue()
+        rows = out.getvalue().splitlines()
+        assert rows == _stats_rows(perms, labels, letters)
+        assert len(rows) == len(set(labels)) ** 2
+        assert math.isclose(math.fsum(float(r.split(",")[2]) for r in rows), 1)
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

@@ -1,6 +1,7 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
 integer cast of an input outside ``_as_int64``, no permutation test outside
-``_as_permutation``, no stable sort, no cache in an object's ``__dict__``,
+``_as_permutation``, no stable sort, no inverse table of a generator
+outside ``FiniteAction``, no cache in an object's ``__dict__``,
 no file or stdout written outside ``cli._write_all``, the README calls only
 names the package has, and the public names and options are the registered
 ones."""
@@ -243,6 +244,56 @@ def test_no_stable_sort_in_src():
         f"{path.name}:{line}"
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
         for line in _stable_sorts(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def _inverse_tables(tree):
+    """Line of each ``.generator(...)`` call and each ``.inverses`` read
+    outside ``class FiniteAction``: the two ways to build and keep the
+    inverse of a generator, n more points per generator."""
+    own = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "FiniteAction"
+        for node in ast.walk(cls)
+    }
+    for node in ast.walk(tree):
+        if id(node) in own:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "inverses":
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "generator":
+                yield node.lineno
+
+
+_INVERSE_SAMPLES = """
+def flagged(a, k, parent):
+    p = parent[a.generator(-k)]
+    q = a.inverses[k - 1]
+    for inv in self.action.inverses:
+        r = FiniteAction(a.perms).generator(k)
+def kept(a, k, parent):
+    s = parent[a.perms[k - 1]], a.inverse, a.generators, np.random.Generator
+    return generator(k), "a.generator(-k)", "inverses", a.generator
+class FiniteAction:
+    def generator(self, letter):
+        return self.inverses[letter]
+"""
+
+
+def test_inverse_table_walk_finds_each_form():
+    assert sorted(_inverse_tables(ast.parse(_INVERSE_SAMPLES))) == [3, 4, 5, 6]
+
+
+def test_no_inverse_table_in_src():
+    # a negative letter gathers through its generator and a positive one
+    # scatters through it, so no library path needs an inverse
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        for line in _inverse_tables(ast.parse(path.read_text()))
     ]
     assert found == []
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -418,6 +419,7 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
         ("orbitforge.permutations", "cycle_min_labels"),
         ("orbitforge.permutations", "_cycle_decomposition"),
         ("orbitforge.spaces", "_as_permutation"),
+        ("orbitforge.permutations", "_inverse_permutation"),
     ):
         original = getattr(importlib.import_module(module), name)
 
@@ -444,10 +446,31 @@ def test_run_experiment_decomposes_each_source_generator_once(monkeypatch):
     # decompositions label their cycles without it
     assert calls["cycle_min_labels"] == 12
     # the rows of the five built actions: source and target (four) and the
-    # rewired action of each entry (six); the rearranged lines, the cached
-    # inverses and the decompositions are not checked again
+    # rewired action of each entry (six); the rearranged lines and the
+    # decompositions are not checked again
     assert calls["_as_permutation"] == 10
     assert checked == {"generator 1": 5, "generator 2": 5}
+    # words translate through the generators themselves, on the target and
+    # on each rewired action
+    assert calls["_inverse_permutation"] == 0
+
+
+def test_run_experiment_allocation_peak():
+    # at most 19 int64 arrays of n alive at once on the criterion-6 shape;
+    # holding the target action and the generators' inverse tables through
+    # every entry put it at about 22
+    n = 100_000
+    config = PipelineConfig(
+        n=n, rank=2, alphabet=2, eps_schedule=(0.1, 0.03, 0.01), seed=42
+    )
+    tracemalloc.start()
+    try:
+        result = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.all_bounds_held
+    assert peak <= 19 * 8 * n, peak
 
 
 def test_each_construction_refuses_a_line_that_is_not_injective(monkeypatch):
