@@ -202,7 +202,9 @@ def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
     Point x lands in the atom determined by its translated-label signature
     ``(P(g^{-1}x))_{g}``, read from ``translated_labels(a, p, words)``.
     Atom ids are dense, numbered by first occurrence in point order, so the
-    output is reproducible.
+    output is reproducible.  Words left once a re-rank of the packed
+    signatures finds every point in its own atom are not read: the
+    refinement is already discrete.
     """
     words = list(words)
     if not words:
@@ -214,7 +216,10 @@ def _refine(translated: dict, k: int, n: int) -> Observable:
     """``refine_partition`` from a ready table of labels in ``{0..k-1}``.
 
     Signatures are packed into one int64 code in mixed radix ``k``, which is
-    dense-ranked whenever another digit could pass 2^62.
+    dense-ranked whenever another digit could pass 2^62.  A re-rank that
+    finds n distinct codes has made every point its own atom, which no
+    further word can split: the atoms are then the points themselves, the
+    ids first-occurrence numbering gives, with no further packing or ranking.
     """
     code = np.zeros(n, dtype=np.int64)
     bound = 1  # every code is below bound
@@ -223,6 +228,8 @@ def _refine(translated: dict, k: int, n: int) -> Observable:
         if bound * radix > _PACK_LIMIT:
             distinct, code = np.unique(code, return_inverse=True)
             bound = distinct.shape[0]
+            if bound == n:
+                return Observable(np.arange(n), n)
         if bound * radix > _PACK_LIMIT:
             # only alphabets wider than 2^62 / n get here: rank the digits too
             distinct, digits = np.unique(digits, return_inverse=True)

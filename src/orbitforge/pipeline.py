@@ -207,15 +207,15 @@ def oe_approximate(
 def _target_side(b: FiniteAction, phi: Observable):
     """``(pair targets, word table)`` of ``(b, phi)``, counted once per schedule.
 
-    The pair target of generator s, the statistics of s^-1, is the transpose
-    of the counts of the letter s.  The table holds the ``_signed_cell_gap``
+    The pair target of generator s is the statistics of the word s^-1, which
+    the table's words include.  The table holds the ``_signed_cell_gap``
     tallies of the Kechris ball, one word of each inverse pair, against any
     observable of phi's size and alphabet.
     """
     k, words = phi.alphabet_size, ball(b.rank, KECHRIS_RADIUS)
     moved = translated_labels(b, phi, _one_per_inverse_pair(words))
-    letters = [moved[ReducedWord((s,))] for s in range(1, b.rank + 1)]
-    pairs = [_cell_counts(phi.labels * k, m, k).reshape(k, k).T for m in letters]
+    letters = [moved[ReducedWord((-s,))] for s in range(1, b.rank + 1)]
+    pairs = [_cell_counts(phi.labels * k, m, k).reshape(k, k) for m in letters]
     tally, _ = _signed_cell_gap(phi, phi)
     table = {g: tally(m) for g, m in moved.items()}
     return [Coupling.from_counts(c, phi.n) for c in pairs], table
@@ -284,7 +284,8 @@ def _oe_approximate(a, phi, eps, retries, seed, target):
     if not verify_oe(a, a_new):
         raise CertificationError("rewiring did not preserve orbits generator-wise")
     _, gap = _signed_cell_gap(phi, psi)
-    kech = _kechris(table, translated_labels(a_new, psi, table), gap, a.n * a.n)
+    moved = translated_labels(a_new, psi, table)
+    kech = _kechris((gap(t, moved[g]) for g, t in table.items()), a.n * a.n)
     report = PipelineReport(
         eps=eps,
         alphabet_size=alpha,
@@ -380,7 +381,7 @@ def parse_config(text: str) -> PipelineConfig:
 
     def as_int(key: str, value: str) -> int:
         try:
-            return int(value)
+            return _strict_int(value)
         except ValueError:
             raise ConfigError(f"field {key!r}: {value!r} is not an integer") from None
 
@@ -429,6 +430,19 @@ def _parse_lines(path, parse, what: str) -> list:
     return rows
 
 
+def _strict_int(text: str) -> int:
+    """A decimal integer in ASCII digits with an optional leading ``-``.
+
+    Python's ``int`` also reads ``1_0`` as 10, non-ASCII digits, a ``+``
+    sign and surrounding blanks; a file or config value spelled so is
+    refused instead.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _symbol(text: str) -> str:
     if len(text.split()) != 1:
         raise ValueError(text)
@@ -447,7 +461,7 @@ def _read_permutations(paths, n: int | None = None) -> np.ndarray:
 
     Each file lists one integer image per nonblank line.
     """
-    rows = [_parse_lines(path, int, "an integer image") for path in paths]
+    rows = [_parse_lines(path, _strict_int, "an integer image") for path in paths]
     perms = [np.asarray([v for _, v in r], dtype=np.int64) for r in rows]
     n = perms[0].shape[0] if n is None else n
     for path, perm in zip(paths, perms):

@@ -215,25 +215,33 @@ def _signed_cell_gap(p: Observable, q: Observable):
     the cell counts; otherwise it is ``moved_p``, and both sides' codes
     ``label·2k + 2·moved + side``, below ``2k^2 <= _PACK_LIMIT``, are sorted
     together and the weights ``n_q`` / ``-n_p`` summed over each cell's run.
+    ``_paired_cell_gap`` gives the same gap from both sides' labels at once,
+    counting only the points where two sides on the same points disagree.
     """
-    k, n_p, n_q = p.alphabet_size, p.n, q.n
+    k = p.alphabet_size
     if q.alphabet_size != k:
         raise ValueError("partitions must have the same atom count")
-    if k * k <= max(n_p, n_q):
-        rows_p, rows_q = p.labels * k, q.labels * k
+    return _cell_rule(p.labels, q.labels, k, q.n, p.n)
+
+
+def _cell_rule(labels_p, labels_q, k: int, weight_p: int, weight_q: int):
+    """``_signed_cell_gap`` over the points listed, a ``p`` point weighing
+    ``weight_p`` and a ``q`` point ``-weight_q``."""
+    if k * k <= max(labels_p.shape[0], labels_q.shape[0]):
+        rows_p, rows_q = labels_p * k, labels_q * k
 
         def tally(moved_p) -> np.ndarray:
             return _frozen(_cell_counts(rows_p, moved_p, k))
 
         def gap(counts_p, moved_q) -> int:
-            diff = counts_p * n_q
-            diff -= _cell_counts(rows_q, moved_q, k) * n_p
+            diff = counts_p * weight_p
+            diff -= _cell_counts(rows_q, moved_q, k) * weight_q
             return int(np.abs(diff).max())
 
         return tally, gap
     if 2 * k * k > _PACK_LIMIT:
         raise ValueError(f"{k} atoms are too many for int64 cell codes")
-    base = np.concatenate((p.labels * (2 * k), q.labels * (2 * k) + 1))
+    base = np.concatenate((labels_p * (2 * k), labels_q * (2 * k) + 1))
 
     def gap(moved_p, moved_q) -> int:
         codes = np.concatenate((moved_p, moved_q), dtype=np.int64)
@@ -242,10 +250,49 @@ def _signed_cell_gap(p: Observable, q: Observable):
         codes.sort()
         cells = codes >> 1
         starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-        weights = (codes & 1) * -(n_p + n_q) + n_q
+        weights = (codes & 1) * -(weight_p + weight_q) + weight_p
         return int(np.abs(np.add.reduceat(weights, starts)).max())
 
     return (lambda moved_p: moved_p), gap
+
+
+def _paired_cell_gap(p: Observable, q: Observable):
+    """``compare(moved_p, moved_q)``: ``gap(tally(moved_p), moved_q)`` of
+    ``_signed_cell_gap``, counting only the points where the sides disagree.
+
+    With ``n_p = n_q = n``, a point whose cell ``(label, moved label)`` is
+    the same on both sides adds ``+n`` and ``-n`` to that one cell, so
+    dropping it leaves every cell's difference as it was, and the rest is
+    counted by the same dense or sparse rule.  When more than a quarter of
+    the points disagree, as on unrelated sides, every point is counted:
+    gathering the rest would cost more than it saves.  Unequal point counts
+    weigh the sides differently, so there every point is counted too.
+    """
+    tally, gap = _signed_cell_gap(p, q)
+    n, k = p.n, p.alphabet_size
+
+    def every_point(moved_p, moved_q) -> int:
+        return gap(tally(moved_p), moved_q)
+
+    if q.n != n:
+        return every_point
+    differ = p.labels != q.labels
+    if 4 * np.count_nonzero(differ) > n:
+        return every_point  # the labels alone disagree on most points
+
+    def compare(moved_p, moved_q) -> int:
+        keep = moved_p != moved_q
+        keep |= differ
+        disagree = np.count_nonzero(keep)
+        if 4 * disagree > n:
+            return every_point(moved_p, moved_q)
+        if not disagree:
+            return 0
+        rest = np.flatnonzero(keep)
+        tally_rest, gap_rest = _cell_rule(p.labels[rest], q.labels[rest], k, n, n)
+        return gap_rest(tally_rest(moved_p[rest]), moved_q[rest])
+
+    return compare
 
 
 def empirical_distribution(phi: Observable) -> Dist:

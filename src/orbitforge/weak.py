@@ -2,12 +2,14 @@
 
 The statistics of an action against a partition are the intersection
 measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
-these numbers agree over a finite word set.  ``_kechris`` is the one path
-from one side's tallies, reusable against many actions, and the other
-side's translated labels to compared statistics, over one word of each
-inverse pair.  ``ball_transport_certificate`` carries a partition across an
-atom bijection on a ball refinement, reading one table per side, and
-measures, claim by claim, how much each transported quantity drifts.
+these numbers agree over a finite word set.  Compared statistics are read
+over one word of each inverse pair, and ``_kechris`` turns the word gaps
+into the distance.  Two sides on the same points are compared by
+``_paired_cell_gap``, which counts only the points where they disagree, so
+nearby actions, as in a transport, cost little more than those points.
+``ball_transport_certificate`` carries a partition across an atom bijection
+on a ball refinement, reading one table per side, and measures, claim by
+claim, how much each transported quantity drifts.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .spaces import (
     Observable,
     _as_permutation,
     _cell_counts,
-    _signed_cell_gap,
+    _paired_cell_gap,
 )
 
 __all__ = [
@@ -57,28 +59,39 @@ def kechris_distance(
     every word; computed in exact integer arithmetic.  Since
     ``mu(P_i ∩ g·P_j) = mu(g^{-1}·P_i ∩ P_j)``, the counts of ``g^{-1}`` are
     the transpose of those of ``g`` on both sides and give the same gap, so
-    a word whose inverse was already compared is skipped.
+    only one word of each inverse pair is compared.
     """
-    tally, gap = _signed_cell_gap(p, q)
+    compare = _paired_cell_gap(p, q)
     compared = _one_per_inverse_pair(words)
-    table = {g: tally(m) for g, m in translated_labels(v, p, compared).items()}
-    return _kechris(table, translated_labels(w, q, compared), gap, p.n * q.n)
+    moved_p = translated_labels(v, p, compared)
+    moved_q = translated_labels(w, q, compared)
+    return _kechris((compare(moved_p[g], moved_q[g]) for g in compared), p.n * q.n)
 
 
 def _one_per_inverse_pair(words) -> list[ReducedWord]:
-    """The words in order, less repeats and words whose inverse came earlier."""
-    compared: dict[ReducedWord, None] = {}
+    """One word of each inverse pair among ``words``, less repeats.
+
+    Of ``g`` and ``g^{-1}``, the word with more inverse letters is kept, the
+    first on a tie: ``translated_labels`` gathers an inverse letter where it
+    scatters a generator, and the two words give the same gap.
+    """
+    kept: dict[tuple, ReducedWord] = {}  # letters of the pair's first -> word kept
     for g in words:
-        if ReducedWord(tuple(-s for s in reversed(g.letters))) not in compared:
-            compared[g] = None
-    return list(compared)
+        inverse = tuple(-s for s in reversed(g.letters))
+        first = inverse if inverse in kept else g.letters
+        if first not in kept or _inverse_letters(g) > _inverse_letters(kept[first]):
+            kept[first] = g
+    return list(kept.values())
 
 
-def _kechris(table: dict, moved_q: dict, gap, cells: int) -> float:
-    """Largest ``gap`` of the tallies ``table`` (word -> one side's
-    ``_signed_cell_gap`` tally) to translated labels of the other side."""
-    worst = max((gap(t, moved_q[g]) for g, t in table.items()), default=0)
-    return float(Fraction(worst, cells))
+def _inverse_letters(g: ReducedWord) -> int:
+    return sum(s < 0 for s in g.letters)
+
+
+def _kechris(gaps, cells: int) -> float:
+    """The largest of the word ``gaps`` over ``cells``, as a correctly
+    rounded float; 0 over no word."""
+    return float(Fraction(max(gaps, default=0), cells))
 
 
 def _beta_partition(pprime: Observable, beta) -> Observable:
@@ -182,21 +195,32 @@ def ball_transport_certificate(
     )
 
     # Claim 2: beta extends to unions of refinement atoms, so beta(g·P_i) is
-    # the union of image atoms whose preimages tile g·P_i.
+    # the union of image atoms whose preimages tile g·P_i: x lies in it iff
+    # moved_p[g][pull[x]] == i.  moved_p[g] is constant on refinement atoms,
+    # so that is moved_p[g][x] wherever Q' and P' agree; when they disagree
+    # on few points, only those are gathered.
     moved_q = translated_labels(w, q, words)
     pull = first[qprime.labels]
+    moved_at = np.flatnonzero(qprime.labels != pprime.labels)
+    few = 4 * moved_at.size <= n
+    pull_at = pull[moved_at]
     claim2: dict[ReducedWord, float] = {}
     for g in words:
-        beta_image = moved_p[g][pull]
-        mismatch = beta_image != moved_q[g]
+        if few:
+            beta_image = moved_p[g].copy()
+            beta_image[moved_at] = moved_p[g][pull_at]
+        else:
+            beta_image = moved_p[g][pull]
+        mismatch = np.flatnonzero(beta_image != moved_q[g])
         lost = np.bincount(beta_image[mismatch], minlength=p.alphabet_size)
         gained = np.bincount(moved_q[g][mismatch], minlength=p.alphabet_size)
-        worst = int(np.max(lost + gained)) if mismatch.any() else 0
+        worst = int(np.max(lost + gained)) if mismatch.size else 0
         claim2[g] = worst / n
-    tally, gap = _signed_cell_gap(p, q)
+    compare = _paired_cell_gap(p, q)
     compared = _one_per_inverse_pair(words)
-    final = _kechris({g: tally(moved_p[g]) for g in compared}, moved_q, gap, n * n)
-    del moved_p, moved_q, pull  # freed before the hypothesis builds its own
+    final = _kechris((compare(moved_p[g], moved_q[g]) for g in compared), n * n)
+    # freed before the hypothesis builds its own
+    del moved_p, moved_q, pull, moved_at, pull_at
 
     # Generator-level hypothesis over the symmetric letter set.
     hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])

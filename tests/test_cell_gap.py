@@ -9,7 +9,10 @@ cells ``(label, moved label)``: dense ``bincount`` when
 oracle's ``Fraction`` exactly, on both branches, at the branch boundary,
 with unequal point counts, one-sided cells, empty atoms, a single atom and
 a single point.  A tally made once must give the same gaps against every
-other side.
+other side.  ``_paired_cell_gap`` gives the same gap from both sides'
+labels, counting only the points where sides on the same points disagree;
+it must match the oracle whether they agree everywhere, on all but a few
+points or nowhere.
 """
 
 from fractions import Fraction
@@ -29,7 +32,7 @@ from orbitforge import (
     translated_labels,
 )
 from orbitforge import spaces
-from orbitforge.spaces import _signed_cell_gap
+from orbitforge.spaces import _paired_cell_gap, _signed_cell_gap
 
 
 def _oracle(p, moved_p, q, moved_q) -> Fraction:
@@ -224,3 +227,100 @@ def test_generator_letters_on_a_fine_refinement():
     for g in letters:
         want = _oracle(p, moved_p[g], q, moved_q[g])
         assert Fraction(gap(moved_p[g], moved_q[g]), n * n) == want
+
+
+@st.composite
+def paired_sides(draw):
+    # q agrees with p everywhere, off a few points, or nowhere in general
+    # (fresh labels, or another point count); k*k against the point count
+    # picks the dense or the sparse branch
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 60))
+    symbols = st.integers(0, k - 1)
+    labels = np.array(draw(st.lists(symbols, min_size=n, max_size=n)))
+    moved = np.array(draw(st.lists(symbols, min_size=n, max_size=n)), dtype=np.uint8)
+    how = draw(st.sampled_from(["same", "few", "fresh", "unequal"]))
+    if how in ("same", "few"):
+        labels_q, moved_q = labels.copy(), moved.copy()
+        if how == "few":
+            changed = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 4)))
+            for x in changed:
+                labels_q[x] = draw(symbols)
+                moved_q[x] = draw(symbols)
+    else:
+        m = draw(st.integers(1, 60).filter(lambda m: m != n)) if how == "unequal" else n
+        labels_q = np.array(draw(st.lists(symbols, min_size=m, max_size=m)))
+        moved_q = np.array(
+            draw(st.lists(symbols, min_size=m, max_size=m)), dtype=np.uint8
+        )
+    return Observable(labels, k), moved, Observable(labels_q, k), moved_q
+
+
+@given(paired_sides())
+@settings(max_examples=300, deadline=None)
+def test_paired_gap_matches_oracle(case):
+    p, moved_p, q, moved_q = case
+    got = Fraction(_paired_cell_gap(p, q)(moved_p, moved_q), p.n * q.n)
+    assert got == _oracle(p, moved_p, q, moved_q)
+    assert got == _gap(p, moved_p, q, moved_q)
+    if p.n == q.n and np.array_equal(p.labels, q.labels):
+        if np.array_equal(moved_p, moved_q):
+            assert got == 0
+
+
+def _count_rules(monkeypatch):
+    # the point count of each side handed to the dense-or-sparse rule
+    sizes = []
+    original = spaces._cell_rule
+
+    def counted(labels_p, labels_q, *args):
+        sizes.append((labels_p.shape[0], labels_q.shape[0]))
+        return original(labels_p, labels_q, *args)
+
+    monkeypatch.setattr(spaces, "_cell_rule", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("k", [3, 300])
+def test_paired_gap_counts_only_the_disagreeing_points(monkeypatch, k):
+    # dense (k*k <= n) and sparse sides whose labels differ on 3 points and
+    # moved labels on 4, one point in both: 6 points; then on the 4 moved
+    # labels only.  Each comparison counts just those points, through the
+    # same rule, and the gap is the oracle's
+    n = 2000
+    p, moved_p = _side(n, k, 3)
+    labels_q = p.labels.copy()
+    labels_q[[5, 50, 500]] = (labels_q[[5, 50, 500]] + 1) % k
+    q = Observable(labels_q, k)
+    sizes = _count_rules(monkeypatch)
+    compare = _paired_cell_gap(p, q)
+    moved_q = moved_p.copy()
+    moved_q[[1, 2, 3, 5]] = (moved_q[[1, 2, 3, 5]] + 1) % k
+    want = _oracle(p, moved_p, q, moved_q)
+    assert Fraction(compare(moved_p, moved_q), n * n) == want
+    assert sizes[-1] == (6, 6)
+    compare = _paired_cell_gap(p, p)
+    assert Fraction(compare(moved_p, moved_q), n * n) == _oracle(
+        p, moved_p, p, moved_q
+    )
+    assert sizes[-1] == (4, 4)
+    # sides that agree everywhere give 0 without counting a point
+    built = len(sizes)
+    assert compare(moved_p, moved_p) == 0
+    assert len(sizes) == built
+
+
+@pytest.mark.parametrize("k", [3, 300])
+def test_paired_gap_counts_every_point_of_unrelated_sides(monkeypatch, k):
+    # labels or moved labels that disagree on most points: no rest is taken,
+    # the one rule over all n points serves every comparison
+    n = 2000
+    p, moved_p = _side(n, k, 4)
+    q, moved_q = _side(n, k, 5)
+    sizes = _count_rules(monkeypatch)
+    unrelated = _paired_cell_gap(p, q)
+    same_labels = _paired_cell_gap(p, p)
+    for compare, other in ((unrelated, q), (same_labels, p)):
+        got = Fraction(compare(moved_p, moved_q), n * n)
+        assert got == _oracle(p, moved_p, other, moved_q)
+    assert sizes == [(n, n), (n, n)]

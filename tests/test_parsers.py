@@ -203,3 +203,31 @@ def test_readme_config_example_parses():
     config = parse_config(block)
     assert config.eps_schedule == (0.1, 0.03, 0.01)
     assert (config.seed, config.retries, config.phi) == (42, 5, "balanced")
+
+
+@pytest.mark.parametrize("image", ["1_0", "٣", "+1", "1 0", "0x1"])
+def test_permutation_image_must_be_ascii_digits(tmp_path, image):
+    # Python's int reads 1_0 as 10 and the Arabic-Indic digit as 3; an
+    # image is ASCII digits with an optional leading '-', nothing else
+    path = tmp_path / "perm.txt"
+    path.write_text("".join(f"{v}\n" for v in range(11)) + f"{image}\n")
+    message = f"{path}: line 12: {image!r} is not an integer image"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _read_permutations([path])
+
+
+def test_negative_image_is_read_and_refused_as_out_of_range(tmp_path):
+    path = tmp_path / "perm.txt"
+    path.write_text("0\n-1\n")
+    with pytest.raises(ValueError, match="is not a permutation"):
+        _read_permutations([path])
+
+
+@pytest.mark.parametrize("value", ["1_0", "٣", "+1", "0x1"])
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_config_integer_must_be_ascii_digits(key, value):
+    values = {"n": "10", "rank": "1", "alphabet": "2", "seed": "0"}
+    values[key] = value
+    text = "\n".join(f"{k} = {v}" for k, v in values.items()) + "\neps = 0.1"
+    with pytest.raises(ConfigError, match=re.escape(f"field {key!r}: {value!r}")):
+        parse_config(text)

@@ -150,15 +150,32 @@ def test_certificate_with_image_partition_matches_oracle():
     assert repr(new) == repr(old)
 
 
-def test_wide_signatures_are_reranked(monkeypatch):
-    # |A| = 4 over the rank-3 radius-3 ball: 187 columns of 2 bits each, so
-    # the packed code is dense-ranked several times on the way
-    rng = np.random.default_rng(4)
-    n = 200
-    a = FiniteAction.from_perms([rng.permutation(n) for _ in range(3)])
-    p = Observable(rng.integers(0, 4, size=n), 4)
-    words = ball(3, 3)
-    assert len(words) == 187
+@pytest.mark.parametrize("form", ["atom ids", "image partition"])
+def test_certificate_with_few_moved_points_matches_oracle(form):
+    # beta moves few points: two refinement atoms trade ids, or the aligned
+    # image partition relabels a few points.  Claim 2 gathers only the
+    # points where Q' and P' disagree, and must still match the oracle
+    rng = np.random.default_rng(22)
+    n = 400
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    pprime = ref.refine_partition(p, ball(2, 1), v)
+    k = pprime.alphabet_size
+    if form == "atom ids":
+        beta = np.arange(k)
+        beta[[3, 7]] = beta[[7, 3]]
+    else:
+        labels = pprime.labels.copy()
+        labels[[0, 10, 20]] = labels[[20, 0, 10]]
+        beta = Observable(labels, k)
+    new = ball_transport_certificate(v, w, p, 1, beta, 0.3)
+    old = ref.ball_transport_certificate(v, w, p, 1, beta, 0.3)
+    assert repr(new) == repr(old)
+    assert max(new.claim2_max_per_word.values()) > 0
+
+
+def _count_reranks(monkeypatch):
     reranks = Counter()
     unique = np.unique
 
@@ -170,12 +187,46 @@ def test_wide_signatures_are_reranked(monkeypatch):
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted)
+    return reranks
+
+
+def test_wide_signatures_are_reranked(monkeypatch):
+    # |A| = 4 over the rank-3 radius-3 ball: 187 columns of 2 bits each, so
+    # the packed code is dense-ranked several times on the way.  Points x
+    # and x + 100 are moved alike and labelled alike, so no word separates
+    # them: at most 100 atoms on 200 points, never discrete
+    rng = np.random.default_rng(4)
+    half = 100
+    perms = [rng.permutation(half) for _ in range(3)]
+    a = FiniteAction.from_perms([np.r_[perm, perm + half] for perm in perms])
+    p = Observable(np.tile(rng.integers(0, 4, size=half), 2), 4)
+    words = ball(3, 3)
+    assert len(words) == 187
+    reranks = _count_reranks(monkeypatch)
     new = refine_partition(p, words, a)
-    monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.undo()
     # at least two reranks on the way, then the final ranking
     assert reranks["calls"] >= 3
     # atoms are numbered by first occurrence without a stable sort
     assert reranks["with_index"] == 0
+    assert new.alphabet_size <= half
+    assert_same_partition(new, ref.refine_partition(p, words, a))
+
+
+def test_discrete_refinement_stops_at_the_first_rerank(monkeypatch):
+    # on 200 random points the first rerank already finds 200 distinct
+    # codes: every point is its own atom, so the remaining words are not
+    # packed and no final ranking is made
+    rng = np.random.default_rng(4)
+    n = 200
+    a = FiniteAction.from_perms([rng.permutation(n) for _ in range(3)])
+    p = Observable(rng.integers(0, 4, size=n), 4)
+    words = ball(3, 3)
+    reranks = _count_reranks(monkeypatch)
+    new = refine_partition(p, words, a)
+    monkeypatch.undo()
+    assert reranks == Counter({"calls": 1})
+    assert new.alphabet_size == n
     assert_same_partition(new, ref.refine_partition(p, words, a))
 
 
@@ -312,21 +363,21 @@ def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
 
 
 def _count_compared(monkeypatch):
-    # words compared per kechris_distance call: one list entry per call
+    # words compared per two-sided comparison: one list entry per comparison
     compared = []
-    original = weak._signed_cell_gap
+    original = weak._paired_cell_gap
 
-    def counted_gap(p, q):
-        tally, gap = original(p, q)
+    def counted_pair(p, q):
+        compare = original(p, q)
         compared.append(0)
 
-        def counted(tally_p, moved_q):
+        def counted(moved_p, moved_q):
             compared[-1] += 1
-            return gap(tally_p, moved_q)
+            return compare(moved_p, moved_q)
 
-        return tally, counted
+        return counted
 
-    monkeypatch.setattr(weak, "_signed_cell_gap", counted_gap)
+    monkeypatch.setattr(weak, "_paired_cell_gap", counted_pair)
     return compared
 
 
