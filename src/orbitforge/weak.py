@@ -32,6 +32,7 @@ from .spaces import (
     Observable,
     _as_permutation,
     _cell_counts,
+    _few_disagree,
     _paired_cell_gap,
 )
 
@@ -202,7 +203,7 @@ def ball_transport_certificate(
     moved_q = translated_labels(w, q, words)
     pull = first[qprime.labels]
     moved_at = np.flatnonzero(qprime.labels != pprime.labels)
-    few = 4 * moved_at.size <= n
+    few = _few_disagree(moved_at.size, n)
     pull_at = pull[moved_at]
     claim2: dict[ReducedWord, float] = {}
     for g in words:
