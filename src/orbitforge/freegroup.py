@@ -2,8 +2,7 @@
 
 Letters are signed generator indices: ``+k`` is the k-th generator (1-based),
 ``-k`` its inverse.  A finite action assigns one permutation per generator
-and extends to words by composition; ``a.generator(s)`` is the permutation
-of the letter ``s``.
+and extends to words by composition.
 
 Composition convention: ``(uv)·P = u·(v·P)``, i.e. the leftmost letter acts
 last on the point.
@@ -17,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .permutations import CycleDecomposition, _cycle_decomposition, _inverse_permutation
+from .permutations import CycleDecomposition, _cycle_decomposition
 from .spaces import _PACK_LIMIT, Observable, _as_int64, _as_permutation, _frozen
 
 __all__ = [
@@ -102,13 +101,10 @@ def ball(rank: int, radius: int) -> list[ReducedWord]:
 class FiniteAction:
     """One permutation of ``{0..n-1}`` per free generator.
 
-    The generators' cycle decompositions and inverses are read-only and
-    built on first use, once per action: rewiring keeps orbits, so one
-    source action serves a whole eps schedule.  Only ``generator`` of a
-    negative letter reads the inverses; the library's own paths, word
-    translation included, never build them.  Threads that meet an empty
-    cache at once may each build it; the results are equal, as they depend
-    on the immutable ``perms`` alone.
+    The generators' cycle decompositions are read-only and built on first
+    use, once per action: rewiring keeps orbits, so one source action serves
+    a whole eps schedule.  No inverse permutation is kept: word translation
+    gathers an inverse letter through its generator.
     """
 
     perms: np.ndarray
@@ -137,17 +133,6 @@ class FiniteAction:
     @property
     def n(self) -> int:
         return int(self.perms.shape[1])
-
-    def generator(self, letter: int) -> np.ndarray:
-        """Permutation of a signed letter (negative = inverse)."""
-        k = abs(letter)
-        if not 1 <= k <= self.rank:
-            raise ValueError(f"letter {letter} outside rank {self.rank}")
-        return self.perms[k - 1] if letter > 0 else self.inverses[k - 1]
-
-    @cached_property
-    def inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(_frozen(_inverse_permutation(p)) for p in self.perms)
 
     @cached_property
     def cycle_decompositions(self) -> tuple[CycleDecomposition, ...]:

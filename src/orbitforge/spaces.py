@@ -262,7 +262,11 @@ def _few_disagree(count: int, n: int) -> bool:
 
     In-process sweeps at n = 5·10^4 to 10^5, on a 2-core x86 host, put the
     break-even at 35-50% for gathering the points of a dense comparison or
-    of a claim-2 image, and above 75% for a sparse comparison.
+    of a claim-2 image, and above 75% for a sparse comparison.  For a
+    radius-3 transport certificate built on the points near where the sides
+    differ, it is about 20% of the points: the near path takes 0.79, 0.87,
+    0.92, 0.99, 1.05, 1.21 and 1.31 times the every-point time at 5, 10,
+    15, 20, 25, 40 and 50%, so at a quarter it loses about 5%.
     """
     return 4 * count <= n
 

@@ -4,12 +4,14 @@ The statistics of an action against a partition are the intersection
 measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
 these numbers agree over a finite word set.  Compared statistics are read
 over one word of each inverse pair, and ``_kechris`` turns the word gaps
-into the distance.  Two sides on the same points are compared by
-``_paired_cell_gap``, which counts only the points where they disagree, so
-nearby actions, as in a transport, cost little more than those points.
+into the distance.  Nearby sides, as in a transport, differ only near the
+few points where their actions or partitions do: ``_near_side`` builds the
+``(w, Q)`` translates on those points alone, reads them from the ``(v, P)``
+table elsewhere, and the comparisons count only those points.  Sides that
+differ widely are translated whole and compared by ``_paired_cell_gap``.
 ``ball_transport_certificate`` carries a partition across an atom bijection
-on a ball refinement, reading one table per side, and measures, claim by
-claim, how much each transported quantity drifts.
+on a ball refinement and measures, claim by claim, how much each
+transported quantity drifts.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .spaces import (
     Observable,
     _as_permutation,
     _cell_counts,
+    _cell_rule,
     _few_disagree,
     _paired_cell_gap,
 )
@@ -60,13 +63,18 @@ def kechris_distance(
     every word; computed in exact integer arithmetic.  Since
     ``mu(P_i ∩ g·P_j) = mu(g^{-1}·P_i ∩ P_j)``, the counts of ``g^{-1}`` are
     the transpose of those of ``g`` on both sides and give the same gap, so
-    only one word of each inverse pair is compared.
+    only one word of each inverse pair is compared.  Nearby sides are
+    compared on ``_near_side``'s points alone.
     """
-    compare = _paired_cell_gap(p, q)
+    if q.alphabet_size != p.alphabet_size:
+        raise ValueError("partitions must have the same atom count")
     compared = _one_per_inverse_pair(words)
-    moved_p = translated_labels(v, p, compared)
-    moved_q = translated_labels(w, q, compared)
-    return _kechris((compare(moved_p[g], moved_q[g]) for g in compared), p.n * q.n)
+    suffixes = {ReducedWord(g.letters[i:]) for g in compared for i in range(len(g) + 1)}
+    moved_p = translated_labels(v, p, suffixes | {ReducedWord()})
+    radius = max(map(len, compared), default=0)
+    points, moved_q = _near_side(v, w, p, q, moved_p, radius)
+    gaps = _word_gaps(p, q, compared, moved_p, points, moved_q)
+    return _kechris(gaps, p.n * q.n)
 
 
 def _one_per_inverse_pair(words) -> list[ReducedWord]:
@@ -93,6 +101,110 @@ def _kechris(gaps, cells: int) -> float:
     """The largest of the word ``gaps`` over ``cells``, as a correctly
     rounded float; 0 over no word."""
     return float(Fraction(max(gaps, default=0), cells))
+
+
+def _near_side(v, w, p, q, moved_p: dict, radius: int, also=None):
+    """``(points, moved_q)``: the sorted ``points`` where the ``(w, Q)``
+    translates of the words of ``moved_p`` can differ from its ``(v, P)``
+    translates, and those ``(w, Q)`` translates there.
+
+    ``moved_p`` is the ``(v, P)`` table of a suffix-closed word set, the
+    identity included, of words no longer than ``radius``.  Level 0 holds
+    the points where ``P`` and ``Q`` differ or some generator of ``v`` and
+    ``w`` does; level j + 1 adds the images and preimages of level j under
+    each generator of ``w``; the points are level ``radius`` and the mask
+    ``also``.  Off them, ``(g·Q)(x) = (g·P)(x)`` for ``|g| <= radius``.  The
+    ``w``-walk ``x = x_0, ..., x_m`` of ``g^{-1}`` has ``x_i`` outside level
+    ``radius - i``, as ``x_{i+1}`` in level ``radius - i - 1`` would put
+    ``x_i`` in level ``radius - i``.  So every step starts outside level 1,
+    which holds the points where a generator of the two actions differs and
+    their images (one set under both actions): ``v`` takes the same step.
+    And the walk ends outside level 0, where ``P = Q``.
+
+    The values on the points are built from suffix parents as in
+    ``translated_labels``: for ``g = s·h``, ``(g·Q)(x) = (h·Q)(s^{-1}x)``,
+    read from the values of ``h`` where ``s^{-1}x`` is one of the points and
+    from ``moved_p[h]`` elsewhere.  For an inverse letter ``s^{-1}`` is a
+    gather through ``w``; for a generator it is read off the points whose
+    image is one of the points, so no inverse table is built.  When the
+    points are not few (``_few_disagree``), or the sides differ in rank or
+    point count, ``points`` is ``None`` and ``moved_q`` is the whole table
+    ``translated_labels(w, q, moved_p)``.
+    """
+    near = _near_points(v, w, p, q, radius, also)
+    if near is None:
+        return None, translated_labels(w, q, moved_p)
+    points = np.flatnonzero(near)
+    slot = np.empty(near.shape[0], dtype=np.int64)  # set at the points only
+    slot[points] = np.arange(points.size)
+    lookups = {}
+
+    def lookup(s: int):
+        # the targets s^{-1}x off the points, and where each point's value
+        # sits in the values of h followed by moved_p[h] at those targets
+        if s not in lookups:
+            perm = w.perms[abs(s) - 1]
+            if s < 0:
+                target = perm[points]
+            else:
+                before = np.flatnonzero(near[perm])
+                target = np.empty_like(points)
+                target[slot[perm[before]]] = before
+            off = ~near[target]
+            order = slot[target]
+            order[off] = np.arange(points.size, points.size + np.count_nonzero(off))
+            lookups[s] = target[off], order
+        return lookups[s]
+
+    table_p = {g.letters: labels for g, labels in moved_p.items()}
+    values = {(): q.labels[points].astype(table_p[()].dtype)}
+    for letters in sorted(table_p, key=len)[1:]:
+        h = letters[1:]
+        outside, order = lookup(letters[0])
+        values[letters] = np.concatenate((values[h], table_p[h][outside]))[order]
+    return points, {g: values[g.letters] for g in moved_p}
+
+
+def _near_points(v, w, p, q, radius: int, also):
+    """Mask of ``_near_side``'s points, or ``None`` when they are not few."""
+    n = v.n
+    if w.perms.shape != v.perms.shape or q.n != n:
+        return None
+    near = p.labels != q.labels
+    for pv, pw in zip(v.perms, w.perms):
+        differ = pv != pw
+        if not _few_disagree(np.count_nonzero(differ), n):
+            return None
+        near |= differ
+    for _ in range(radius):
+        points = np.flatnonzero(near)
+        if not _few_disagree(points.size, n):
+            return None
+        grown = near.copy()
+        for perm in w.perms:
+            grown |= near[perm]  # the points whose image is near
+            grown[perm[points]] = True
+        near = grown
+    if also is not None:
+        near |= also
+    return near if _few_disagree(np.count_nonzero(near), n) else None
+
+
+def _word_gaps(p, q, words, moved_p, points, moved_q) -> list[int]:
+    """Each word's ``_signed_cell_gap`` of ``(P, moved_p)`` against
+    ``(Q, moved_q)``, over ``_near_side``'s points or every point.
+
+    Off the points both sides put each point in the same cell, so counting
+    only the points leaves every cell's difference as it was.
+    """
+    if points is None:
+        compare = _paired_cell_gap(p, q)
+        return [compare(moved_p[g], moved_q[g]) for g in words]
+    if not points.size:
+        return [0] * len(words)
+    n = p.n
+    tally, gap = _cell_rule(p.labels[points], q.labels[points], p.alphabet_size, n, n)
+    return [gap(tally(moved_p[g][points]), moved_q[g]) for g in words]
 
 
 def _beta_partition(pprime: Observable, beta) -> Observable:
@@ -198,30 +310,37 @@ def ball_transport_certificate(
     # Claim 2: beta extends to unions of refinement atoms, so beta(g·P_i) is
     # the union of image atoms whose preimages tile g·P_i: x lies in it iff
     # moved_p[g][pull[x]] == i.  moved_p[g] is constant on refinement atoms,
-    # so that is moved_p[g][x] wherever Q' and P' agree; when they disagree
-    # on few points, only those are gathered.
-    moved_q = translated_labels(w, q, words)
+    # so that is moved_p[g][x] wherever Q' and P' agree, and that is
+    # moved_q[g][x] off the near points: the drift lies on those points.
+    # Sides that differ widely are compared on every point; when Q' and P'
+    # still disagree on few, only those are gathered.
     pull = first[qprime.labels]
-    moved_at = np.flatnonzero(qprime.labels != pprime.labels)
-    few = _few_disagree(moved_at.size, n)
-    pull_at = pull[moved_at]
+    moved_at = qprime.labels != pprime.labels
+    points, moved_q = _near_side(v, w, p, q, moved_p, radius, also=moved_at)
+    patch = None
+    if points is not None:
+        pull_at = pull[points]
+    elif _few_disagree(np.count_nonzero(moved_at), n):
+        patch = np.flatnonzero(moved_at)
+        pull_at = pull[patch]
+    else:
+        pull_at = pull
     claim2: dict[ReducedWord, float] = {}
     for g in words:
-        if few:
-            beta_image = moved_p[g].copy()
-            beta_image[moved_at] = moved_p[g][pull_at]
+        if patch is None:
+            beta_image = moved_p[g][pull_at]
         else:
-            beta_image = moved_p[g][pull]
+            beta_image = moved_p[g].copy()
+            beta_image[patch] = moved_p[g][pull_at]
         mismatch = np.flatnonzero(beta_image != moved_q[g])
         lost = np.bincount(beta_image[mismatch], minlength=p.alphabet_size)
         gained = np.bincount(moved_q[g][mismatch], minlength=p.alphabet_size)
         worst = int(np.max(lost + gained)) if mismatch.size else 0
         claim2[g] = worst / n
-    compare = _paired_cell_gap(p, q)
     compared = _one_per_inverse_pair(words)
-    final = _kechris((compare(moved_p[g], moved_q[g]) for g in compared), n * n)
+    final = _kechris(_word_gaps(p, q, compared, moved_p, points, moved_q), n * n)
     # freed before the hypothesis builds its own
-    del moved_p, moved_q, pull, moved_at, pull_at
+    del moved_p, moved_q, pull, moved_at, pull_at, patch
 
     # Generator-level hypothesis over the symmetric letter set.
     hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])

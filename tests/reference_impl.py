@@ -457,7 +457,8 @@ def evaluate(a: FiniteAction, w: ReducedWord) -> np.ndarray:
     result = np.arange(a.n, dtype=np.int64)
     for letter in w.letters:
         # extend on the right: result := result ∘ generator
-        result = result[a.generator(letter)]
+        perm = a.perms[abs(letter) - 1]
+        result = result[perm if letter > 0 else inverse_permutation(perm)]
     return result
 
 

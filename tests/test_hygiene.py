@@ -1,7 +1,8 @@
 """Package hygiene: export lists match the modules, no ``assert`` in src, no
 integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no stable sort, no inverse table of a generator
-outside ``FiniteAction``, no cache in an object's ``__dict__``,
+(the public ``inverse_permutation`` is the one caller of its kernel), no
+cache in an object's ``__dict__``,
 no file or stdout written outside ``cli._write_all``, the README calls only
 names the package has, and the public names and options are the registered
 ones."""
@@ -248,23 +249,21 @@ def test_no_stable_sort_in_src():
     assert found == []
 
 
-def _inverse_tables(tree):
-    """Line of each ``.generator(...)`` call and each ``.inverses`` read
-    outside ``class FiniteAction``: the two ways to build and keep the
-    inverse of a generator, n more points per generator."""
-    own = {
-        id(node)
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name == "FiniteAction"
-        for node in ast.walk(cls)
-    }
+def _inverse_tables(tree, kernel: bool = True):
+    """Line of each ``.generator(...)`` call, each ``.inverses`` read and,
+    with ``kernel``, each call of ``_inverse_permutation``: the ways to build
+    and keep the inverse of a generator, n more points per generator."""
     for node in ast.walk(tree):
-        if id(node) in own:
-            continue
         if isinstance(node, ast.Attribute) and node.attr == "inverses":
             yield node.lineno
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "generator":
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "generator":
+                yield node.lineno
+            elif kernel and "_inverse_permutation" in (
+                getattr(func, "attr", None),
+                getattr(func, "id", None),
+            ):
                 yield node.lineno
 
 
@@ -274,26 +273,29 @@ def flagged(a, k, parent):
     q = a.inverses[k - 1]
     for inv in self.action.inverses:
         r = FiniteAction(a.perms).generator(k)
+    before = _inverse_permutation(a.perms[k - 1])[near]
+    t = permutations._inverse_permutation(perm)
 def kept(a, k, parent):
     s = parent[a.perms[k - 1]], a.inverse, a.generators, np.random.Generator
     return generator(k), "a.generator(-k)", "inverses", a.generator
-class FiniteAction:
-    def generator(self, letter):
-        return self.inverses[letter]
+    u = inverse_permutation(perm), _inverse_permutation, "_inverse_permutation(p)"
 """
 
 
 def test_inverse_table_walk_finds_each_form():
-    assert sorted(_inverse_tables(ast.parse(_INVERSE_SAMPLES))) == [3, 4, 5, 6]
+    assert sorted(_inverse_tables(ast.parse(_INVERSE_SAMPLES))) == [3, 4, 5, 6, 7, 8]
 
 
 def test_no_inverse_table_in_src():
     # a negative letter gathers through its generator and a positive one
-    # scatters through it, so no library path needs an inverse
+    # scatters through it, so no library path needs an inverse; the public
+    # inverse_permutation in permutations.py is the one caller of the kernel
     found = [
         f"{path.name}:{line}"
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
-        for line in _inverse_tables(ast.parse(path.read_text()))
+        for line in _inverse_tables(
+            ast.parse(path.read_text()), kernel=path.name != "permutations.py"
+        )
     ]
     assert found == []
 

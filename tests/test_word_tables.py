@@ -294,8 +294,7 @@ def test_certificate_evaluates_no_word(monkeypatch):
     v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     p = Observable(rng.integers(0, 3, size=n), 3)
-    # counted on a copy, so that v's cache of inverses stays empty
-    atoms = ref.refine_partition(p, ball(2, 3), FiniteAction.from_perms(v.perms))
+    atoms = ref.refine_partition(p, ball(2, 3), v)
     beta = np.arange(atoms.alphabet_size)
     calls = _count_calls(
         monkeypatch,
@@ -318,11 +317,108 @@ def test_certificate_builds_each_ball_table_once(monkeypatch):
     beta = np.arange(ref.refine_partition(p, ball(2, 3), v).alphabet_size)
     calls = _count_calls(monkeypatch, [("orbitforge.freegroup", "translated_labels")])
     cert = ball_transport_certificate(v, w, p, 3, beta, 0.2)
-    # the ball tables of (v, P) and (w, Q), read by the refinement, claim 2
-    # and the final discrepancy, and the hypothesis's letter tables of
-    # (v, P') and (w, Q')
+    # unrelated sides: the ball tables of (v, P) and (w, Q), read by the
+    # refinement, claim 2 and the final discrepancy, and the hypothesis's
+    # letter tables of (v, P') and (w, Q')
     assert calls == Counter({"translated_labels": 4})
     assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
+
+
+def _transposed(v, rng, count):
+    """``v`` with the images of ``count`` random point pairs swapped, each
+    in a random generator."""
+    perms = v.perms.copy()
+    for _ in range(count):
+        k = rng.integers(v.rank)
+        x, y = rng.choice(v.n, size=2, replace=False)
+        perms[k, [x, y]] = perms[k, [y, x]]
+    return FiniteAction.from_perms(perms)
+
+
+def test_certificate_translates_only_the_v_side_of_nearby_actions(monkeypatch):
+    # w is v with 3 transpositions and the image partition relabels 4
+    # points: the (w, Q) and (w, Q') sides are built on the points near
+    # those, so only the ball table of (v, P) and the letter table of
+    # (v, P') are whole tables, and still no inverse is built
+    rng = np.random.default_rng(7)
+    n = 5000
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = _transposed(v, rng, 3)
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    atoms = ref.refine_partition(p, ball(2, 3), v)
+    image = atoms.labels.copy()
+    image[[1, 2, 3, 4]] = image[[10, 20, 30, 40]]
+    beta = Observable(image, atoms.alphabet_size)
+    calls = _count_calls(
+        monkeypatch,
+        [
+            ("orbitforge.freegroup", "translated_labels"),
+            ("orbitforge.permutations", "_inverse_permutation"),
+        ],
+    )
+    cert = ball_transport_certificate(v, w, p, 3, beta, 0.2)
+    assert calls == Counter({"translated_labels": 2})
+    assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
+
+
+@st.composite
+def nearby_sides(draw):
+    # w is v with 0 to n transpositions; Q differs from P at a few or at
+    # many points, and so does the certificate's image partition from P'
+    n = draw(st.integers(1, 60))
+    rank = draw(st.integers(1, 2))
+    radius = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 4))
+    swaps = draw(st.integers(0, n)) if n > 1 else 0
+    changed = draw(st.one_of(st.integers(0, 2), st.integers(n // 2, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = FiniteAction.from_perms([rng.permutation(n) for _ in range(rank)])
+    p = Observable(rng.integers(0, k, size=n), k)
+
+    def relabeled(labels):
+        out = labels.copy()
+        points = rng.choice(n, size=min(changed, n), replace=False)
+        out[points] = labels[rng.integers(0, n, size=points.size)]
+        return out
+
+    q = Observable(relabeled(p.labels), k)
+    atoms = ref.refine_partition(p, ball(rank, radius), v)
+    image = Observable(relabeled(atoms.labels), atoms.alphabet_size)
+    also = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return v, _transposed(v, rng, swaps), p, q, radius, image, also
+
+
+@given(nearby_sides(), st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_near_side_is_the_w_side_where_the_sides_can_differ(case, patch_always):
+    # the (w, Q) values on the near points are its translates there, and off
+    # them its translates are those of (v, P); certificate and distance
+    # match the oracle.  Patching at any share of points, not only a few,
+    # checks that the near points are a bound, not a guess
+    v, w, p, q, radius, image, also = case
+    words = ball(v.rank, radius)
+    moved_p = translated_labels(v, p, words)
+    full_q = translated_labels(w, q, words)
+    with pytest.MonkeyPatch.context() as mp:
+        if patch_always:
+            mp.setattr(weak, "_few_disagree", lambda count, n: True)
+        points, moved_q = weak._near_side(v, w, p, q, moved_p, radius, also)
+        new_cert = ball_transport_certificate(v, w, p, radius, image, 0.2)
+        new_distance = kechris_distance(v, w, p, q, words)
+    if points is None:
+        assert not patch_always
+        for g in words:
+            assert np.array_equal(moved_q[g], full_q[g])
+    else:
+        off = np.ones(v.n, dtype=bool)
+        off[points] = False
+        assert not np.any(also & off)
+        for g in words:
+            assert np.array_equal(moved_q[g], full_q[g][points])
+            assert np.array_equal(full_q[g][off], moved_p[g][off])
+    want = ref.ball_transport_certificate(v, w, p, radius, image, 0.2)
+    assert repr(new_cert) == repr(want)
+    assert repr(new_distance) == repr(ref.kechris_distance(v, w, p, q, words))
 
 
 def _inverse(g):
@@ -363,48 +459,62 @@ def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
 
 
 def _count_compared(monkeypatch):
-    # words compared per two-sided comparison: one list entry per comparison
+    # [path, words compared] per two-sided comparison: on every point through
+    # _paired_cell_gap, or on the points near where nearby sides differ
+    # through one _cell_rule
     compared = []
-    original = weak._paired_cell_gap
+    pair, rule = weak._paired_cell_gap, weak._cell_rule
 
-    def counted_pair(p, q):
-        compare = original(p, q)
-        compared.append(0)
+    def counted(path, compare):
+        compared.append([path, 0])
 
-        def counted(moved_p, moved_q):
-            compared[-1] += 1
-            return compare(moved_p, moved_q)
+        def count(*args):
+            compared[-1][1] += 1
+            return compare(*args)
 
-        return counted
+        return count
 
-    monkeypatch.setattr(weak, "_paired_cell_gap", counted_pair)
+    def counted_rule(*args):
+        tally, gap = rule(*args)
+        return tally, counted("near", gap)
+
+    monkeypatch.setattr(
+        weak, "_paired_cell_gap", lambda p, q: counted("every", pair(p, q))
+    )
+    monkeypatch.setattr(weak, "_cell_rule", counted_rule)
     return compared
 
 
 @pytest.mark.parametrize("radius, want", [(2, 9), (3, 27)])
 def test_kechris_distance_compares_each_inverse_pair_once(monkeypatch, radius, want):
+    # against an unrelated w on every point, and against v with one
+    # transposition on the points near it
     rng = np.random.default_rng(radius)
-    n = 400
+    n = 2000
     v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     p = Observable(rng.integers(0, 3, size=n), 3)
     q = Observable(rng.integers(0, 3, size=n), 3)
     words = ball(2, radius)
     compared = _count_compared(monkeypatch)
-    distance = kechris_distance(v, w, p, q, words)
-    assert compared == [want]
-    assert repr(distance) == repr(ref.kechris_distance(v, w, p, q, words))
+    for other, part in ((w, q), (_transposed(v, rng, 1), p)):
+        distance = kechris_distance(v, other, p, part, words)
+        assert repr(distance) == repr(ref.kechris_distance(v, other, p, part, words))
+    assert compared == [["every", want], ["near", want]]
 
 
 def test_certificate_compares_each_inverse_pair_once(monkeypatch):
     rng = np.random.default_rng(8)
-    n = 400
+    n = 2000
     v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     p = Observable(rng.integers(0, 3, size=n), 3)
     beta = np.arange(ref.refine_partition(p, ball(2, 2), v).alphabet_size)
     compared = _count_compared(monkeypatch)
-    cert = ball_transport_certificate(v, w, p, 2, beta, 0.2)
-    # the final discrepancy compares 9 words, the letter hypothesis a and b
-    assert compared == [9, 2]
-    assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 2, beta, 0.2))
+    for other in (w, _transposed(v, rng, 1)):
+        cert = ball_transport_certificate(v, other, p, 2, beta, 0.2)
+        want = ref.ball_transport_certificate(v, other, p, 2, beta, 0.2)
+        assert repr(cert) == repr(want)
+    # each time, the final discrepancy compares 9 words, the letter
+    # hypothesis a and b
+    assert compared == [["every", 9], ["every", 2], ["near", 9], ["near", 2]]
