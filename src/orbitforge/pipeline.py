@@ -53,7 +53,6 @@ __all__ = [
     "PipelineReport",
     "ExperimentResult",
     "good_observable",
-    "oe_approximate",
     "verify_oe",
     "parse_config",
     "run_experiment",
@@ -177,33 +176,6 @@ class PipelineReport:
         return all(g.achieved_error <= g.bound for g in self.generators)
 
 
-def oe_approximate(
-    a: FiniteAction,
-    b: FiniteAction,
-    phi: Observable,
-    eps: float,
-    retries: int,
-    seed: int,
-) -> tuple[FiniteAction, Observable, PipelineReport]:
-    """Rewire ``a`` generator by generator toward the statistics of ``b``.
-
-    The source observable is sampled by ``good_observable`` from the label
-    distribution of ``phi``.  Returns the rewired action (same orbits as
-    ``a``, generator-wise), that observable, and a per-generator report
-    with the Kechris distance over the ball of radius ``KECHRIS_RADIUS``.
-    The triangle decomposition achieved <= rewire_error + mixture_gap, the
-    mixture bound mixture_gap <= eps and orbit preservation are checked on
-    every run; a failure raises ``CertificationError``.  The cycles of
-    ``a`` are decomposed once, on the action, and shared by sampling,
-    rewiring and the orbit check.
-    """
-    if a.rank != b.rank or a.n != b.n:
-        raise ValueError("actions must share rank and space size")
-    if phi.n != a.n:
-        raise ValueError("observable size does not match the actions")
-    return _oe_approximate(a, phi, eps, retries, seed, _target_side(b, phi))
-
-
 def _target_side(b: FiniteAction, phi: Observable):
     """``(pair targets, word table)`` of ``(b, phi)``, counted once per schedule.
 
@@ -222,7 +194,19 @@ def _target_side(b: FiniteAction, phi: Observable):
 
 
 def _oe_approximate(a, phi, eps, retries, seed, target):
-    """``oe_approximate`` against the ready ``_target_side`` of ``(b, phi)``."""
+    """Rewire ``a`` generator by generator toward the statistics of ``(b, phi)``.
+
+    ``target`` is ``_target_side(b, phi)``, for ``b`` of ``a``'s rank and
+    size and ``phi`` of its size.  The source observable is sampled by
+    ``good_observable`` from the label distribution of ``phi``.  Returns the
+    rewired action (same orbits as ``a``, generator-wise), that observable,
+    and a per-generator report with the Kechris distance over the ball of
+    radius ``KECHRIS_RADIUS``.  The triangle decomposition achieved <=
+    rewire_error + mixture_gap, the mixture bound mixture_gap <= eps and
+    orbit preservation are checked on every run; a failure raises
+    ``CertificationError``.  The cycles of ``a`` are decomposed once, on the
+    action, and shared by sampling, rewiring and the orbit check.
+    """
     if not eps < 1 / 6:
         raise PreconditionError(f"eps={eps:.6g} is not below 1/6")
     pi = empirical_distribution(phi)

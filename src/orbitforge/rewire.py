@@ -170,7 +170,7 @@ def _rewire_cycles(
     Also returns the pair distribution of the rewired permutation, which
     ``achieved_error`` measures against ``j``.  The rewired permutation is
     checked by the callers that hand it out: ``rewire`` and the rows of the
-    ``FiniteAction`` that ``oe_approximate`` builds.
+    ``FiniteAction`` that ``pipeline._oe_approximate`` builds.
     """
     n = dec.n
     if n == 0:

@@ -215,8 +215,7 @@ def _signed_cell_gap(p: Observable, q: Observable):
     the cell counts; otherwise it is ``moved_p``, and both sides' codes
     ``label·2k + 2·moved + side``, below ``2k^2 <= _PACK_LIMIT``, are sorted
     together and the weights ``n_q`` / ``-n_p`` summed over each cell's run.
-    ``_paired_cell_gap`` gives the same gap from both sides' labels at once,
-    counting only the points where two sides on the same points disagree.
+    ``_cell_rule`` gives the same gap over the points listed alone.
     """
     k = p.alphabet_size
     if q.alphabet_size != k:
@@ -254,65 +253,6 @@ def _cell_rule(labels_p, labels_q, k: int, weight_p: int, weight_q: int):
         return int(np.abs(np.add.reduceat(weights, starts)).max())
 
     return (lambda moved_p: moved_p), gap
-
-
-def _few_disagree(count: int, n: int) -> bool:
-    """Whether ``count`` of ``n`` points, at most a quarter, are few enough
-    that handling only them beats one pass over every point.
-
-    In-process sweeps at n = 5·10^4 to 10^5, on a 2-core x86 host, put the
-    break-even at 35-50% for gathering the points of a dense comparison or
-    of a claim-2 image, and above 75% for a sparse comparison.  For a
-    radius-3 transport certificate built on the points near where the sides
-    differ, it is about 20% of the points: the near path takes 0.79, 0.87,
-    0.92, 0.99, 1.05, 1.21 and 1.31 times the every-point time at 5, 10,
-    15, 20, 25, 40 and 50%, so at a quarter it loses about 5%.
-    """
-    return 4 * count <= n
-
-
-def _paired_cell_gap(p: Observable, q: Observable):
-    """``compare(moved_p, moved_q)``: ``gap(tally(moved_p), moved_q)`` of
-    ``_signed_cell_gap``, counting only the points where the sides disagree.
-
-    With ``n_p = n_q = n``, a point whose cell ``(label, moved label)`` is
-    the same on both sides adds ``+n`` and ``-n`` to that one cell, so
-    dropping it leaves every cell's difference as it was, and the rest is
-    counted by the same dense or sparse rule.  When more than a quarter of
-    the points disagree (``_few_disagree``), as on unrelated sides, every
-    point is counted: gathering the rest would cost more than it saves.
-    Unequal point counts weigh the sides differently, so there every point
-    is counted too.  The every-point rule is built the first time a
-    comparison needs it.
-    """
-    n, k = p.n, p.alphabet_size
-    if q.alphabet_size != k:
-        raise ValueError("partitions must have the same atom count")
-    rule = []  # _signed_cell_gap's (tally, gap), once built
-
-    def every_point(moved_p, moved_q) -> int:
-        if not rule:
-            rule.extend(_signed_cell_gap(p, q))
-        tally, gap = rule
-        return gap(tally(moved_p), moved_q)
-
-    if q.n != n:
-        return every_point
-    differ = p.labels != q.labels
-
-    def compare(moved_p, moved_q) -> int:
-        keep = moved_p != moved_q
-        keep |= differ
-        disagree = np.count_nonzero(keep)
-        if not _few_disagree(disagree, n):
-            return every_point(moved_p, moved_q)
-        if not disagree:
-            return 0
-        rest = np.flatnonzero(keep)
-        tally_rest, gap_rest = _cell_rule(p.labels[rest], q.labels[rest], k, n, n)
-        return gap_rest(tally_rest(moved_p[rest]), moved_q[rest])
-
-    return compare
 
 
 def empirical_distribution(phi: Observable) -> Dist:

@@ -5,17 +5,22 @@ Usage, from the root of a checkout::
     python tests/golden.py            # print the digests of this tree
     python tests/golden.py --write    # regenerate tests/golden.json
 
-The digests cover the check digest of each ``perfbench`` workload at two
-seeds, built by the workload's own generate, call and check functions, and
-the CSV and JSON texts of the criterion-6 pipeline run at two seeds, and
-the ``repr`` of three transport certificates off the ``transport_ball_r3``
-inputs, on both sides of the rule that compares only the points where two
-sides disagree.  The
-file also records the numpy and Python versions it was made with: numpy
+The digests cover:
+
+- the check digest of each ``perfbench`` workload at two seeds, built by
+  the workload's own generate, call and check functions;
+- the CSV and JSON texts of the criterion-6 pipeline run at two seeds;
+- the ``repr`` of five transport certificates and one radius-2
+  ``kechris_distance`` off the ``transport_ball_r3`` inputs, with sides
+  compared on the points near where they differ and on every point;
+- the stdout of each demo.
+
+The file also records the numpy and Python versions it was made with: numpy
 does not promise the same ``Generator`` streams across versions (NEP 19),
 so digests made on another numpy are not comparable.  ``test_golden.py``
-recomputes every digest.  A change that alters an output on purpose
-regenerates the file and explains each changed digest.
+recomputes every digest but the demos', which ``test_demos.py`` checks as it
+runs them.  A change that alters an output on purpose regenerates the file
+and explains each changed digest.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden.json")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 WORKLOAD_SEEDS = (101, 977)
 # the criterion-6 run of test_acceptance.py, at each of these seeds
 CRITERION_6 = dict(n=100_000, rank=2, alphabet=2, eps_schedule=(0.1, 0.03, 0.01))
@@ -56,18 +64,22 @@ def _sha256(text: str) -> str:
 
 
 def _transport_variants(workload, seed: int) -> dict:
-    """Certificates off the workload's nearby inputs, by name.
+    """Certificates and a distance off the workload's nearby inputs, by name.
 
-    A beta that permutes every refinement atom at random and an unrelated
-    ``w`` make the two sides differ almost everywhere; an image partition
-    that relabels 10 points keeps them nearby but makes the transported
-    partition differ from ``P`` there.
+    A beta that permutes every refinement atom at random, or only the atoms
+    within each coarse atom, moves most points, and an unrelated ``w``, or
+    one whose generator 2 reshuffles its images on 30% of the points (also
+    under the radius-2 distance), differs from ``v`` on most points within
+    the radius: those sides are compared on every point.  An image
+    partition that relabels 10 points keeps the sides nearby but makes the
+    transported partition differ from ``P`` there.
     """
     from orbitforge import (
         FiniteAction,
         Observable,
         ball,
         ball_transport_certificate,
+        kechris_distance,
         refine_partition,
     )
 
@@ -76,18 +88,34 @@ def _transport_variants(workload, seed: int) -> dict:
     atoms = beta.shape[0]
     shuffled = rng.permutation(atoms)
     unrelated = FiniteAction.from_perms([rng.permutation(v.n) for _ in range(v.rank)])
-    relabeled = refine_partition(p, ball(v.rank, radius), v).labels.copy()
+    refinement = refine_partition(p, ball(v.rank, radius), v).labels
+    relabeled = refinement.copy()
     points = rng.choice(v.n, size=20, replace=False)
     relabeled[points[:10]] = relabeled[points[10:]]
+    _, first = np.unique(refinement, return_index=True)
+    within = np.arange(atoms)
+    for part in range(p.alphabet_size):
+        ids = np.flatnonzero(p.labels[first] == part)
+        within[ids] = ids[rng.permutation(ids.size)]
+    perms = v.perms.copy()
+    picked = rng.choice(v.n, size=3 * v.n // 10, replace=False)
+    perms[1, picked] = perms[1, rng.permutation(picked)]
+    reshuffled = FiniteAction.from_perms(perms)
     cases = {
         "beta permutes every atom": (w, shuffled),
         "unrelated w": (unrelated, beta),
         "image relabels a few points": (w, Observable(relabeled, atoms)),
+        "beta permutes atoms within their coarse atom": (w, within),
+        "w reshuffles generator 2 on 30% of points": (reshuffled, beta),
     }
-    return {
+    out = {
         name: ball_transport_certificate(v, other, p, radius, image, eps)
         for name, (other, image) in cases.items()
     }
+    out["radius-2 kechris_distance, w reshuffles generator 2 on 30% of points"] = (
+        kechris_distance(v, reshuffled, p, p, ball(v.rank, 2))
+    )
+    return out
 
 
 def digests() -> dict[str, str]:
@@ -109,8 +137,32 @@ def digests() -> dict[str, str]:
         out[f"criterion 6 seed {seed} csv"] = _sha256(result.csv_text)
         out[f"criterion 6 seed {seed} json"] = _sha256(result.json_text)
     transport = workloads["transport_ball_r3"]
-    for name, cert in _transport_variants(transport, TRANSPORT_SEED).items():
-        out[f"transport {name} seed {TRANSPORT_SEED} repr"] = _sha256(repr(cert))
+    for name, value in _transport_variants(transport, TRANSPORT_SEED).items():
+        out[f"transport {name} seed {TRANSPORT_SEED} repr"] = _sha256(repr(value))
+    return out
+
+
+def run_demo(script: Path) -> subprocess.CompletedProcess:
+    """Run one demo script against the library in ``src``, capturing its output."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=ROOT,
+        timeout=300,
+    )
+
+
+def demo_digests() -> dict[str, str]:
+    """The sha256 of each demo's stdout, by script name."""
+    out = {}
+    for script in DEMOS:
+        proc = run_demo(script)
+        if proc.returncode:
+            raise RuntimeError(f"{script.name} exited {proc.returncode}: {proc.stderr}")
+        out[script.stem] = _sha256(proc.stdout)
     return out
 
 
@@ -118,12 +170,26 @@ def versions() -> dict[str, str]:
     return {"numpy": np.__version__, "python": platform.python_version()}
 
 
+def recorded() -> dict:
+    """The contents of ``golden.json``, refused on another numpy version."""
+    want = json.loads(GOLDEN.read_text())
+    here = versions()
+    # numpy does not promise the same Generator streams across versions
+    if here["numpy"] != want["numpy"]:
+        raise AssertionError(
+            f"{GOLDEN.name} was made with numpy {want['numpy']}, and this is "
+            f"numpy {here['numpy']}; its digests do not apply here.  Regenerate "
+            "it with `python tests/golden.py --write` on the parent commit first."
+        )
+    return want
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN.name}")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    record = {**versions(), "digests": digests()}
+    record = {**versions(), "digests": digests(), "demos": demo_digests()}
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.write:
         GOLDEN.write_text(text)

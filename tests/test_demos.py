@@ -1,25 +1,18 @@
-"""Each demo script runs to completion against the library in ``src``."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Each demo script runs to completion against the library in ``src`` and
+prints, byte for byte, the stdout whose digest ``golden.json`` holds."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+import golden
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+@pytest.mark.parametrize("script", golden.DEMOS, ids=[p.stem for p in golden.DEMOS])
 def test_demo_exits_cleanly(script):
-    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        cwd=ROOT,
-        timeout=300,
-    )
+    proc = golden.run_demo(script)
     assert proc.returncode == 0, proc.stderr
+    want = golden.recorded()["demos"][script.stem]
+    assert golden._sha256(proc.stdout) == want, proc.stdout
+
+
+def test_every_demo_is_pinned():
+    assert sorted(golden.recorded()["demos"]) == [p.stem for p in golden.DEMOS]

@@ -495,7 +495,6 @@ PUBLIC = [
     "pipeline.PipelineConfig",
     "pipeline.PipelineReport",
     "pipeline.good_observable",
-    "pipeline.oe_approximate",
     "pipeline.parse_config",
     "pipeline.run_experiment",
     "pipeline.verify_oe",

@@ -27,7 +27,6 @@ from orbitforge import (
     joint_pair_distribution,
     linf,
     mixture_coupling,
-    oe_approximate,
     parse_config,
     permutation_with_cycle_lengths,
     rearrange_line,
@@ -41,6 +40,12 @@ from orbitforge.pipeline import (
     _read_labels,
     _read_permutations,
 )
+
+
+def _oe_approximate(a, b, phi, eps, retries, seed):
+    """The pipeline's rewiring of ``a`` toward the statistics of ``(b, phi)``."""
+    target = pipeline._target_side(b, phi)
+    return pipeline._oe_approximate(a, phi, eps, retries, seed, target)
 
 
 def test_good_observable_single_symbol_immediate():
@@ -127,7 +132,7 @@ def test_oe_approximate_refuses_an_unused_symbol():
     b = FiniteAction.from_perms([np.arange(6)])
     phi = Observable(np.zeros(6, dtype=np.int64), 2)
     with pytest.raises(ValueError, match="restrict"):
-        oe_approximate(b, b, phi, 0.1, retries=5, seed=0)
+        _oe_approximate(b, b, phi, 0.1, retries=5, seed=0)
 
 
 def _long_cycle_instance():
@@ -141,7 +146,7 @@ def _long_cycle_instance():
 
 def test_oe_approximate_self_target():
     a, phi = _long_cycle_instance()
-    a2, psi, report = oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
+    a2, psi, report = _oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
     # one long cycle per generator: the first sampled observable is accepted
     assert report.retries_used == 1
     assert verify_oe(a, a2)
@@ -155,7 +160,7 @@ def test_oe_approximate_self_target():
 def test_oe_approximate_reports_the_10_a_eps_bound():
     a, phi = _long_cycle_instance()
     for eps in (0.05, 0.03):
-        _, _, report = oe_approximate(a, a, phi, eps, retries=5, seed=0)
+        _, _, report = _oe_approximate(a, a, phi, eps, retries=5, seed=0)
         assert report.bound == 10 * 2 * eps
         assert [g.bound for g in report.generators] == [10 * 2 * eps] * 2
 
@@ -171,11 +176,11 @@ def test_oe_approximate_certifies_the_mixture_gap_at_eps(monkeypatch):
         return lambda c, eps, pi: Coupling.from_probs(c.real + step)
 
     monkeypatch.setattr(pipeline, "mixture_coupling", shifted(eps))
-    _, _, report = oe_approximate(a, a, phi, eps, retries=5, seed=0)
+    _, _, report = _oe_approximate(a, a, phi, eps, retries=5, seed=0)
     assert all(abs(g.mixture_gap - eps) < 1e-12 for g in report.generators)
     monkeypatch.setattr(pipeline, "mixture_coupling", shifted(1.01 * eps))
     with pytest.raises(CertificationError, match="generator 0: mixture gap"):
-        oe_approximate(a, a, phi, eps, retries=5, seed=0)
+        _oe_approximate(a, a, phi, eps, retries=5, seed=0)
 
 
 def test_oe_approximate_identity_generator_reports_failure():
@@ -185,7 +190,7 @@ def test_oe_approximate_identity_generator_reports_failure():
     b = FiniteAction.from_perms([rng.permutation(n) for _ in range(2)])
     phi = Observable(np.arange(n) % 2, 2)
     with pytest.raises(GoodObservableError):
-        oe_approximate(a, b, phi, 0.05, retries=2, seed=0)
+        _oe_approximate(a, b, phi, 0.05, retries=2, seed=0)
 
 
 def test_verify_oe_examples():
@@ -360,7 +365,8 @@ phi = of.Observable(np.arange(n) % 2, 2)
 
 def run(name, target):
     try:
-        pipeline.oe_approximate(a, target, phi, 0.05, retries=5, seed=0)
+        side = pipeline._target_side(target, phi)
+        pipeline._oe_approximate(a, phi, 0.05, 5, 0, side)
     except of.CertificationError as exc:
         print(name, "raised:", exc)
     else:
@@ -503,7 +509,7 @@ def test_each_construction_refuses_a_line_that_is_not_injective(monkeypatch):
         [permutation_with_cycle_lengths([n], rng) for _ in range(2)]
     )
     with pytest.raises(ValueError, match="^generator 1 is not a permutation$"):
-        oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
+        _oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
     # one line each for rearrange_line and rewire, one per generator after
     assert corrupted == [1, 1, 1, 1]
 
@@ -549,7 +555,7 @@ def test_run_experiment_counts_the_target_once_per_run(monkeypatch):
 
 
 def test_oe_approximate_matches_the_run_experiment_entry():
-    # the public call counts its own target side; the run counts it once for
+    # a lone call counts its own target side; the run counts it once for
     # every entry, and both must report the same
     config = PipelineConfig(
         n=6000, rank=2, alphabet=3, eps_schedule=(0.1, 0.05), seed=4, retries=5
@@ -561,7 +567,7 @@ def test_oe_approximate_matches_the_run_experiment_entry():
     for idx, eps in enumerate(config.eps_schedule):
         seq = np.random.SeedSequence((config.seed, 303, idx))
         seed = int(seq.generate_state(1)[0])
-        _, _, report = oe_approximate(a, b, phi, eps, retries=config.retries, seed=seed)
+        _, _, report = _oe_approximate(a, b, phi, eps, config.retries, seed)
         assert report == result.reports[idx]
 
 
@@ -581,7 +587,7 @@ def test_errors_are_measured_against_the_target_pairs_at_three_symbols():
     b = FiniteAction.from_perms([x - x % 3 + (x + shift) % 3, rng.permutation(n)])
     phi = Observable(x % 3, 3)
     pi = empirical_distribution(phi)
-    a_new, psi, report = oe_approximate(a, b, phi, eps, retries=5, seed=3)
+    a_new, psi, report = _oe_approximate(a, b, phi, eps, retries=5, seed=3)
     pairs = joint_pair_distribution(phi, b.perms[0])
     assert not np.array_equal(pairs.counts, pairs.counts.T)
     for s, g in enumerate(report.generators):

@@ -153,8 +153,8 @@ def test_certificate_with_image_partition_matches_oracle():
 @pytest.mark.parametrize("form", ["atom ids", "image partition"])
 def test_certificate_with_few_moved_points_matches_oracle(form):
     # beta moves few points: two refinement atoms trade ids, or the aligned
-    # image partition relabels a few points.  Claim 2 gathers only the
-    # points where Q' and P' disagree, and must still match the oracle
+    # image partition relabels a few points.  w is unrelated, so claim 2
+    # gathers beta's image on every point, and must still match the oracle
     rng = np.random.default_rng(22)
     n = 400
     v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
@@ -458,29 +458,23 @@ def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
     assert bool(dense_calls) == dense
 
 
-def _count_compared(monkeypatch):
-    # [path, words compared] per two-sided comparison: on every point through
-    # _paired_cell_gap, or on the points near where nearby sides differ
-    # through one _cell_rule
+def _count_compared(monkeypatch, n):
+    # [path, words compared] per two-sided comparison, each one _cell_rule:
+    # on every one of the n points, or on the points near where nearby
+    # sides differ
     compared = []
-    pair, rule = weak._paired_cell_gap, weak._cell_rule
+    rule = weak._cell_rule
 
-    def counted(path, compare):
-        compared.append([path, 0])
+    def counted_rule(labels_p, *args):
+        tally, gap = rule(labels_p, *args)
+        compared.append(["every" if labels_p.shape[0] == n else "near", 0])
 
         def count(*args):
             compared[-1][1] += 1
-            return compare(*args)
+            return gap(*args)
 
-        return count
+        return tally, count
 
-    def counted_rule(*args):
-        tally, gap = rule(*args)
-        return tally, counted("near", gap)
-
-    monkeypatch.setattr(
-        weak, "_paired_cell_gap", lambda p, q: counted("every", pair(p, q))
-    )
     monkeypatch.setattr(weak, "_cell_rule", counted_rule)
     return compared
 
@@ -496,7 +490,7 @@ def test_kechris_distance_compares_each_inverse_pair_once(monkeypatch, radius, w
     p = Observable(rng.integers(0, 3, size=n), 3)
     q = Observable(rng.integers(0, 3, size=n), 3)
     words = ball(2, radius)
-    compared = _count_compared(monkeypatch)
+    compared = _count_compared(monkeypatch, n)
     for other, part in ((w, q), (_transposed(v, rng, 1), p)):
         distance = kechris_distance(v, other, p, part, words)
         assert repr(distance) == repr(ref.kechris_distance(v, other, p, part, words))
@@ -510,7 +504,7 @@ def test_certificate_compares_each_inverse_pair_once(monkeypatch):
     w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     p = Observable(rng.integers(0, 3, size=n), 3)
     beta = np.arange(ref.refine_partition(p, ball(2, 2), v).alphabet_size)
-    compared = _count_compared(monkeypatch)
+    compared = _count_compared(monkeypatch, n)
     for other in (w, _transposed(v, rng, 1)):
         cert = ball_transport_certificate(v, other, p, 2, beta, 0.2)
         want = ref.ball_transport_certificate(v, other, p, 2, beta, 0.2)
