@@ -1,14 +1,16 @@
 """End-to-end experiment: match a target action's pair statistics by orbit
 rewiring, and certify the result.
 
-Per generator ``s``, the target's pair statistics are the word statistics of
-the inverse letter, ``stats_matrix(b, phi, s^-1)``: the distribution of
-``(phi(x), phi(b_s x))``.  The target coupling blends them with an
-independent product (weight ``eps``), which keeps every entry positive; a
-sampled observable equidistributes over the source action's cycles;
-rewiring each generator inside its own cycles then brings the per-generator
-statistics within ``10*|A|*eps`` of the target while the orbit partition of
-the source action is untouched.
+Per generator ``s``, the target's pair statistics are those of the inverse
+letter, the distribution of ``(phi(x), phi(b_s x))``.  The target coupling
+blends them with an independent product (weight ``eps``), which keeps every
+entry positive; a sampled observable equidistributes over the source
+action's cycles; rewiring each generator inside its own cycles then brings
+the per-generator statistics within ``10*|A|*eps`` of the target while the
+orbit partition of the source action is untouched.  ``weak`` counts the
+target and gives each rewired action's Kechris distance from it; this
+module decides only when (once per run) and over which ball
+(``KECHRIS_RADIUS``).
 
 ``run_experiment`` drives a schedule of eps values from a flat key=value
 config, returning the texts of a CSV (fixed columns eps,generator,
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .freegroup import FiniteAction, ReducedWord, ball, translated_labels
+from .freegroup import FiniteAction, ball
 from .permutations import cycle_min_labels
 from .rearrange import PreconditionError, _require_eps
 from .rewire import _bad_mass, _rewire_cycles
@@ -36,13 +38,11 @@ from .spaces import (
     Dist,
     Observable,
     _as_permutation,
-    _cell_counts,
-    _signed_cell_gap,
     empirical_distribution,
     linf,
     mixture_coupling,
 )
-from .weak import _kechris, _one_per_inverse_pair
+from .weak import _counted, _distance_from
 
 __all__ = [
     "CertificationError",
@@ -177,20 +177,9 @@ class PipelineReport:
 
 
 def _target_side(b: FiniteAction, phi: Observable):
-    """``(pair targets, word table)`` of ``(b, phi)``, counted once per schedule.
-
-    The pair target of generator s is the statistics of the word s^-1, which
-    the table's words include.  The table holds the ``_signed_cell_gap``
-    tallies of the Kechris ball, one word of each inverse pair, against any
-    observable of phi's size and alphabet.
-    """
-    k, words = phi.alphabet_size, ball(b.rank, KECHRIS_RADIUS)
-    moved = translated_labels(b, phi, _one_per_inverse_pair(words))
-    letters = [moved[ReducedWord((-s,))] for s in range(1, b.rank + 1)]
-    pairs = [_cell_counts(phi.labels * k, m, k).reshape(k, k) for m in letters]
-    tally, _ = _signed_cell_gap(phi, phi)
-    table = {g: tally(m) for g, m in moved.items()}
-    return [Coupling.from_counts(c, phi.n) for c in pairs], table
+    """``weak._counted`` of ``(b, phi)`` over the ball of radius
+    ``KECHRIS_RADIUS``: the pair targets and tallies, counted once per run."""
+    return _counted(b, phi, ball(b.rank, KECHRIS_RADIUS))
 
 
 def _oe_approximate(a, phi, eps, retries, seed, target):
@@ -215,7 +204,7 @@ def _oe_approximate(a, phi, eps, retries, seed, target):
             "observable does not use every symbol; restrict the alphabet "
             "to its range first"
         )
-    pair_targets, table = target
+    pair_targets, tallies = target
     targets = [mixture_coupling(j, eps, pi) for j in pair_targets]
     alpha = phi.alphabet_size
     jmins = [float(j.real.min()) for j in targets]
@@ -267,9 +256,6 @@ def _oe_approximate(a, phi, eps, retries, seed, target):
     del new_perms, t_new
     if not verify_oe(a, a_new):
         raise CertificationError("rewiring did not preserve orbits generator-wise")
-    _, gap = _signed_cell_gap(phi, psi)
-    moved = translated_labels(a_new, psi, table)
-    kech = _kechris((gap(t, moved[g]) for g, t in table.items()), a.n * a.n)
     report = PipelineReport(
         eps=eps,
         alphabet_size=alpha,
@@ -277,7 +263,7 @@ def _oe_approximate(a, phi, eps, retries, seed, target):
         generators=tuple(outcomes),
         orbit_equivalent=True,
         retries_used=attempts,
-        kechris_distance=kech,
+        kechris_distance=_distance_from(phi, tallies, a_new, psi),
     )
     return a_new, psi, report
 

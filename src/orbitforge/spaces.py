@@ -205,27 +205,19 @@ def _cell_counts(rows: np.ndarray, moved: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(rows + moved, minlength=k * k)
 
 
-def _signed_cell_gap(p: Observable, q: Observable):
+def _cell_rule(labels_p, labels_q, k: int, weight_p: int, weight_q: int):
     """``(tally, gap)``: ``gap(tally(moved_p), moved_q)`` is the exact
-    ``max |c_p·n_q - c_q·n_p|`` over cells.
+    ``max |c_p·weight_p - c_q·weight_q|`` over cells.
 
-    ``c_p`` counts the points x in a cell ``(P(x), moved_p[x])``, ``c_q`` the
-    same on the ``q`` side, so ``gap / (n_p·n_q)`` is the largest frequency
-    gap; one tally serves many gaps.  With ``k*k <= max(n_p, n_q)`` it holds
+    ``c_p`` counts the points x listed in a cell ``(labels_p[x], moved_p[x])``,
+    ``c_q`` the same on the ``q`` side; with ``weight_p = n_q`` and
+    ``weight_q = n_p``, ``gap / (n_p·n_q)`` is the largest frequency gap.  One
+    tally serves many gaps.  With ``k*k`` at most the longer list it holds
     the cell counts; otherwise it is ``moved_p``, and both sides' codes
     ``label·2k + 2·moved + side``, below ``2k^2 <= _PACK_LIMIT``, are sorted
-    together and the weights ``n_q`` / ``-n_p`` summed over each cell's run.
-    ``_cell_rule`` gives the same gap over the points listed alone.
+    together and the weights ``weight_p`` / ``-weight_q`` summed over each
+    cell's run.
     """
-    k = p.alphabet_size
-    if q.alphabet_size != k:
-        raise ValueError("partitions must have the same atom count")
-    return _cell_rule(p.labels, q.labels, k, q.n, p.n)
-
-
-def _cell_rule(labels_p, labels_q, k: int, weight_p: int, weight_q: int):
-    """``_signed_cell_gap`` over the points listed, a ``p`` point weighing
-    ``weight_p`` and a ``q`` point ``-weight_q``."""
     if k * k <= max(labels_p.shape[0], labels_q.shape[0]):
         rows_p, rows_q = labels_p * k, labels_q * k
 

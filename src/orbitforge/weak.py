@@ -2,14 +2,15 @@
 
 The statistics of an action against a partition are the intersection
 measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
-these numbers agree over a finite word set.  Compared statistics are read
-over one word of each inverse pair, and ``_kechris`` turns the word gaps
-into the distance.  Nearby sides, as in a transport, differ only near the
-few points where their actions or partitions do: ``_near_side`` builds the
-``(w, Q)`` translates on those points alone, reads them from the ``(v, P)``
-table elsewhere, and the comparisons count only those points.  Sides that
-differ widely (``_few_disagree``) are translated whole and compared on every
-point.
+these numbers agree over a finite word set.  This module alone counts and
+compares them.  Compared statistics are read over one word of each inverse
+pair, and ``_kechris`` turns the word gaps into the distance.  A side read
+many times is tallied once (``_counted``) and read by ``_distance_from``.
+Nearby sides, as in a transport, differ only near the few points where
+their actions or partitions do: ``_near_side`` builds the ``(w, Q)``
+translates on those points alone, reads them from the ``(v, P)`` table
+elsewhere, and the comparisons count only those points.  Sides that differ
+widely (``_few_disagree``) are translated whole and compared on every point.
 ``ball_transport_certificate`` carries a partition across an atom bijection
 on a ball refinement and measures, claim by claim, how much each
 transported quantity drifts.
@@ -66,8 +67,7 @@ def kechris_distance(
     moved_p = translated_labels(v, p, suffixes | {ReducedWord()})
     radius = max(map(len, compared), default=0)
     points, moved_q = _near_side(v, w, p, q, moved_p, radius)
-    gaps = _word_gaps(p, q, compared, moved_p, points, moved_q)
-    return _kechris(gaps, p.n * q.n)
+    return _kechris(_word_gaps(p, q, compared, moved_p, points, moved_q), p.n * q.n)
 
 
 def _one_per_inverse_pair(words) -> list[ReducedWord]:
@@ -177,10 +177,7 @@ def _near_points(v, w, p, q, radius: int, also):
         return None
     near = p.labels != q.labels
     for pv, pw in zip(v.perms, w.perms):
-        differ = pv != pw
-        if not _few_disagree(np.count_nonzero(differ), n):
-            return None
-        near |= differ
+        near |= pv != pw  # the first density test below covers every generator
     for _ in range(radius):
         points = np.flatnonzero(near)
         if not _few_disagree(points.size, n):
@@ -195,8 +192,32 @@ def _near_points(v, w, p, q, radius: int, also):
     return near if _few_disagree(np.count_nonzero(near), n) else None
 
 
+def _counted(v: FiniteAction, p: Observable, words):
+    """``(pair targets, tallies)`` of ``(v, P)``, read from one table.
+
+    The pair target of generator s is the statistics of ``s^{-1}``, which
+    ``words`` must hold; ``tallies`` holds the ``_cell_rule`` tallies of one
+    word of each inverse pair, for ``_distance_from``.
+    """
+    k = p.alphabet_size
+    moved = translated_labels(v, p, _one_per_inverse_pair(words))
+    letters = [moved[ReducedWord((-s,))] for s in range(1, v.rank + 1)]
+    pairs = [_cell_counts(p.labels * k, m, k).reshape(k, k) for m in letters]
+    tally, _ = _cell_rule(p.labels, p.labels, k, p.n, p.n)
+    tallies = {g: tally(m) for g, m in moved.items()}
+    return [Coupling.from_counts(c, p.n) for c in pairs], tallies
+
+
+def _distance_from(p: Observable, tallies: dict, w: FiniteAction, q: Observable):
+    """``kechris_distance`` of ``(w, Q)``, ``Q`` of ``P``'s size and
+    alphabet, from the side ``_counted`` tallied."""
+    _, gap = _cell_rule(p.labels, q.labels, p.alphabet_size, q.n, p.n)
+    moved = translated_labels(w, q, tallies)
+    return _kechris((gap(t, moved[g]) for g, t in tallies.items()), p.n * q.n)
+
+
 def _word_gaps(p, q, words, moved_p, points, moved_q) -> list[int]:
-    """Each word's ``_signed_cell_gap`` of ``(P, moved_p)`` against
+    """Each word's ``_cell_rule`` gap of ``(P, moved_p)`` against
     ``(Q, moved_q)``, over ``_near_side``'s points, or every point when
     ``points`` is ``None``.
 

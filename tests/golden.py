@@ -9,7 +9,8 @@ The digests cover:
 
 - the check digest of each ``perfbench`` workload at two seeds, built by
   the workload's own generate, call and check functions;
-- the CSV and JSON texts of the criterion-6 pipeline run at two seeds;
+- the CSV and JSON texts of the criterion-6 pipeline run at two seeds, and
+  of a rank-3 run over three atoms at three seeds;
 - the ``repr`` of five transport certificates and one radius-2
   ``kechris_distance`` off the ``transport_ball_r3`` inputs, with sides
   compared on the points near where they differ and on every point;
@@ -44,6 +45,9 @@ WORKLOAD_SEEDS = (101, 977)
 # the criterion-6 run of test_acceptance.py, at each of these seeds
 CRITERION_6 = dict(n=100_000, rank=2, alphabet=2, eps_schedule=(0.1, 0.03, 0.01))
 CRITERION_6_SEEDS = (42, 101)
+# three generators and three atoms, so every word comparison has k = 3
+RANK_3 = dict(n=100_000, rank=3, alphabet=3, eps_schedule=(0.1, 0.03, 0.01))
+RANK_3_SEEDS = (0, 5, 42)
 TRANSPORT_SEED = 101
 
 
@@ -131,11 +135,12 @@ def digests() -> dict[str, str]:
             if not checked.ok:
                 raise RuntimeError(f"{name} at seed {seed}: {checked.reason}")
             out[f"{name} seed {seed} check"] = checked.digest
-    for seed in CRITERION_6_SEEDS:
-        config = PipelineConfig(**CRITERION_6, seed=seed, retries=5)
-        result = run_experiment(config)
-        out[f"criterion 6 seed {seed} csv"] = _sha256(result.csv_text)
-        out[f"criterion 6 seed {seed} json"] = _sha256(result.json_text)
+    runs = [("criterion 6", CRITERION_6, seed) for seed in CRITERION_6_SEEDS]
+    runs += [("rank 3", RANK_3, seed) for seed in RANK_3_SEEDS]
+    for name, settings, seed in runs:
+        result = run_experiment(PipelineConfig(**settings, seed=seed, retries=5))
+        out[f"{name} seed {seed} csv"] = _sha256(result.csv_text)
+        out[f"{name} seed {seed} json"] = _sha256(result.json_text)
     transport = workloads["transport_ball_r3"]
     for name, value in _transport_variants(transport, TRANSPORT_SEED).items():
         out[f"transport {name} seed {TRANSPORT_SEED} repr"] = _sha256(repr(value))

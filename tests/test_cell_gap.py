@@ -1,18 +1,20 @@
 """The signed cell-count kernel against the frozen sort-and-merge oracle.
 
-``spaces._signed_cell_gap`` returns a tally of the ``p`` side and a gap
-that gives, per word, the exact largest ``|c_p·n_q - c_q·n_p|`` over the
-cells ``(label, moved label)``: dense ``bincount`` when
+``spaces._cell_rule`` over every point of both sides, weighing a ``p``
+point ``n_q`` and a ``q`` point ``-n_p``, returns a tally of the ``p`` side
+and a gap that gives, per word, the exact largest ``|c_p·n_q - c_q·n_p|``
+over the cells ``(label, moved label)``: dense ``bincount`` when
 ``k*k <= max(n_p, n_q)``, one sort of both sides' codes otherwise.
 ``reference_impl`` holds the per-side ``np.unique`` counts and the
 ``union1d``/``searchsorted`` merge it replaced; every gap must equal that
 oracle's ``Fraction`` exactly, on both branches, at the branch boundary,
 with unequal point counts, one-sided cells, empty atoms, a single atom and
 a single point.  A tally made once must give the same gaps against every
-other side.  ``weak._word_gaps`` compares two sides through one rule, over
-every point or over the points where sides on the same points disagree;
-both must match the oracle whether the sides agree everywhere, on all but a
-few points or nowhere.
+other side, and ``weak._counted`` with ``weak._distance_from`` must give
+the letter statistics and ``kechris_distance``.  ``weak._word_gaps``
+compares two sides through one rule, over every point or over the points
+where sides on the same points disagree; both must match the oracle
+whether the sides agree everywhere, on all but a few points or nowhere.
 """
 
 from fractions import Fraction
@@ -29,10 +31,10 @@ from orbitforge import (
     ReducedWord,
     ball,
     kechris_distance,
+    stats_matrix,
     translated_labels,
 )
 from orbitforge import spaces, weak
-from orbitforge.spaces import _signed_cell_gap
 
 
 def _oracle(p, moved_p, q, moved_q) -> Fraction:
@@ -42,9 +44,14 @@ def _oracle(p, moved_p, q, moved_q) -> Fraction:
     return ref._max_cell_diff(keys_p, cnt_p, p.n, keys_q, cnt_q, q.n)
 
 
+def _every_point(p, q):
+    """``(tally, gap)`` of ``_cell_rule`` over every point of ``p`` and ``q``."""
+    return spaces._cell_rule(p.labels, q.labels, p.alphabet_size, q.n, p.n)
+
+
 def _label_gap(p, q):
-    """One gap of ``_signed_cell_gap`` from translated labels on both sides."""
-    tally, gap = _signed_cell_gap(p, q)
+    """One gap of ``_every_point`` from translated labels on both sides."""
+    tally, gap = _every_point(p, q)
     return lambda moved_p, moved_q: gap(tally(moved_p), moved_q)
 
 
@@ -135,17 +142,40 @@ def test_unequal_point_counts_weigh_each_side(monkeypatch, k, n, dense):
 
 @pytest.mark.parametrize("k, n", [(3, 60), (3, 9), (8, 60), (1, 5)])
 def test_one_tally_serves_every_other_side_of_its_size(k, n):
-    # the pipeline tallies its target once, against itself, and reads the
-    # tallies through the gap of each sampled side of the same size and
-    # alphabet; dense (k*k <= n) and sparse cases alike
+    # weak._counted tallies the pipeline's target once, against itself, and
+    # _distance_from reads the tallies through the gap of each sampled side
+    # of the same size and alphabet; dense (k*k <= n) and sparse cases alike
     p, moved_p = _side(n, k, 1)
-    tally, _ = _signed_cell_gap(p, p)
+    tally, _ = _every_point(p, p)
     table = tally(moved_p)
     for seed in (2, 3, 4):
         q, moved_q = _side(n, k, seed)
-        _, gap = _signed_cell_gap(p, q)
+        _, gap = _every_point(p, q)
         got = Fraction(gap(table, moved_q), n * n)
         assert got == _oracle(p, moved_p, q, moved_q)
+
+
+@pytest.mark.parametrize("k, n", [(3, 60), (8, 60), (1, 5)])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_counted_side_gives_the_letter_statistics_and_kechris_distance(rank, k, n):
+    # the pair target of generator s is the statistics of s^-1, and every
+    # other side's distance from the tallies is kechris_distance's
+    rng = np.random.default_rng(rank * 100 + k)
+    v = FiniteAction.from_perms([rng.permutation(n) for _ in range(rank)])
+    p = Observable(rng.integers(0, k, size=n), k)
+    words = ball(rank, 2)
+    pairs, tallies = weak._counted(v, p, words)
+    assert len(pairs) == rank
+    for s, pair in enumerate(pairs, start=1):
+        want = stats_matrix(v, p, ReducedWord((-s,)))
+        assert pair.denom == want.denom
+        assert np.array_equal(pair.counts, want.counts)
+    for _ in range(3):
+        w = FiniteAction.from_perms([rng.permutation(n) for _ in range(rank)])
+        q = Observable(rng.integers(0, k, size=n), k)
+        got = weak._distance_from(p, tallies, w, q)
+        assert repr(got) == repr(ref.kechris_distance(v, w, p, q, words))
+    assert weak._distance_from(p, tallies, v, p) == 0
 
 
 @pytest.mark.parametrize("n", [1, 5, 50])
@@ -170,12 +200,13 @@ def test_cells_on_one_side_only():
 
 def test_refuses_mismatched_alphabets_and_overflowing_codes():
     one = Observable(np.zeros(1, dtype=np.int64), 2)
+    v = FiniteAction.from_perms([np.zeros(1, dtype=np.int64)])
     with pytest.raises(ValueError, match="same atom count"):
-        _signed_cell_gap(one, Observable(np.zeros(1, dtype=np.int64), 3))
+        kechris_distance(v, v, one, Observable(np.zeros(1, dtype=np.int64), 3), [])
     # 2k^2 = 2^63 cell codes would wrap int64
     wide = Observable(np.zeros(1, dtype=np.int64), 2**31)
     with pytest.raises(ValueError, match="too many"):
-        _signed_cell_gap(wide, wide)
+        _every_point(wide, wide)
     fits = Observable(np.zeros(1, dtype=np.int64), 2**30)
     zero = np.zeros(1, dtype=np.uint32)
     assert _label_gap(fits, fits)(zero, zero) == 0

@@ -3,9 +3,10 @@
 ``cycle_min_labels`` and ``cycle_decomposition`` contract each permutation
 onto every 16th point by a lockstep walk before doubling.  The inputs here
 are large enough for that path, and shaped to strain it: cycles that avoid
-every ruler, a ruler chain with one gap of nearly n points, and mixes of
-those with long cycles.  Every output must equal ``reference_impl``'s byte
-for byte.
+every ruler, a ruler chain with one gap of nearly n points, mixes of those
+with long cycles, the rulers on a cycle of their own, and the probe points
+of ``_short_cycles`` on 2-cycles beside one long cycle.  Every output must
+equal ``reference_impl``'s byte for byte.
 """
 
 import tracemalloc
@@ -94,6 +95,26 @@ def long_gaps(n, gap):
     return cycles_on(points, [n], np.arange(n))
 
 
+def rulers_apart(n, rng):
+    # the rulers on one cycle of their own and every other point on one
+    # random cycle: no walk leaves the rulers' cycle
+    idx = np.arange(n)
+    rulers, others = idx[idx % GAP == 0], idx[idx % GAP != 0]
+    p = cycles_on(rulers, [rulers.shape[0]], np.arange(n))
+    return cycles_on(rng.permutation(others), [others.shape[0]], p)
+
+
+def probes_paired(n, rng):
+    # the points _short_cycles probes, each on a 2-cycle with the next
+    # point, and every other point on one random cycle: the probe sees only
+    # short cycles although nearly every point lies on a long one
+    probes = np.arange(0, n, max(1, n // permutations._PROBES))
+    paired = np.stack([probes, probes + 1], axis=1).ravel()
+    p = cycles_on(paired, [2] * probes.shape[0], np.arange(n))
+    others = np.setdiff1d(np.arange(n), paired)
+    return cycles_on(rng.permutation(others), [others.shape[0]], p)
+
+
 def involution(n, rng):
     p = np.arange(n)
     order = rng.permutation(n)
@@ -129,6 +150,8 @@ def shapes(n, rng):
         yield f"identity, long {cut}", stacked(np.arange(cut), long)
         yield f"involution, long {cut}", stacked(involution(cut, rng), long)
         yield f"long, rulers first {cut}", stacked(long, rulers_first(cut))
+    yield "rulers apart", rulers_apart(n, rng)
+    yield "probes paired", probes_paired(n, rng)
 
 
 @pytest.mark.parametrize("n", [GAP * 64, 10_007])

@@ -2,6 +2,7 @@
 integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no stable sort, no inverse table of a generator
 (the public ``inverse_permutation`` is the one caller of its kernel), no
+call of the word-statistics kernel ``_cell_rule`` outside ``weak.py``, no
 cache in an object's ``__dict__``,
 no file or stdout written outside ``cli._write_all``, the README calls only
 names the package has, and the public names and options are the registered
@@ -296,6 +297,41 @@ def test_no_inverse_table_in_src():
         for line in _inverse_tables(
             ast.parse(path.read_text()), kernel=path.name != "permutations.py"
         )
+    ]
+    assert found == []
+
+
+def _cell_rule_calls(tree):
+    """Line of each call of ``_cell_rule``, by bare name or as an attribute:
+    the counting kernel every comparison of word statistics runs through."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "_cell_rule":
+            yield node.lineno
+
+
+_CELL_RULE_SAMPLES = """
+def flagged(p, q, k):
+    tally, gap = _cell_rule(p, q, k, 1, 1)
+    _, gap = spaces._cell_rule(p, q, k, q.size, p.size)
+    return orbitforge.spaces._cell_rule(p, p, k, 1, 1)[0](q)
+def kept(p, q, k):
+    rule, name = _cell_rule, "_cell_rule(p, q, k, 1, 1)"
+    return _cell_counts(p, q, k), cell_rule(p, q), _cell_rules(p), a._cell_rule
+"""
+
+
+def test_cell_rule_walk_finds_each_form():
+    assert sorted(_cell_rule_calls(ast.parse(_CELL_RULE_SAMPLES))) == [3, 4, 5]
+
+
+def test_word_statistics_are_compared_only_in_weak():
+    # spaces.py defines the kernel; weak.py alone counts and compares word
+    # statistics with it, the pipeline's target side included
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        if path.name != "weak.py"
+        for line in _cell_rule_calls(ast.parse(path.read_text()))
     ]
     assert found == []
 

@@ -183,6 +183,22 @@ def test_oe_approximate_certifies_the_mixture_gap_at_eps(monkeypatch):
         _oe_approximate(a, a, phi, eps, retries=5, seed=0)
 
 
+def test_oe_approximate_refuses_an_understated_rewire_error(monkeypatch):
+    # the triangle check achieved <= rewire error + mixture gap, in process;
+    # the python -O script below checks that it survives the flag
+    a, phi = _long_cycle_instance()
+    real = pipeline._rewire_cycles
+
+    def understated(*args, **kwargs):
+        t_new, report, pairs = real(*args, **kwargs)
+        return t_new, dataclasses.replace(report, achieved_error=-1.0), pairs
+
+    monkeypatch.setattr(pipeline, "_rewire_cycles", understated)
+    message = r"^generator 0: achieved error \S+ exceeds rewire error -1\.0 \+ mixture"
+    with pytest.raises(CertificationError, match=message):
+        _oe_approximate(a, a, phi, 0.05, retries=5, seed=0)
+
+
 def test_oe_approximate_identity_generator_reports_failure():
     rng = np.random.default_rng(12)
     n = 1000

@@ -21,6 +21,7 @@ from orbitforge import (
     linf,
     permutation_with_cycle_lengths,
     rearrange_line,
+    rewire,
     round_coupling,
 )
 from orbitforge.rearrange import (
@@ -311,6 +312,28 @@ def test_rearrange_line_checks_its_line_once(monkeypatch):
     # LineBijection checks the line it hands out; the pairs are counted
     # from it without a second check
     assert checked == ["closed line"]
+
+
+def test_lines_that_leave_their_segment_are_refused(monkeypatch):
+    # the line stages check that every closed line stays in its segment
+    close = rearrange_module._close_cycles
+    segments = []
+
+    def close_then_leave(perm, offsets, reps):
+        perm, n_comp = close(perm, offsets, reps)
+        segments.append(len(offsets) - 1)
+        perm[offsets[0]] = offsets[1]  # the first point of the second segment
+        return perm, n_comp
+
+    monkeypatch.setattr(rearrange_module, "_close_cycles", close_then_leave)
+    n = 2000
+    t = permutation_with_cycle_lengths([n // 2, n // 2], np.random.default_rng(3))
+    phi = Observable(np.arange(n) % 2, 2)
+    j = Coupling.from_probs(np.full((2, 2), 0.25))
+    message = "^rearranged lines are not bijections onto their segments$"
+    with pytest.raises(ValueError, match=message):
+        rewire(t, phi, j, 0.05)
+    assert segments == [2]
 
 
 def test_rearrange_needs_two_points():

@@ -30,7 +30,6 @@ from orbitforge import (
     translated_labels,
 )
 from orbitforge import spaces, weak
-from orbitforge.spaces import _signed_cell_gap
 
 
 def _outcome(fn, *args):
@@ -448,7 +447,7 @@ def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
         return original(*args)
 
     monkeypatch.setattr(spaces, "_cell_counts", counted)
-    tally, gap = _signed_cell_gap(p, q)
+    tally, gap = spaces._cell_rule(p.labels, q.labels, k, q.n, p.n)
     for g in words:
         h = _inverse(g)
         for a, part in ((v, p), (w, q)):
