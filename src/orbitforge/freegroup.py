@@ -10,6 +10,7 @@ last on the point.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,85 +149,176 @@ def _label_dtype(alphabet_size: int) -> np.dtype:
 def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
     """Labels of each translate ``g·P``: point x gets ``P(g^{-1}x)``.
 
-    Words are built in order of length from their suffix parents: for
+    Each word is built from its suffix parent, built first: for
     ``g = s·h``, ``(g·P)(x) = (h·P)(s^{-1}x)``.  An inverse letter ``s = -k``
     is one gather through generator ``k``; a generator ``s = k`` is one
     scatter through it, ``moved[perms[k-1]] = parent``, as
     ``(g·P)(s·y) = (h·P)(y)``; no inverse permutation is built.  Suffixes
     missing from ``words`` are built on the way; the identity maps to the
     labels themselves.  Arrays are read-only, in the smallest unsigned dtype
-    that holds every label.
+    that holds every label.  ``_Translates`` builds them.
     """
-    if p.n != a.n:
-        raise ValueError("partition size does not match the action")
-    words = list(words)
-    needed = set()
-    for g in words:
-        for i in range(len(g) + 1):
-            needed.add(g.letters[i:])
-    table = {(): _frozen(p.labels.astype(_label_dtype(p.alphabet_size)))}
-    for letters in sorted(needed, key=len):
-        if not letters:
-            continue
-        s, parent = letters[0], table[letters[1:]]
-        if abs(s) > a.rank:
-            raise ValueError(f"letter {s} outside rank {a.rank}")
-        perm = a.perms[abs(s) - 1]
-        if s < 0:
-            moved = parent[perm]
-        else:
-            moved = np.empty_like(parent)
-            moved[perm] = parent
-        table[letters] = _frozen(moved)
-    return {g: table[g.letters] for g in words}
+    table = _Translates(a, p, words)
+    return {g: table[g] for g in table}
+
+
+class _Translates:
+    """The translates ``g·P`` of ``words`` under ``a``, each built whole from
+    its suffix parent the first time it is read, and kept.
+
+    ``built`` seeds it with translates already built.  Iterating yields the
+    words; ``columns`` streams them to a refinement, and ``at`` reads them at
+    some points from their whole suffix parents without building them whole.
+    """
+
+    def __init__(self, a: FiniteAction, p: Observable, words, built=None):
+        if p.n != a.n:
+            raise ValueError("partition size does not match the action")
+        self.words = list(dict.fromkeys(words))
+        for g in self.words:
+            for s in reversed(g.letters):
+                if abs(s) > a.rank:
+                    raise ValueError(f"letter {s} outside rank {a.rank}")
+        self.perms = a.perms
+        self.table = {(): _frozen(p.labels.astype(_label_dtype(p.alphabet_size)))}
+        self.table.update((g.letters, m) for g, m in (built or {}).items())
+
+    def __iter__(self):
+        return iter(self.words)
+
+    def __getitem__(self, g: ReducedWord) -> np.ndarray:
+        return self.whole(g.letters)
+
+    def whole(self, letters: tuple) -> np.ndarray:
+        """The translate of the word spelled ``letters``, and of each of its
+        suffixes, built whole if it is not yet."""
+        missing = []
+        while letters not in self.table:
+            missing.append(letters)
+            letters = letters[1:]
+        for letters in reversed(missing):
+            s, parent = letters[0], self.table[letters[1:]]
+            perm = self.perms[abs(s) - 1]
+            if s < 0:
+                moved = parent[perm]
+            else:
+                moved = np.empty_like(parent)
+                moved[perm] = parent
+            self.table[letters] = _frozen(moved)
+        return self.table[letters]
+
+    def columns(self):
+        """Each word's translate, shortest first and, of one length, those
+        that gather (first letter an inverse) before those that scatter: a
+        refinement that stops reading builds no word it leaves."""
+        # (s,) > (0,) exactly when the first letter s is a generator
+        for g in sorted(self.words, key=lambda g: (len(g), g.letters[:1] > (0,))):
+            yield self[g]
+
+    def at(self, points: np.ndarray):
+        """A reader of each word's translate at ``points``, which may repeat.
+
+        A word built whole is read there; any other ``g = s·h`` is read off
+        the whole ``h`` at ``s^{-1}`` of the points: for an inverse letter a
+        gather through its generator, for a generator its ``_preimages``.
+        """
+        sources = {}
+
+        def read(g: ReducedWord) -> np.ndarray:
+            if g.letters in self.table:
+                return self.table[g.letters][points]
+            s = g.letters[0]
+            if s not in sources:
+                perm = self.perms[abs(s) - 1]
+                sources[s] = perm[points] if s < 0 else _preimages(perm, points)
+            return self.whole(g.letters[1:])[sources[s]]
+
+        return read
+
+
+def _preimages(perm: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``perm^{-1}`` at ``points``, from one boolean gather ``mask[perm]``
+    of their mask: no inverse table is built."""
+    mask = np.zeros(perm.shape[0], dtype=bool)
+    mask[points] = True
+    before = np.flatnonzero(mask[perm])
+    source = np.empty(perm.shape[0], dtype=np.int64)  # set at the points only
+    source[perm[before]] = before
+    return source[points]
 
 
 def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
     """Common refinement of the translated partitions ``{g·P : g in words}``.
 
     Point x lands in the atom determined by its translated-label signature
-    ``(P(g^{-1}x))_{g}``, read from ``translated_labels(a, p, words)``.
+    ``(P(g^{-1}x))_{g}``, the labels of ``translated_labels(a, p, words)``.
     Atom ids are dense, numbered by first occurrence in point order, so the
-    output is reproducible.  Words left once a re-rank of the packed
-    signatures finds every point in its own atom are not read: the
-    refinement is already discrete.
+    output is reproducible.  The words are translated as the refinement
+    reads them (``_Translates.columns``), and those left once a test of the
+    packed signatures finds every point in its own atom are never
+    translated: the refinement is already discrete.
     """
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
-    return _refine(translated_labels(a, p, words), p.alphabet_size, p.n)
+    return _refine(_Translates(a, p, words).columns(), p.alphabet_size, p.n)
 
 
-def _refine(translated: dict, k: int, n: int) -> Observable:
-    """``refine_partition`` from a ready table of labels in ``{0..k-1}``.
+_GROUP_LIMIT = 2**16
 
-    Signatures are packed into one int64 code in mixed radix ``k``, which is
-    dense-ranked whenever another digit could pass 2^62.  A re-rank that
-    finds n distinct codes has made every point its own atom, which no
-    further word can split: the atoms are then the points themselves, the
-    ids first-occurrence numbering gives, with no further packing or ranking.
+
+def _refine(columns, k: int, n: int) -> Observable:
+    """``refine_partition`` from label columns in ``{0..k-1}``, read in order.
+
+    Signatures are packed into one int64 code in mixed radix ``k``.  A small
+    alphabet's digits are first packed ``width`` at a time into 16-bit
+    groups (``k^width <= 2^16``), and each group is folded into the code.
+    Before a group that could carry the code past 2^62 is read, the code is
+    tested: if every point has its own code, no further word can split an
+    atom, and the atoms are the points themselves, the ids first-occurrence
+    numbering gives, with no further column read.  Otherwise it is
+    dense-ranked, and so is it at the end.  Column order changes neither
+    the atoms nor their ids.
     """
+    width = 1
+    while width < 16 and k ** (width + 1) <= _GROUP_LIMIT:
+        width += 1
+    columns = iter(columns)
     code = np.zeros(n, dtype=np.int64)
-    bound = 1  # every code is below bound
-    for digits in translated.values():
-        radix = k
-        if bound * radix > _PACK_LIMIT:
-            distinct, code = np.unique(code, return_inverse=True)
-            bound = distinct.shape[0]
-            if bound == n:
+    bound, ranked = 1, True  # every code is below bound; ranked: codes are dense
+    while True:
+        if not ranked and bound * k**width > _PACK_LIMIT:
+            # a plain sort tells whether every code is distinct, for less
+            # than the dense rank np.unique makes
+            ordered = np.sort(code)
+            if not np.any(ordered[1:] == ordered[:-1]):
                 return Observable(np.arange(n), n)
+            distinct, code = np.unique(code, return_inverse=True)
+            bound, ranked = distinct.shape[0], True
+        group, radix = None, 1
+        for digits in itertools.islice(columns, width):
+            if group is None:
+                group = digits.astype(np.uint16) if width > 1 else digits
+            else:
+                group *= k
+                group += digits
+            radix *= k
+        if group is None:
+            break
         if bound * radix > _PACK_LIMIT:
             # only alphabets wider than 2^62 / n get here: rank the digits too
-            distinct, digits = np.unique(digits, return_inverse=True)
+            distinct, group = np.unique(group, return_inverse=True)
             radix = distinct.shape[0]
         code *= radix
-        code += digits
-        bound *= radix
-    distinct, inverse = np.unique(code, return_inverse=True)
-    first = _first_points(inverse, distinct.shape[0])
+        code += group
+        bound, ranked = bound * radix, False
+    if not ranked:
+        distinct, code = np.unique(code, return_inverse=True)
+        bound = distinct.shape[0]
+    first = _first_points(code, bound)
     # an atom's id counts the atoms whose first point comes before its own
     rank = np.cumsum(np.bincount(first, minlength=n))[first] - 1
-    return Observable(rank[inverse], distinct.shape[0])
+    return Observable(rank[code], bound)
 
 
 def _first_points(labels: np.ndarray, k: int) -> np.ndarray:

@@ -13,7 +13,8 @@ elsewhere, and the comparisons count only those points.  Sides that differ
 widely (``_few_disagree``) are translated whole and compared on every point.
 ``ball_transport_certificate`` carries a partition across an atom bijection
 on a ball refinement and measures, claim by claim, how much each
-transported quantity drifts.
+transported quantity drifts; it translates a ball word whole only where a
+whole table is read, and reads the others at the compared points alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .freegroup import (
     FiniteAction,
     ReducedWord,
     _first_points,
+    _preimages,
     _refine,
+    _Translates,
     ball,
     translated_labels,
 )
@@ -96,13 +99,15 @@ def _kechris(gaps, cells: int) -> float:
     return float(Fraction(max(gaps, default=0), cells))
 
 
-def _near_side(v, w, p, q, moved_p: dict, radius: int, also=None):
+def _near_side(v, w, p, q, moved_p, radius: int, also=None):
     """``(points, moved_q)``: the sorted ``points`` where the ``(w, Q)``
     translates of the words of ``moved_p`` can differ from its ``(v, P)``
     translates, and those ``(w, Q)`` translates there.
 
-    ``moved_p`` is the ``(v, P)`` table of a suffix-closed word set, the
-    identity included, of words no longer than ``radius``.  Level 0 holds
+    ``moved_p`` maps a suffix-closed word set, the identity included, of
+    words no longer than ``radius``, to their ``(v, P)`` translates: a dict
+    of whole tables or a ``_Translates``.  Only the translates of words
+    shorter than ``radius`` are read, each whole.  Level 0 holds
     the points where ``P`` and ``Q`` differ or some generator of ``v`` and
     ``w`` does; level j + 1 adds the images and preimages of level j under
     each generator of ``w``; the points are level ``radius`` and the mask
@@ -137,25 +142,21 @@ def _near_side(v, w, p, q, moved_p: dict, radius: int, also=None):
         # sits in the values of h followed by moved_p[h] at those targets
         if s not in lookups:
             perm = w.perms[abs(s) - 1]
-            if s < 0:
-                target = perm[points]
-            else:
-                before = np.flatnonzero(near[perm])
-                target = np.empty_like(points)
-                target[slot[perm[before]]] = before
+            target = perm[points] if s < 0 else _preimages(perm, points)
             off = ~near[target]
             order = slot[target]
             order[off] = np.arange(points.size, points.size + np.count_nonzero(off))
             lookups[s] = target[off], order
         return lookups[s]
 
-    table_p = {g.letters: labels for g, labels in moved_p.items()}
-    values = {(): q.labels[points].astype(table_p[()].dtype)}
-    for letters in sorted(table_p, key=len)[1:]:
+    words = {g.letters: g for g in moved_p}
+    values = {(): q.labels[points].astype(moved_p[words[()]].dtype)}
+    for letters in sorted(words, key=len)[1:]:
         h = letters[1:]
         outside, order = lookup(letters[0])
-        values[letters] = np.concatenate((values[h], table_p[h][outside]))[order]
-    return points, {g: values[g.letters] for g in moved_p}
+        parent = moved_p[words[h]][outside]
+        values[letters] = np.concatenate((values[h], parent))[order]
+    return points, {g: values[letters] for letters, g in words.items()}
 
 
 def _few_disagree(count: int, n: int) -> bool:
@@ -197,15 +198,23 @@ def _counted(v: FiniteAction, p: Observable, words):
 
     The pair target of generator s is the statistics of ``s^{-1}``, which
     ``words`` must hold; ``tallies`` holds the ``_cell_rule`` tallies of one
-    word of each inverse pair, for ``_distance_from``.
+    word of each inverse pair, for ``_distance_from``.  When ``k^2 <= n``
+    the tally of ``s^{-1}`` is its cell counts, and the pair target reads
+    them; otherwise they are counted once more.
     """
     k = p.alphabet_size
     moved = translated_labels(v, p, _one_per_inverse_pair(words))
-    letters = [moved[ReducedWord((-s,))] for s in range(1, v.rank + 1)]
-    pairs = [_cell_counts(p.labels * k, m, k).reshape(k, k) for m in letters]
     tally, _ = _cell_rule(p.labels, p.labels, k, p.n, p.n)
     tallies = {g: tally(m) for g, m in moved.items()}
-    return [Coupling.from_counts(c, p.n) for c in pairs], tallies
+    pairs = []
+    for s in range(1, v.rank + 1):
+        letter = ReducedWord((-s,))
+        if k * k <= p.n:  # _cell_rule's dense tally: the cell counts themselves
+            counts = tallies[letter]
+        else:
+            counts = _cell_counts(p.labels * k, moved[letter], k)
+        pairs.append(Coupling.from_counts(counts.reshape(k, k), p.n))
+    return pairs, tallies
 
 
 def _distance_from(p: Observable, tallies: dict, w: FiniteAction, q: Observable):
@@ -225,11 +234,18 @@ def _word_gaps(p, q, words, moved_p, points, moved_q) -> list[int]:
     same cell, adding ``+n`` and ``-n`` to it, so counting only the points
     leaves every cell's difference as it was.
     """
+    at = slice(None) if points is None else points
+    return _read_gaps(p, q, words, lambda g: moved_p[g][at], points, moved_q)
+
+
+def _read_gaps(p, q, words, read_p, points, moved_q) -> list[int]:
+    """``_word_gaps``, with ``read_p(g)`` the ``(v, P)`` translate of ``g``
+    read at the points, or whole when ``points`` is ``None``."""
     if points is not None and not points.size:
         return [0] * len(words)
     at = slice(None) if points is None else points
     tally, gap = _cell_rule(p.labels[at], q.labels[at], p.alphabet_size, q.n, p.n)
-    return [gap(tally(moved_p[g][at]), moved_q[g]) for g in words]
+    return [gap(tally(read_p(g)), moved_q[g]) for g in words]
 
 
 def _beta_partition(pprime: Observable, beta) -> Observable:
@@ -316,12 +332,22 @@ def ball_transport_certificate(
     ``kechris_distance`` over the ball on ``P`` and its transport.  The
     certificate is informational: out-of-bound values are reported, never
     raised.
+
+    The ``(v, P)`` translates of the words shorter than ``radius`` are built
+    whole, as the near side reads them.  A radius-length word is translated
+    over every point only when the refinement reads it (those that gather
+    first) or when the sides are compared on every point; otherwise claim
+    2 and the final discrepancy read it at their points from its whole
+    parent (``_Translates.at``).  The final discrepancy is counted on the
+    points near where the sides differ even when the points where ``Q'``
+    and ``P'`` differ send claim 2 to every point.
     """
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
     words = tuple(ball(v.rank, radius))
-    moved_p = translated_labels(v, p, words)
-    pprime = _refine(moved_p, p.alphabet_size, p.n)
+    short = translated_labels(v, p, [g for g in words if len(g) < radius])
+    moved_p = _Translates(v, p, words, short)
+    pprime = _refine(moved_p.columns(), p.alphabet_size, p.n)
     q, qprime, first = _transport(p, pprime, beta)
     n = p.n
     kref = pprime.alphabet_size
@@ -341,19 +367,33 @@ def ball_transport_certificate(
     pull = first[qprime.labels]
     moved_at = qprime.labels != pprime.labels
     points, moved_q = _near_side(v, w, p, q, moved_p, radius, also=moved_at)
-    pull_at = pull if points is None else pull[points]
+    if points is None:  # every word is built whole, once
+
+        def read(g):
+            return moved_p[g][pull]
+
+    else:
+        read = moved_p.at(pull[points])
     claim2: dict[ReducedWord, float] = {}
     for g in words:
-        beta_image = moved_p[g][pull_at]
+        beta_image = read(g)
         mismatch = np.flatnonzero(beta_image != moved_q[g])
         lost = np.bincount(beta_image[mismatch], minlength=p.alphabet_size)
         gained = np.bincount(moved_q[g][mismatch], minlength=p.alphabet_size)
         worst = int(np.max(lost + gained)) if mismatch.size else 0
         claim2[g] = worst / n
     compared = _one_per_inverse_pair(words)
-    final = _kechris(_word_gaps(p, q, compared, moved_p, points, moved_q), n * n)
+    if points is None and moved_at.any():
+        # the points where Q' and P' differ may be what made the points many:
+        # the final discrepancy reads only those near where the sides differ
+        near = _near_points(v, w, p, q, radius, None)
+        if near is not None:
+            points = np.flatnonzero(near)
+            moved_q = {g: moved_q[g][points] for g in compared}
+    read = moved_p.__getitem__ if points is None else moved_p.at(points)
+    final = _kechris(_read_gaps(p, q, compared, read, points, moved_q), n * n)
     # freed before the hypothesis builds its own
-    del moved_p, moved_q, pull, moved_at, pull_at
+    del short, moved_p, moved_q, pull, moved_at, read
 
     # Generator-level hypothesis over the symmetric letter set.
     hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])

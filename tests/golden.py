@@ -13,7 +13,8 @@ The digests cover:
   of a rank-3 run over three atoms at three seeds;
 - the ``repr`` of five transport certificates and one radius-2
   ``kechris_distance`` off the ``transport_ball_r3`` inputs, with sides
-  compared on the points near where they differ and on every point;
+  compared on the points near where they differ and on every point, and
+  one certificate at radius 2, whose refinement is not discrete;
 - the stdout of each demo.
 
 The file also records the numpy and Python versions it was made with: numpy
@@ -76,7 +77,8 @@ def _transport_variants(workload, seed: int) -> dict:
     under the radius-2 distance), differs from ``v`` on most points within
     the radius: those sides are compared on every point.  An image
     partition that relabels 10 points keeps the sides nearby but makes the
-    transported partition differ from ``P`` there.
+    transported partition differ from ``P`` there.  At radius 2 the
+    refinement is not discrete, so it reads every word and ranks the codes.
     """
     from orbitforge import (
         FiniteAction,
@@ -119,6 +121,8 @@ def _transport_variants(workload, seed: int) -> dict:
     out["radius-2 kechris_distance, w reshuffles generator 2 on 30% of points"] = (
         kechris_distance(v, reshuffled, p, p, ball(v.rank, 2))
     )
+    atoms = refine_partition(p, ball(v.rank, 2), v).alphabet_size
+    out["radius 2"] = ball_transport_certificate(v, w, p, 2, np.arange(atoms), eps)
     return out
 
 

@@ -213,20 +213,77 @@ def test_wide_signatures_are_reranked(monkeypatch):
 
 
 def test_discrete_refinement_stops_at_the_first_rerank(monkeypatch):
-    # on 200 random points the first rerank already finds 200 distinct
-    # codes: every point is its own atom, so the remaining words are not
-    # packed and no final ranking is made
+    # the radius-3 ball over 2 generators has 53 words, 17 of them shorter
+    # than the radius.  Three 16-bit groups of 10 digits each already give
+    # every one of the 2000 points its own code, so the test before the
+    # fourth group stops the refinement: no word after the 30th is
+    # translated whole, claim 2 and the final discrepancy read the rest at
+    # the near points, and no np.unique ranks a code
     rng = np.random.default_rng(4)
-    n = 200
-    a = FiniteAction.from_perms([rng.permutation(n) for _ in range(3)])
-    p = Observable(rng.integers(0, 4, size=n), 4)
-    words = ball(3, 3)
+    n = 2000
+    v = FiniteAction.from_perms([rng.permutation(n) for _ in range(2)])
+    w = _transposed(v, rng, 3)
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    beta = np.arange(n)
+    tables = []
+
+    class Recorded(weak._Translates):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(weak, "_Translates", Recorded)
     reranks = _count_reranks(monkeypatch)
-    new = refine_partition(p, words, a)
+    cert = ball_transport_certificate(v, w, p, 3, beta, 0.2)
     monkeypatch.undo()
-    assert reranks == Counter({"calls": 1})
-    assert new.alphabet_size == n
+    assert reranks == Counter()
+    assert cert.refinement_atoms == n
+    # the whole (v, P) translates, the identity included
+    [table] = tables
+    assert len(table.table) <= 30
+    assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
+
+
+@pytest.mark.parametrize("discrete", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3, 255, 256, 257, 2**16, 2**16 + 1])
+def test_refinement_at_the_group_and_dtype_edges(k, discrete):
+    # k^width <= 2^16 sets how many digits share a 16-bit group (16 for
+    # k <= 2, one past 256) and _label_dtype the label columns (uint8 to
+    # 256, uint16 to 2^16, then uint32).  Points x and x + half are moved
+    # and labelled alike, so no word separates them; one point alone is
+    # the only discrete partition of a single atom
+    rng = np.random.default_rng(k)
+    half = 1 if k == 1 and discrete else 40
+    perms = [rng.permutation(half) for _ in range(2)]
+    labels = rng.integers(0, k, size=half)
+    labels[0] = k - 1
+    if not discrete:
+        perms = [np.r_[perm, perm + half] for perm in perms]
+        labels = np.tile(labels, 2)
+    a = FiniteAction.from_perms(perms)
+    p = Observable(labels, k)
+    words = ball(2, 3)
+    new = refine_partition(p, words, a)
     assert_same_partition(new, ref.refine_partition(p, words, a))
+    assert (new.alphabet_size == a.n) == discrete
+
+
+@given(instances(), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_translates_read_at_points_match_the_whole_table(inst, radius, data):
+    # a radius-length word, first letter either sign, read at arbitrary
+    # points, some repeated, from its whole parent: the values of its whole
+    # table there, and no word is built whole on the way
+    rank, n, k, a, p = inst
+    words = ball(rank, radius)
+    short = translated_labels(a, p, [g for g in words if len(g) < radius])
+    table = weak._Translates(a, p, words, short)
+    listed = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    points = np.array(listed, dtype=np.int64)
+    read = table.at(points)
+    for g in words[len(short) :]:
+        assert np.array_equal(read(g), translated_labels(a, p, [g])[g][points])
+    assert set(table.table) == {g.letters for g in short} | {()}
 
 
 def test_refine_partition_with_alphabet_wider_than_codes():
