@@ -23,10 +23,8 @@ from .spaces import _PACK_LIMIT, Observable, _as_int64, _as_permutation, _frozen
 __all__ = [
     "ReducedWord",
     "FiniteAction",
-    "reduce_word",
     "ball",
     "refine_partition",
-    "translated_labels",
     "parse_word",
     "format_word",
 ]
@@ -58,7 +56,7 @@ class ReducedWord:
         return format_word(self)
 
 
-def reduce_word(letters) -> ReducedWord:
+def _reduce_word(letters) -> ReducedWord:
     """Freely reduce a letter sequence (cancel adjacent inverse pairs)."""
     stack: list[int] = []
     for v in _as_int64(list(letters), "letters").tolist():
@@ -146,32 +144,25 @@ def _label_dtype(alphabet_size: int) -> np.dtype:
     return dt if dt.kind == "u" and dt.itemsize <= 4 else np.dtype(np.int64)
 
 
-def translated_labels(a: FiniteAction, p: Observable, words) -> dict:
-    """Labels of each translate ``g·P``: point x gets ``P(g^{-1}x)``.
-
-    Each word is built from its suffix parent, built first: for
-    ``g = s·h``, ``(g·P)(x) = (h·P)(s^{-1}x)``.  An inverse letter ``s = -k``
-    is one gather through generator ``k``; a generator ``s = k`` is one
-    scatter through it, ``moved[perms[k-1]] = parent``, as
-    ``(g·P)(s·y) = (h·P)(y)``; no inverse permutation is built.  Suffixes
-    missing from ``words`` are built on the way; the identity maps to the
-    labels themselves.  Arrays are read-only, in the smallest unsigned dtype
-    that holds every label.  ``_Translates`` builds them.
-    """
-    table = _Translates(a, p, words)
-    return {g: table[g] for g in table}
-
-
 class _Translates:
-    """The translates ``g·P`` of ``words`` under ``a``, each built whole from
-    its suffix parent the first time it is read, and kept.
+    """One side's translates ``g·P`` of ``words`` under ``a``, on every point
+    or on the sorted ``points``; each is built from its suffix parent the
+    first time it is read, and kept.
 
-    ``built`` seeds it with translates already built.  Iterating yields the
-    words; ``columns`` streams them to a refinement, and ``at`` reads them at
-    some points from their whole suffix parents without building them whole.
+    For ``g = s·h``, ``(g·P)(x) = (h·P)(s^{-1}x)``.  An inverse letter
+    ``s = -k`` is one gather through generator ``k``.  On every point, a
+    generator ``s = k`` is one scatter through it, ``moved[perms[k-1]] =
+    parent``, as ``(g·P)(s·y) = (h·P)(y)``; at some points it reads their
+    ``_preimages``.  No inverse permutation is built.  On ``points``, where
+    ``s^{-1}x`` leaves them ``h`` is read from ``behind``, the every-point
+    table of another side that agrees with this one off the points.  The
+    identity maps to the labels themselves.  Arrays are read-only, in the
+    smallest unsigned dtype that holds every label.
     """
 
-    def __init__(self, a: FiniteAction, p: Observable, words, built=None):
+    def __init__(
+        self, a: FiniteAction, p: Observable, words, points=None, behind=None
+    ):
         if p.n != a.n:
             raise ValueError("partition size does not match the action")
         self.words = list(dict.fromkeys(words))
@@ -179,31 +170,32 @@ class _Translates:
             for s in reversed(g.letters):
                 if abs(s) > a.rank:
                     raise ValueError(f"letter {s} outside rank {a.rank}")
-        self.perms = a.perms
-        self.table = {(): _frozen(p.labels.astype(_label_dtype(p.alphabet_size)))}
-        self.table.update((g.letters, m) for g, m in (built or {}).items())
-
-    def __iter__(self):
-        return iter(self.words)
+        self.perms, self.points, self.behind = a.perms, points, behind
+        labels = p.labels.astype(_label_dtype(p.alphabet_size))
+        if points is not None:
+            labels = labels[points]
+            self.slot = np.full(a.n, -1, dtype=np.int64)
+            self.slot[points] = np.arange(points.size)
+        self.table = {(): _frozen(labels)}
+        self.places = {}  # the _place of each letter at the table's points
 
     def __getitem__(self, g: ReducedWord) -> np.ndarray:
         return self.whole(g.letters)
 
     def whole(self, letters: tuple) -> np.ndarray:
-        """The translate of the word spelled ``letters``, and of each of its
-        suffixes, built whole if it is not yet."""
+        """The translate of the word spelled ``letters`` on the table's
+        points, and of each of its suffixes, built if it is not yet."""
         missing = []
         while letters not in self.table:
             missing.append(letters)
             letters = letters[1:]
         for letters in reversed(missing):
-            s, parent = letters[0], self.table[letters[1:]]
-            perm = self.perms[abs(s) - 1]
-            if s < 0:
-                moved = parent[perm]
+            s, h = letters[0], letters[1:]
+            if self.points is None and s > 0:
+                moved = np.empty_like(self.table[h])
+                moved[self.perms[s - 1]] = self.table[h]
             else:
-                moved = np.empty_like(parent)
-                moved[perm] = parent
+                moved = self._step(letters, self.points, self.places)
             self.table[letters] = _frozen(moved)
         return self.table[letters]
 
@@ -215,25 +207,51 @@ class _Translates:
         for g in sorted(self.words, key=lambda g: (len(g), g.letters[:1] > (0,))):
             yield self[g]
 
-    def at(self, points: np.ndarray):
-        """A reader of each word's translate at ``points``, which may repeat.
+    def at(self, points):
+        """A reader of each word's translate at ``points``, which may repeat,
+        or on the table's own points when ``points`` is ``None``."""
+        if points is None:
+            return self.__getitem__
+        places = {}
+        return lambda g: self._step(g.letters, points, places)
 
-        A word built whole is read there; any other ``g = s·h`` is read off
-        the whole ``h`` at ``s^{-1}`` of the points: for an inverse letter a
-        gather through its generator, for a generator its ``_preimages``.
-        """
-        sources = {}
+    def _step(self, letters: tuple, points, places: dict) -> np.ndarray:
+        """The translate of ``letters`` at ``points``: read there if built,
+        otherwise, for ``s·h``, read off ``h``, built, at ``s^{-1}`` of the
+        points.  ``places`` keeps each ``_place`` for the next word."""
+        s = None if letters in self.table else letters[0]
+        if s not in places:
+            places[s] = self._place(s, points)
+        return self._read(letters if s is None else letters[1:], places[s])
 
-        def read(g: ReducedWord) -> np.ndarray:
-            if g.letters in self.table:
-                return self.table[g.letters][points]
-            s = g.letters[0]
-            if s not in sources:
-                perm = self.perms[abs(s) - 1]
-                sources[s] = perm[points] if s < 0 else _preimages(perm, points)
-            return self.whole(g.letters[1:])[sources[s]]
+    def _place(self, s, points):
+        """``(outside, order)`` for a read at ``s^{-1}`` of ``points``, or at
+        the points when ``s`` is ``None``: the targets off the table's points,
+        read from ``behind`` (none on every point), and each target's place in
+        the table's values followed by those.  Every point (``None``) is read
+        only through an inverse letter."""
+        if s is None:
+            targets = points
+        elif s > 0:
+            targets = _preimages(self.perms[s - 1], points)
+        else:
+            perm = self.perms[-s - 1]
+            targets = perm if points is None else perm[points]
+        if self.points is None:
+            return targets[:0], targets
+        order = self.slot[targets]
+        off = order < 0
+        size = self.points.size
+        order[off] = np.arange(size, size + np.count_nonzero(off))
+        return targets[off], order
 
-        return read
+    def _read(self, letters: tuple, place) -> np.ndarray:
+        """The translate of ``letters`` at a ``_place``."""
+        outside, order = place
+        own = self.whole(letters)
+        if outside.size:
+            own = np.concatenate((own, self.behind.whole(letters)[outside]))
+        return own[order]
 
 
 def _preimages(perm: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -251,7 +269,7 @@ def refine_partition(p: Observable, words, a: FiniteAction) -> Observable:
     """Common refinement of the translated partitions ``{g·P : g in words}``.
 
     Point x lands in the atom determined by its translated-label signature
-    ``(P(g^{-1}x))_{g}``, the labels of ``translated_labels(a, p, words)``.
+    ``(P(g^{-1}x))_{g}``, the labels of the translates ``g·P``.
     Atom ids are dense, numbered by first occurrence in point order, so the
     output is reproducible.  The words are translated as the refinement
     reads them (``_Translates.columns``), and those left once a test of the
@@ -348,7 +366,7 @@ def parse_word(text: str, rank: int) -> ReducedWord:
         if idx > rank:
             raise ValueError(f"token {tok!r} exceeds rank {rank}")
         letters.append(idx if tok.islower() else -idx)
-    return reduce_word(letters)
+    return _reduce_word(letters)
 
 
 def format_word(w: ReducedWord) -> str:

@@ -6,15 +6,15 @@ these numbers agree over a finite word set.  This module alone counts and
 compares them.  Compared statistics are read over one word of each inverse
 pair, and ``_kechris`` turns the word gaps into the distance.  A side read
 many times is tallied once (``_counted``) and read by ``_distance_from``.
-Nearby sides, as in a transport, differ only near the few points where
-their actions or partitions do: ``_near_side`` builds the ``(w, Q)``
-translates on those points alone, reads them from the ``(v, P)`` table
-elsewhere, and the comparisons count only those points.  Sides that differ
-widely (``_few_disagree``) are translated whole and compared on every point.
+Each side's translates are one ``freegroup._Translates`` table.  Nearby
+sides, as in a transport, differ only at the few points near where their
+actions or partitions do (``_near_points``): the ``(w, Q)`` table is built
+on those points alone, with the ``(v, P)`` table behind it, and the
+comparisons count only those points.  Sides that differ widely
+(``_few_disagree``) are translated on every point and compared there.
 ``ball_transport_certificate`` carries a partition across an atom bijection
 on a ball refinement and measures, claim by claim, how much each
-transported quantity drifts; it translates a ball word whole only where a
-whole table is read, and reads the others at the compared points alone.
+transported quantity drifts.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from .freegroup import (
     FiniteAction,
     ReducedWord,
     _first_points,
-    _preimages,
     _refine,
     _Translates,
     ball,
-    translated_labels,
 )
 from .spaces import Coupling, Observable, _as_permutation, _cell_counts, _cell_rule
 
@@ -47,7 +45,7 @@ __all__ = [
 def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> Coupling:
     """Exact intersection statistics: entry (i,j) is ``#(P_i ∩ g·P_j)/n``."""
     k = p.alphabet_size
-    counts = _cell_counts(p.labels * k, translated_labels(a, p, [g])[g], k)
+    counts = _cell_counts(p.labels * k, _Translates(a, p, [g])[g], k)
     return Coupling.from_counts(counts.reshape(k, k), p.n)
 
 
@@ -61,23 +59,24 @@ def kechris_distance(
     ``mu(P_i ∩ g·P_j) = mu(g^{-1}·P_i ∩ P_j)``, the counts of ``g^{-1}`` are
     the transpose of those of ``g`` on both sides and give the same gap, so
     only one word of each inverse pair is compared.  Nearby sides are
-    compared on ``_near_side``'s points alone.
+    compared on ``_near_points`` alone.
     """
     if q.alphabet_size != p.alphabet_size:
         raise ValueError("partitions must have the same atom count")
     compared = _one_per_inverse_pair(words)
-    suffixes = {ReducedWord(g.letters[i:]) for g in compared for i in range(len(g) + 1)}
-    moved_p = translated_labels(v, p, suffixes | {ReducedWord()})
     radius = max(map(len, compared), default=0)
-    points, moved_q = _near_side(v, w, p, q, moved_p, radius)
-    return _kechris(_word_gaps(p, q, compared, moved_p, points, moved_q), p.n * q.n)
+    moved_p = _Translates(v, p, compared)
+    near = _near_points(v, w, p, q, radius)
+    points = None if near is None else np.flatnonzero(near)
+    moved_q = _Translates(w, q, compared, points, moved_p)
+    return _kechris(_gaps(p, q, compared, moved_p, moved_q, points), p.n * q.n)
 
 
 def _one_per_inverse_pair(words) -> list[ReducedWord]:
     """One word of each inverse pair among ``words``, less repeats.
 
     Of ``g`` and ``g^{-1}``, the word with more inverse letters is kept, the
-    first on a tie: ``translated_labels`` gathers an inverse letter where it
+    first on a tie: ``_Translates`` gathers an inverse letter where it
     scatters a generator, and the two words give the same gap.
     """
     kept: dict[tuple, ReducedWord] = {}  # letters of the pair's first -> word kept
@@ -99,66 +98,6 @@ def _kechris(gaps, cells: int) -> float:
     return float(Fraction(max(gaps, default=0), cells))
 
 
-def _near_side(v, w, p, q, moved_p, radius: int, also=None):
-    """``(points, moved_q)``: the sorted ``points`` where the ``(w, Q)``
-    translates of the words of ``moved_p`` can differ from its ``(v, P)``
-    translates, and those ``(w, Q)`` translates there.
-
-    ``moved_p`` maps a suffix-closed word set, the identity included, of
-    words no longer than ``radius``, to their ``(v, P)`` translates: a dict
-    of whole tables or a ``_Translates``.  Only the translates of words
-    shorter than ``radius`` are read, each whole.  Level 0 holds
-    the points where ``P`` and ``Q`` differ or some generator of ``v`` and
-    ``w`` does; level j + 1 adds the images and preimages of level j under
-    each generator of ``w``; the points are level ``radius`` and the mask
-    ``also``.  Off them, ``(g·Q)(x) = (g·P)(x)`` for ``|g| <= radius``.  The
-    ``w``-walk ``x = x_0, ..., x_m`` of ``g^{-1}`` has ``x_i`` outside level
-    ``radius - i``, as ``x_{i+1}`` in level ``radius - i - 1`` would put
-    ``x_i`` in level ``radius - i``.  So every step starts outside level 1,
-    which holds the points where a generator of the two actions differs and
-    their images (one set under both actions): ``v`` takes the same step.
-    And the walk ends outside level 0, where ``P = Q``.
-
-    The values on the points are built from suffix parents as in
-    ``translated_labels``: for ``g = s·h``, ``(g·Q)(x) = (h·Q)(s^{-1}x)``,
-    read from the values of ``h`` where ``s^{-1}x`` is one of the points and
-    from ``moved_p[h]`` elsewhere.  For an inverse letter ``s^{-1}`` is a
-    gather through ``w``; for a generator it is read off the points whose
-    image is one of the points, so no inverse table is built.  When the
-    points are not few (``_few_disagree``), or the sides differ in rank or
-    point count, ``points`` is ``None`` and ``moved_q`` is the whole table
-    ``translated_labels(w, q, moved_p)``.
-    """
-    near = _near_points(v, w, p, q, radius, also)
-    if near is None:
-        return None, translated_labels(w, q, moved_p)
-    points = np.flatnonzero(near)
-    slot = np.empty(near.shape[0], dtype=np.int64)  # set at the points only
-    slot[points] = np.arange(points.size)
-    lookups = {}
-
-    def lookup(s: int):
-        # the targets s^{-1}x off the points, and where each point's value
-        # sits in the values of h followed by moved_p[h] at those targets
-        if s not in lookups:
-            perm = w.perms[abs(s) - 1]
-            target = perm[points] if s < 0 else _preimages(perm, points)
-            off = ~near[target]
-            order = slot[target]
-            order[off] = np.arange(points.size, points.size + np.count_nonzero(off))
-            lookups[s] = target[off], order
-        return lookups[s]
-
-    words = {g.letters: g for g in moved_p}
-    values = {(): q.labels[points].astype(moved_p[words[()]].dtype)}
-    for letters in sorted(words, key=len)[1:]:
-        h = letters[1:]
-        outside, order = lookup(letters[0])
-        parent = moved_p[words[h]][outside]
-        values[letters] = np.concatenate((values[h], parent))[order]
-    return points, {g: values[letters] for letters, g in words.items()}
-
-
 def _few_disagree(count: int, n: int) -> bool:
     """Whether ``count`` of ``n`` points, at most a fifth, are few enough
     that building the ``(w, Q)`` side on them beats translating it whole.
@@ -171,8 +110,25 @@ def _few_disagree(count: int, n: int) -> bool:
     return 5 * count <= n
 
 
-def _near_points(v, w, p, q, radius: int, also):
-    """Mask of ``_near_side``'s points, or ``None`` when they are not few."""
+def _near_points(v, w, p, q, radius: int):
+    """Mask of the points where the ``(w, Q)`` translates of words no longer
+    than ``radius`` can differ from the ``(v, P)`` ones, or ``None`` when
+    they are not few (``_few_disagree``) or the sides differ in rank or
+    point count.
+
+    Level 0 holds the points where ``P`` and ``Q`` differ or some generator
+    of ``v`` and ``w`` does; level j + 1 adds the images and preimages of
+    level j under each generator of ``w``; the mask is level ``radius``.
+    Off it, ``(g·Q)(x) = (g·P)(x)`` for ``|g| <= radius``.  The ``w``-walk
+    ``x = x_0, ..., x_m`` of ``g^{-1}`` has ``x_i`` outside level
+    ``radius - i``, as ``x_{i+1}`` in level ``radius - i - 1`` would put
+    ``x_i`` in level ``radius - i``.  So every step starts outside level 1,
+    which holds the points where a generator of the two actions differs and
+    their images (one set under both actions): ``v`` takes the same step.
+    And the walk ends outside level 0, where ``P = Q``.  So a ``(w, Q)``
+    table on any points that hold the mask may read the ``(v, P)`` table
+    off them.
+    """
     n = v.n
     if w.perms.shape != v.perms.shape or q.n != n:
         return None
@@ -188,8 +144,6 @@ def _near_points(v, w, p, q, radius: int, also):
             grown |= near[perm]  # the points whose image is near
             grown[perm[points]] = True
         near = grown
-    if also is not None:
-        near |= also
     return near if _few_disagree(np.count_nonzero(near), n) else None
 
 
@@ -203,9 +157,9 @@ def _counted(v: FiniteAction, p: Observable, words):
     them; otherwise they are counted once more.
     """
     k = p.alphabet_size
-    moved = translated_labels(v, p, _one_per_inverse_pair(words))
+    moved = _Translates(v, p, _one_per_inverse_pair(words))
     tally, _ = _cell_rule(p.labels, p.labels, k, p.n, p.n)
-    tallies = {g: tally(m) for g, m in moved.items()}
+    tallies = {g: tally(moved[g]) for g in moved.words}
     pairs = []
     for s in range(1, v.rank + 1):
         letter = ReducedWord((-s,))
@@ -221,31 +175,25 @@ def _distance_from(p: Observable, tallies: dict, w: FiniteAction, q: Observable)
     """``kechris_distance`` of ``(w, Q)``, ``Q`` of ``P``'s size and
     alphabet, from the side ``_counted`` tallied."""
     _, gap = _cell_rule(p.labels, q.labels, p.alphabet_size, q.n, p.n)
-    moved = translated_labels(w, q, tallies)
+    moved = _Translates(w, q, tallies)
     return _kechris((gap(t, moved[g]) for g, t in tallies.items()), p.n * q.n)
 
 
-def _word_gaps(p, q, words, moved_p, points, moved_q) -> list[int]:
+def _gaps(p, q, words, moved_p, moved_q, points) -> list[int]:
     """Each word's ``_cell_rule`` gap of ``(P, moved_p)`` against
-    ``(Q, moved_q)``, over ``_near_side``'s points, or every point when
-    ``points`` is ``None``.
+    ``(Q, moved_q)``, two ``_Translates``, over the sorted ``points``, or
+    every point when ``points`` is ``None``.
 
     Off the points both sides, on the same n points, put each point in the
     same cell, adding ``+n`` and ``-n`` to it, so counting only the points
     leaves every cell's difference as it was.
     """
-    at = slice(None) if points is None else points
-    return _read_gaps(p, q, words, lambda g: moved_p[g][at], points, moved_q)
-
-
-def _read_gaps(p, q, words, read_p, points, moved_q) -> list[int]:
-    """``_word_gaps``, with ``read_p(g)`` the ``(v, P)`` translate of ``g``
-    read at the points, or whole when ``points`` is ``None``."""
     if points is not None and not points.size:
         return [0] * len(words)
     at = slice(None) if points is None else points
     tally, gap = _cell_rule(p.labels[at], q.labels[at], p.alphabet_size, q.n, p.n)
-    return [gap(tally(read_p(g)), moved_q[g]) for g in words]
+    read_p, read_q = moved_p.at(points), moved_q.at(points)
+    return [gap(tally(read_p(g)), read_q(g)) for g in words]
 
 
 def _beta_partition(pprime: Observable, beta) -> Observable:
@@ -333,20 +281,18 @@ def ball_transport_certificate(
     certificate is informational: out-of-bound values are reported, never
     raised.
 
-    The ``(v, P)`` translates of the words shorter than ``radius`` are built
-    whole, as the near side reads them.  A radius-length word is translated
-    over every point only when the refinement reads it (those that gather
-    first) or when the sides are compared on every point; otherwise claim
-    2 and the final discrepancy read it at their points from its whole
-    parent (``_Translates.at``).  The final discrepancy is counted on the
-    points near where the sides differ even when the points where ``Q'``
-    and ``P'`` differ send claim 2 to every point.
+    One ``_Translates`` holds each side.  A radius-length ``(v, P)`` word is
+    translated over every point only when the refinement reads it (those
+    that gather first) or when the sides are compared on every point;
+    otherwise it is read at the compared points from its parent.  Claim 2
+    builds the ``(w, Q)`` table on the near points and those where ``Q'``
+    and ``P'`` differ when those are few, and on every point otherwise; the
+    final discrepancy reads it at the near points whenever they are few.
     """
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
     words = tuple(ball(v.rank, radius))
-    short = translated_labels(v, p, [g for g in words if len(g) < radius])
-    moved_p = _Translates(v, p, words, short)
+    moved_p = _Translates(v, p, words)
     pprime = _refine(moved_p.columns(), p.alphabet_size, p.n)
     q, qprime, first = _transport(p, pprime, beta)
     n = p.n
@@ -362,18 +308,18 @@ def ball_transport_certificate(
     # the union of image atoms whose preimages tile g·P_i: x lies in it iff
     # moved_p[g][pull[x]] == i.  moved_p[g] is constant on refinement atoms,
     # so that is moved_p[g][x] wherever Q' and P' agree, and that is
-    # moved_q[g][x] off the near points: the drift lies on those points.
-    # Sides that differ widely are compared on every point.
+    # moved_q[g][x] off the near points: the drift lies on the near points
+    # and those where Q' and P' differ.  If those are many, on every point.
     pull = first[qprime.labels]
     moved_at = qprime.labels != pprime.labels
-    points, moved_q = _near_side(v, w, p, q, moved_p, radius, also=moved_at)
-    if points is None:  # every word is built whole, once
-
-        def read(g):
-            return moved_p[g][pull]
-
-    else:
-        read = moved_p.at(pull[points])
+    near = _near_points(v, w, p, q, radius)
+    claimed = None if near is None else np.flatnonzero(near | moved_at)
+    points = claimed if near is not None and _few_disagree(claimed.size, n) else None
+    moved_q = _Translates(w, q, words, points, moved_p)
+    if moved_at.any():
+        read = moved_p.at(pull if points is None else pull[points])
+    else:  # moved_p[g][pull] is moved_p[g]
+        read = moved_p.at(points)
     claim2: dict[ReducedWord, float] = {}
     for g in words:
         beta_image = read(g)
@@ -383,17 +329,10 @@ def ball_transport_certificate(
         worst = int(np.max(lost + gained)) if mismatch.size else 0
         claim2[g] = worst / n
     compared = _one_per_inverse_pair(words)
-    if points is None and moved_at.any():
-        # the points where Q' and P' differ may be what made the points many:
-        # the final discrepancy reads only those near where the sides differ
-        near = _near_points(v, w, p, q, radius, None)
-        if near is not None:
-            points = np.flatnonzero(near)
-            moved_q = {g: moved_q[g][points] for g in compared}
-    read = moved_p.__getitem__ if points is None else moved_p.at(points)
-    final = _kechris(_read_gaps(p, q, compared, read, points, moved_q), n * n)
+    near = None if near is None else np.flatnonzero(near)
+    final = _kechris(_gaps(p, q, compared, moved_p, moved_q, near), n * n)
     # freed before the hypothesis builds its own
-    del short, moved_p, moved_q, pull, moved_at, read
+    del moved_p, moved_q, pull, moved_at, read
 
     # Generator-level hypothesis over the symmetric letter set.
     hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])

@@ -11,7 +11,7 @@ oracle's ``Fraction`` exactly, on both branches, at the branch boundary,
 with unequal point counts, one-sided cells, empty atoms, a single atom and
 a single point.  A tally made once must give the same gaps against every
 other side, and ``weak._counted`` with ``weak._distance_from`` must give
-the letter statistics and ``kechris_distance``.  ``weak._word_gaps``
+the letter statistics and ``kechris_distance``.  ``weak._gaps``
 compares two sides through one rule, over every point or over the points
 where sides on the same points disagree; both must match the oracle
 whether the sides agree everywhere, on all but a few points or nowhere.
@@ -32,9 +32,9 @@ from orbitforge import (
     ball,
     kechris_distance,
     stats_matrix,
-    translated_labels,
 )
 from orbitforge import spaces, weak
+from orbitforge.freegroup import _Translates
 
 
 def _oracle(p, moved_p, q, moved_q) -> Fraction:
@@ -228,8 +228,8 @@ def test_word_statistics_match_frozen_oracle(rank, k, n_p, n_q, seed):
     p = Observable(rng.integers(0, k, size=n_p), k)
     q = Observable(rng.integers(0, k, size=n_q), k)
     words = ball(rank, 2)
-    moved_p = translated_labels(v, p, words)
-    moved_q = translated_labels(w, q, words)
+    moved_p = _Translates(v, p, words)
+    moved_q = _Translates(w, q, words)
     gap = _label_gap(p, q)
     for g in words:
         kp, cp = ref._sparse_pair_counts(v, p, g, k)
@@ -252,8 +252,8 @@ def test_generator_letters_on_a_fine_refinement():
     p = Observable(rng.permutation(n) % k, k)
     q = Observable(rng.permutation(n) % k, k)
     letters = [ReducedWord((s,)) for s in (1, -1, 2, -2)]
-    moved_p = translated_labels(v, p, letters)
-    moved_q = translated_labels(w, q, letters)
+    moved_p = _Translates(v, p, letters)
+    moved_q = _Translates(w, q, letters)
     gap = _label_gap(p, q)
     for g in letters:
         want = _oracle(p, moved_p[g], q, moved_q[g])
@@ -288,11 +288,15 @@ def paired_sides(draw):
 
 
 def _word_gap(p, moved_p, q, moved_q, points) -> Fraction:
-    """One word's gap from ``weak._word_gaps`` over ``points``, or every point."""
+    """One word's gap from ``weak._gaps`` over ``points``, or every point:
+    each side's moved labels are the identity's translate of a partition."""
     g = ReducedWord()
-    at = slice(None) if points is None else points
-    gaps = weak._word_gaps(p, q, [g], {g: moved_p}, points, {g: moved_q[at]})
-    return Fraction(gaps[0], p.n * q.n)
+    k = p.alphabet_size
+    tables = [
+        _Translates(FiniteAction.from_perms(np.arange(m.size)), Observable(m, k), [g])
+        for m in (moved_p, moved_q)
+    ]
+    return Fraction(weak._gaps(p, q, [g], *tables, points)[0], p.n * q.n)
 
 
 @given(paired_sides())

@@ -14,20 +14,19 @@ from orbitforge import (
     format_word,
     inverse_permutation,
     parse_word,
-    reduce_word,
     refine_partition,
-    translated_labels,
 )
+from orbitforge.freegroup import _reduce_word, _Translates
 
 
 def test_reduce_cancellation():
-    assert reduce_word([1, -1]).is_identity
-    assert reduce_word([1, 2, -2, 1]).letters == (1, 1)
-    assert reduce_word([1, 2, -1]).letters == (1, 2, -1)
+    assert _reduce_word([1, -1]).is_identity
+    assert _reduce_word([1, 2, -2, 1]).letters == (1, 1)
+    assert _reduce_word([1, 2, -1]).letters == (1, 2, -1)
 
 
 def test_reduce_nested_cancellation():
-    assert reduce_word([1, 2, -2, -1]).is_identity
+    assert _reduce_word([1, 2, -2, -1]).is_identity
 
 
 def test_reduced_word_rejects_unreduced():
@@ -38,10 +37,10 @@ def test_reduced_word_rejects_unreduced():
 def test_words_refuse_non_integral_letters():
     # int() would truncate [1.5, -1.7, 2.2] to [1, -1, 2], which reduces to b
     with pytest.raises(ValueError, match="letters must be integers"):
-        reduce_word([1.5, -1.7, 2.2])
+        _reduce_word([1.5, -1.7, 2.2])
     with pytest.raises(ValueError, match="letters must be integers"):
         ReducedWord((1.5,))
-    assert reduce_word([1.0, 2.0]).letters == (1, 2)
+    assert _reduce_word([1.0, 2.0]).letters == (1, 2)
     assert ReducedWord((np.int64(2), -1.0)) == ReducedWord((2, -1))
 
 
@@ -87,7 +86,7 @@ def test_translated_labels_identity_and_generators():
     a = FiniteAction.from_perms([[1, 2, 0], [1, 0, 2]])
     p = Observable([0, 1, 2], 3)
     e, s1, s1_inv = ReducedWord(), ReducedWord((1,)), ReducedWord((-1,))
-    table = translated_labels(a, p, [e, s1, s1_inv])
+    table = _Translates(a, p, [e, s1, s1_inv])
     assert np.array_equal(table[e], p.labels)
     assert np.array_equal(table[s1], [2, 0, 1])
     assert np.array_equal(table[s1_inv], [1, 2, 0])
@@ -99,7 +98,7 @@ def test_translated_labels_composition_convention():
     a = FiniteAction.from_perms([[1, 2, 0], [1, 0, 2]])
     p = Observable([0, 1, 2], 3)
     w = ReducedWord((1, 2))
-    table = translated_labels(a, p, [w])
+    table = _Translates(a, p, [w])
     assert np.array_equal(table[w], [2, 1, 0])
     inverses = [inverse_permutation(perm) for perm in a.perms]
     assert np.array_equal(table[w], p.labels[inverses[1]][inverses[0]])
@@ -183,15 +182,15 @@ def test_word_parse_format_roundtrip():
 def test_parse_inverts_format(data):
     rank = data.draw(st.integers(1, 25))
     letter = st.integers(1, rank).flatmap(lambda k: st.sampled_from([k, -k]))
-    w = reduce_word(data.draw(st.lists(letter, max_size=20)))
+    w = _reduce_word(data.draw(st.lists(letter, max_size=20)))
     assert parse_word(format_word(w), rank) == w
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
 @settings(max_examples=80, deadline=None)
 def test_reduce_idempotent_and_valid(letters):
-    w = reduce_word(letters)
-    assert reduce_word(w.letters).letters == w.letters
+    w = _reduce_word(letters)
+    assert _reduce_word(w.letters).letters == w.letters
     for x, y in zip(w.letters, w.letters[1:]):
         assert x != -y
 

@@ -3,6 +3,7 @@ integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no stable sort, no inverse table of a generator
 (the public ``inverse_permutation`` is the one caller of its kernel), no
 call of the word-statistics kernel ``_cell_rule`` outside ``weak.py``, no
+step of a word's translate by a letter outside ``freegroup.py``, no
 cache in an object's ``__dict__``,
 no file or stdout written outside ``cli._write_all``, the README calls only
 names the package has, and the public names and options are the registered
@@ -336,6 +337,58 @@ def test_word_statistics_are_compared_only_in_weak():
     assert found == []
 
 
+def _letter_steps(tree, perms: bool = True):
+    """Line of each reference to ``_preimages`` and, with ``perms``, each
+    ``.perms`` read outside a function ``_near_points``: the ways to step a
+    word's translate ``(s·h)·P(x) = (h·P)(s^{-1}x)`` by a letter."""
+    kept = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_near_points"
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        attr = getattr(node, "attr", None)  # set on attributes alone
+        names = (getattr(node, "id", None), attr, getattr(node, "name", None))
+        if "_preimages" in names:  # a name, an attribute or an import
+            yield node.lineno
+        elif perms and attr == "perms" and id(node) not in kept:
+            yield node.lineno
+
+
+_LETTER_STEP_SAMPLES = """
+from .freegroup import _preimages
+def flagged(w, s, points):
+    before = freegroup._preimages(w.perms[s - 1], points)
+    return _preimages, a.perms
+def _near_points(v, w):
+    return w.perms.shape != v.perms.shape, preimages(v), "_preimages"
+def kept(a):
+    return a.rank, a.perm, perms, "w.perms", _preimage
+"""
+
+
+def test_letter_step_walk_finds_each_form():
+    tree = ast.parse(_LETTER_STEP_SAMPLES)
+    assert sorted(_letter_steps(tree)) == [2, 4, 4, 5, 5]
+    assert sorted(_letter_steps(tree, perms=False)) == [2, 4, 5]
+
+
+def test_word_translates_are_stepped_only_in_freegroup():
+    # freegroup._Translates alone steps a translate by a letter, on every
+    # point or on some; weak.py reads the generators only to find the points
+    # near where two sides differ
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        if path.name != "freegroup.py"
+        for line in _letter_steps(
+            ast.parse(path.read_text()), perms=path.name == "weak.py"
+        )
+    ]
+    assert found == []
+
+
 def _dict_uses(tree):
     """Line of each read or write of an object's ``__dict__``, also by name."""
     for node in ast.walk(tree):
@@ -514,9 +567,7 @@ PUBLIC = [
     "freegroup.ball",
     "freegroup.format_word",
     "freegroup.parse_word",
-    "freegroup.reduce_word",
     "freegroup.refine_partition",
-    "freegroup.translated_labels",
     "permutations.CycleDecomposition",
     "permutations.cycle_decomposition",
     "permutations.cycle_min_labels",

@@ -31,7 +31,6 @@ from orbitforge import (
     mixture_coupling,
     permutation_with_cycle_lengths,
     rearrange_line,
-    reduce_word,
     refine_partition,
     rewire,
     round_coupling,
@@ -39,7 +38,7 @@ from orbitforge import (
     verify_oe,
     verify_same_orbits,
 )
-from orbitforge import pipeline
+from orbitforge import freegroup, pipeline
 
 _CYCLE4 = np.array([1, 2, 3, 0])
 _V4 = FiniteAction.from_perms([_CYCLE4])
@@ -63,7 +62,7 @@ INPUT_CHECKS = {
         "letters are nonzero signed indices",
     ),
     "reduce_word(0)": (
-        lambda: reduce_word([1, 0]),
+        lambda: freegroup._reduce_word([1, 0]),
         ValueError,
         "letters are nonzero signed indices",
     ),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import orbitforge
-from orbitforge import pipeline
+from orbitforge import freegroup, pipeline
 from orbitforge import (
     CertificationError,
     Coupling,
@@ -541,14 +541,11 @@ def test_run_experiment_counts_the_target_once_per_run(monkeypatch):
         ("orbitforge.weak", "stats_matrix"),
         ("orbitforge.weak", "kechris_distance"),
         ("orbitforge.spaces", "joint_pair_distribution"),
-        ("orbitforge.freegroup", "translated_labels"),
     ):
         original = getattr(importlib.import_module(module), name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
-            if _name == "translated_labels":
-                actions.append(args[0])
             return _fn(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):
@@ -557,12 +554,20 @@ def test_run_experiment_counts_the_target_once_per_run(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
+    init = freegroup._Translates.__init__
+
+    def recorded(self, a, p, words, points=None, behind=None):
+        init(self, a, p, words, points, behind)
+        if points is None:  # a table on every point
+            actions.append(a)
+
+    monkeypatch.setattr(freegroup._Translates, "__init__", recorded)
     config = PipelineConfig(
         n=20_000, rank=2, alphabet=2, eps_schedule=(0.1, 0.05, 0.03), seed=9
     )
     result = run_experiment(config)
     assert result.all_bounds_held
-    assert calls["translated_labels"] == 4
+    assert len(actions) == 4
     b = pipeline._build_action("random", config.n, config.rank, config.seed, 202)
     assert np.array_equal(actions[0].perms, b.perms)
     assert calls["stats_matrix"] == 0

@@ -24,12 +24,11 @@ from orbitforge import (
     ball,
     ball_transport_certificate,
     kechris_distance,
-    reduce_word,
     refine_partition,
     stats_matrix,
-    translated_labels,
 )
-from orbitforge import spaces, weak
+from orbitforge import freegroup, spaces, weak
+from orbitforge.freegroup import _reduce_word, _Translates
 
 
 def _outcome(fn, *args):
@@ -56,7 +55,7 @@ def partitions(draw, n, k):
 @st.composite
 def word_lists(draw, rank):
     letter = st.sampled_from([s for k in range(1, rank + 1) for s in (k, -k)])
-    words = st.lists(letter, max_size=5).map(reduce_word)
+    words = st.lists(letter, max_size=5).map(_reduce_word)
     return draw(st.lists(words, min_size=1, max_size=10))
 
 
@@ -83,8 +82,8 @@ def assert_same_partition(new, old):
 def test_translated_labels_match_oracle(inst, data):
     rank, n, k, a, p = inst
     words = data.draw(word_lists(rank))
-    table = translated_labels(a, p, words)
-    assert set(table) == set(words)
+    table = _Translates(a, p, words)
+    assert set(table.words) == set(words)
     for g in words:
         want = ref._translated_labels(p, ref.evaluate(a, g))
         assert table[g].dtype == np.uint8
@@ -97,7 +96,7 @@ def test_translated_labels_dtype_fits_alphabet():
     cases = ((1, np.uint8), (256, np.uint8), (257, np.uint16), (2**17, np.uint32))
     for k, dtype in cases:
         p = Observable(np.array([0, k - 1]), k)
-        table = translated_labels(a, p, [ReducedWord((1,))])
+        table = _Translates(a, p, [ReducedWord((1,))])
         assert table[ReducedWord((1,))].dtype == dtype
         assert table[ReducedWord((1,))].tolist() == [k - 1, 0]
 
@@ -238,8 +237,9 @@ def test_discrete_refinement_stops_at_the_first_rerank(monkeypatch):
     monkeypatch.undo()
     assert reranks == Counter()
     assert cert.refinement_atoms == n
-    # the whole (v, P) translates, the identity included
-    [table] = tables
+    # the every-point tables are those of (v, P) and (v, P'); the first
+    # holds the words translated whole, the identity included
+    table = [t for t in tables if t.points is None][0]
     assert len(table.table) <= 30
     assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
 
@@ -268,31 +268,13 @@ def test_refinement_at_the_group_and_dtype_edges(k, discrete):
     assert (new.alphabet_size == a.n) == discrete
 
 
-@given(instances(), st.integers(1, 3), st.data())
-@settings(max_examples=100, deadline=None)
-def test_translates_read_at_points_match_the_whole_table(inst, radius, data):
-    # a radius-length word, first letter either sign, read at arbitrary
-    # points, some repeated, from its whole parent: the values of its whole
-    # table there, and no word is built whole on the way
-    rank, n, k, a, p = inst
-    words = ball(rank, radius)
-    short = translated_labels(a, p, [g for g in words if len(g) < radius])
-    table = weak._Translates(a, p, words, short)
-    listed = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    points = np.array(listed, dtype=np.int64)
-    read = table.at(points)
-    for g in words[len(short) :]:
-        assert np.array_equal(read(g), translated_labels(a, p, [g])[g][points])
-    assert set(table.table) == {g.letters for g in short} | {()}
-
-
 def test_refine_partition_with_alphabet_wider_than_codes():
     # the radix alone passes 2^62 / n, so the digits are ranked as well
     n, k = 12, 2**62
     a = FiniteAction.from_perms([np.roll(np.arange(n), 1)])
     p = Observable(np.array([0, k - 1, k // 3])[np.arange(n) ** 2 % 7 % 3], k)
     words = ball(1, 3)
-    assert translated_labels(a, p, words)[words[0]].dtype == np.int64
+    assert _Translates(a, p, words)[words[0]].dtype == np.int64
     new = refine_partition(p, words, a)
     assert_same_partition(new, ref.refine_partition(p, words, a))
 
@@ -305,7 +287,7 @@ def test_partition_size_must_match_action(m):
     bad = Observable(np.arange(m) % 2, 2)
     msg = "partition size does not match the action"
     with pytest.raises(ValueError, match=msg):
-        translated_labels(a, bad, ball(2, 1))
+        _Translates(a, bad, ball(2, 1))
     with pytest.raises(ValueError, match=msg):
         refine_partition(bad, ball(2, 1), a)
     with pytest.raises(ValueError, match=msg):
@@ -321,7 +303,7 @@ def test_letter_beyond_the_rank_is_refused(letter):
     a = FiniteAction.from_perms([np.roll(np.arange(6), 1)])
     p = Observable(np.arange(6) % 2, 2)
     with pytest.raises(ValueError, match=f"^letter {letter} outside rank 1$"):
-        translated_labels(a, p, [ReducedWord((letter, 1))])
+        _Translates(a, p, [ReducedWord((letter, 1))])
 
 
 def _count_calls(monkeypatch, targets):
@@ -342,6 +324,20 @@ def _count_calls(monkeypatch, targets):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def _count_whole_tables(monkeypatch):
+    """The action of each ``_Translates`` built on every point, in order."""
+    actions = []
+    init = freegroup._Translates.__init__
+
+    def recorded(self, a, p, words, points=None, behind=None):
+        init(self, a, p, words, points, behind)
+        if points is None:
+            actions.append(a)
+
+    monkeypatch.setattr(freegroup._Translates, "__init__", recorded)
+    return actions
 
 
 def test_certificate_evaluates_no_word(monkeypatch):
@@ -371,12 +367,12 @@ def test_certificate_builds_each_ball_table_once(monkeypatch):
     w = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
     p = Observable(rng.integers(0, 3, size=n), 3)
     beta = np.arange(ref.refine_partition(p, ball(2, 3), v).alphabet_size)
-    calls = _count_calls(monkeypatch, [("orbitforge.freegroup", "translated_labels")])
+    tables = _count_whole_tables(monkeypatch)
     cert = ball_transport_certificate(v, w, p, 3, beta, 0.2)
     # unrelated sides: the ball tables of (v, P) and (w, Q), read by the
     # refinement, claim 2 and the final discrepancy, and the hypothesis's
-    # letter tables of (v, P') and (w, Q')
-    assert calls == Counter({"translated_labels": 4})
+    # letter tables of (v, P') and (w, Q'), each on every point
+    assert list(map(id, tables)) == list(map(id, [v, w, v, w]))
     assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
 
 
@@ -406,14 +402,12 @@ def test_certificate_translates_only_the_v_side_of_nearby_actions(monkeypatch):
     image[[1, 2, 3, 4]] = image[[10, 20, 30, 40]]
     beta = Observable(image, atoms.alphabet_size)
     calls = _count_calls(
-        monkeypatch,
-        [
-            ("orbitforge.freegroup", "translated_labels"),
-            ("orbitforge.permutations", "_inverse_permutation"),
-        ],
+        monkeypatch, [("orbitforge.permutations", "_inverse_permutation")]
     )
+    tables = _count_whole_tables(monkeypatch)
     cert = ball_transport_certificate(v, w, p, 3, beta, 0.2)
-    assert calls == Counter({"translated_labels": 2})
+    assert calls == Counter()
+    assert list(map(id, tables)) == list(map(id, [v, v]))
     assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
 
 
@@ -440,38 +434,48 @@ def nearby_sides(draw):
     q = Observable(relabeled(p.labels), k)
     atoms = ref.refine_partition(p, ball(rank, radius), v)
     image = Observable(relabeled(atoms.labels), atoms.alphabet_size)
-    also = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
-    return v, _transposed(v, rng, swaps), p, q, radius, image, also
+    extra = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return v, _transposed(v, rng, swaps), p, q, radius, image, extra
 
 
-@given(nearby_sides(), st.booleans())
+@given(nearby_sides(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_near_side_is_the_w_side_where_the_sides_can_differ(case, patch_always):
-    # the (w, Q) values on the near points are its translates there, and off
-    # them its translates are those of (v, P); certificate and distance
-    # match the oracle.  Patching at any share of points, not only a few,
-    # checks that the near points are a bound, not a guess
-    v, w, p, q, radius, image, also = case
+def test_one_table_on_any_superset_of_the_near_points(case, patch_always, data):
+    # a (w, Q) table with the (v, P) table behind it, on the near points
+    # plus extras, on every point, or, when the near points are none, on
+    # none, is the whole (w, Q) table there, and so is its reader at any
+    # points, repeated.  The (v, P) reader builds no radius-length word
+    # whole.  Patching the split at any share of points, not only a few,
+    # checks that the near points are a bound, not a guess: certificate and
+    # distance match the oracle
+    v, w, p, q, radius, image, extra = case
     words = ball(v.rank, radius)
-    moved_p = translated_labels(v, p, words)
-    full_q = translated_labels(w, q, words)
+    listed = data.draw(st.lists(st.integers(0, v.n - 1), max_size=2 * v.n))
+    at = np.array(listed, dtype=np.int64)
+    moved_p, whole_q = _Translates(v, p, words), _Translates(w, q, words)
     with pytest.MonkeyPatch.context() as mp:
         if patch_always:
             mp.setattr(weak, "_few_disagree", lambda count, n: True)
-        points, moved_q = weak._near_side(v, w, p, q, moved_p, radius, also)
+        near = weak._near_points(v, w, p, q, radius)
         new_cert = ball_transport_certificate(v, w, p, radius, image, 0.2)
         new_distance = kechris_distance(v, w, p, q, words)
-    if points is None:
+    if near is None:
         assert not patch_always
-        for g in words:
-            assert np.array_equal(moved_q[g], full_q[g])
     else:
-        off = np.ones(v.n, dtype=bool)
-        off[points] = False
-        assert not np.any(also & off)
-        for g in words:
-            assert np.array_equal(moved_q[g], full_q[g][points])
-            assert np.array_equal(full_q[g][off], moved_p[g][off])
+        supersets = [np.flatnonzero(near | extra), np.arange(v.n)]
+        if not near.any():
+            supersets.append(np.arange(0))
+        for points in supersets:
+            table = _Translates(w, q, words, points, moved_p)
+            read = table.at(at)
+            for g in words:
+                assert np.array_equal(table[g], whole_q[g][points])
+                assert np.array_equal(read(g), whole_q[g][at])
+    fresh = _Translates(v, p, words)
+    read = fresh.at(at)
+    for g in words:
+        assert np.array_equal(read(g), moved_p[g][at])
+    assert all(len(letters) < radius for letters in fresh.table if letters)
     want = ref.ball_transport_certificate(v, w, p, radius, image, 0.2)
     assert repr(new_cert) == repr(want)
     assert repr(new_distance) == repr(ref.kechris_distance(v, w, p, q, words))
@@ -494,8 +498,8 @@ def test_inverse_word_counts_are_the_transpose(monkeypatch, rank, k, dense):
     p = Observable(rng.integers(0, k, size=n_p), k)
     q = Observable(rng.integers(0, k, size=n_q), k)
     words = ball(rank, 3)
-    moved_p = translated_labels(v, p, words)
-    moved_q = translated_labels(w, q, words)
+    moved_p = _Translates(v, p, words)
+    moved_q = _Translates(w, q, words)
     dense_calls = []
     original = spaces._cell_counts
 
