@@ -268,6 +268,24 @@ def test_refinement_at_the_group_and_dtype_edges(k, discrete):
     assert (new.alphabet_size == a.n) == discrete
 
 
+
+@given(instances(), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_translates_read_at_points_match_the_whole_table(inst, radius, data):
+    # a radius-length word, first letter either sign, read at arbitrary
+    # points, some repeated, from its whole parent: the oracle's values
+    # there, and no radius-length word is built whole on the way
+    rank, n, k, a, p = inst
+    words = ball(rank, radius)
+    table = _Translates(a, p, words)
+    listed = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    points = np.array(listed, dtype=np.int64)
+    read = table.at(points)
+    for g in words:
+        want = ref._translated_labels(p, ref.evaluate(a, g))
+        assert np.array_equal(read(g), want[points])
+    assert set(table.table) <= {g.letters for g in words if len(g) < radius} | {()}
+
 def test_refine_partition_with_alphabet_wider_than_codes():
     # the radix alone passes 2^62 / n, so the digits are ranked as well
     n, k = 12, 2**62
@@ -437,6 +455,36 @@ def nearby_sides(draw):
     extra = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
     return v, _transposed(v, rng, swaps), p, q, radius, image, extra
 
+
+
+@given(nearby_sides(), st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_near_side_is_the_w_side_where_the_sides_can_differ(case, patch_always):
+    # the (w, Q) table on the near points and some extras, with the (v, P)
+    # table behind it, holds its translates there, and off the near points
+    # the (w, Q) translates are those of (v, P); certificate and distance
+    # match the oracle.  Patching at any share of points, not only a few,
+    # checks that the near points are a bound, not a guess
+    v, w, p, q, radius, image, extra = case
+    words = ball(v.rank, radius)
+    moved_p, full_q = _Translates(v, p, words), _Translates(w, q, words)
+    with pytest.MonkeyPatch.context() as mp:
+        if patch_always:
+            mp.setattr(weak, "_few_disagree", lambda count, n: True)
+        near = weak._near_points(v, w, p, q, radius)
+        new_cert = ball_transport_certificate(v, w, p, radius, image, 0.2)
+        new_distance = kechris_distance(v, w, p, q, words)
+    if near is None:
+        assert not patch_always
+    else:
+        points = np.flatnonzero(near | extra)
+        moved_q = _Translates(w, q, words, points, moved_p)
+        for g in words:
+            assert np.array_equal(moved_q[g], full_q[g][points])
+            assert np.array_equal(full_q[g][~near], moved_p[g][~near])
+    want = ref.ball_transport_certificate(v, w, p, radius, image, 0.2)
+    assert repr(new_cert) == repr(want)
+    assert repr(new_distance) == repr(ref.kechris_distance(v, w, p, q, words))
 
 @given(nearby_sides(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
