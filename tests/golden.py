@@ -15,6 +15,10 @@ The digests cover:
   ``kechris_distance`` off the ``transport_ball_r3`` inputs, with sides
   compared on the points near where they differ and on every point, and
   one certificate at radius 2, whose refinement is not discrete;
+- the exit code, stdout, stderr and written files of the four CLI commands
+  on one 3,000-point input: ``lemma-rearrange`` and ``rewire`` with and
+  without ``--no-check`` (``pipeline`` and ``stats`` have no such flag),
+  and ``rewire`` on a coupling whose margins it refuses;
 - the stdout of each demo.
 
 The file also records the numpy and Python versions it was made with: numpy
@@ -28,13 +32,17 @@ and explains each changed digest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +58,42 @@ CRITERION_6_SEEDS = (42, 101)
 RANK_3 = dict(n=100_000, rank=3, alphabet=3, eps_schedule=(0.1, 0.03, 0.01))
 RANK_3_SEEDS = (0, 5, 42)
 TRANSPORT_SEED = 101
+CLI_POINTS = 3_000
+CLI_SEED = 7
+_CLI_INPUT = ["--labels=labels.txt", "--coupling=j.csv", "--eps=0.03"]
+# each run's arguments, with paths relative to the folder of the inputs
+CLI_RUNS = {
+    "pipeline": ["pipeline", "--config=run.cfg"],
+    "lemma-rearrange": [
+        "lemma-rearrange",
+        *_CLI_INPUT,
+        "--out-sigma=out/sigma.txt",
+        "--out-report=out/report.json",
+    ],
+    "lemma-rearrange --no-check": ["lemma-rearrange", *_CLI_INPUT, "--no-check"],
+    "rewire": [
+        "rewire",
+        "--perm=perm0.txt",
+        *_CLI_INPUT,
+        "--out-perm=out/perm.txt",
+        "--out-report=out/report.json",
+    ],
+    "rewire --no-check": ["rewire", "--perm=perm0.txt", *_CLI_INPUT, "--no-check"],
+    "stats": [
+        "stats",
+        "--perm=perm0.txt",
+        "--perm=perm1.txt",
+        "--labels=labels.txt",
+        "--word=a B a",
+    ],
+    "rewire refused": [
+        "rewire",
+        "--perm=perm0.txt",
+        "--labels=labels.txt",
+        "--coupling=far.csv",
+        "--eps=0.03",
+    ],
+}
 
 
 def _workloads():
@@ -126,6 +170,61 @@ def _transport_variants(workload, seed: int) -> dict:
     return out
 
 
+def _write_cli_inputs(folder: Path) -> None:
+    """Balanced labels, two permutations, two couplings and a pipeline config.
+
+    ``far.csv`` has margins (0.65, 0.35) and (0.7, 0.3), far from the
+    balanced labels.
+    """
+    rng = np.random.default_rng(CLI_SEED)
+    labels = rng.permutation(np.arange(CLI_POINTS) % 2)
+    (folder / "labels.txt").write_text("".join(f"{'ab'[x]}\n" for x in labels))
+    for s in range(2):
+        images = rng.permutation(CLI_POINTS)
+        (folder / f"perm{s}.txt").write_text("".join(f"{v}\n" for v in images))
+    (folder / "j.csv").write_text("0.3,0.2\n0.2,0.3\n")
+    (folder / "far.csv").write_text("0.5,0.15\n0.2,0.15\n")
+    (folder / "run.cfg").write_text(
+        f"n = {CLI_POINTS}\nrank = 2\nalphabet = 2\neps = 0.1, 0.03\n"
+        f"seed = {CLI_SEED}\nsource = file:perm0.txt,perm1.txt\n"
+        "out_csv = out/run.csv\nout_json = out/run.json\n"
+    )
+
+
+def cli_digests() -> dict[str, str]:
+    """The digest of each CLI run's exit code, stdout, stderr and files."""
+    from orbitforge.cli import main
+
+    out = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        _write_cli_inputs(folder)
+        os.chdir(folder)
+        try:
+            for name, argv in CLI_RUNS.items():
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    with contextlib.redirect_stderr(stderr):
+                        code = main(argv)
+                written = folder / "out"
+                files = {
+                    path.relative_to(folder).as_posix(): path.read_text()
+                    for path in sorted(written.rglob("*"))
+                }
+                shutil.rmtree(written, ignore_errors=True)
+                record = dict(
+                    exit=code,
+                    stdout=stdout.getvalue(),
+                    stderr=stderr.getvalue(),
+                    files=files,
+                )
+                out[f"cli {name}"] = _sha256(json.dumps(record, sort_keys=True))
+        finally:
+            os.chdir(home)
+    return out
+
+
 def digests() -> dict[str, str]:
     """Every golden digest of this tree, by name."""
     from orbitforge.pipeline import PipelineConfig, run_experiment
@@ -148,6 +247,7 @@ def digests() -> dict[str, str]:
     transport = workloads["transport_ball_r3"]
     for name, value in _transport_variants(transport, TRANSPORT_SEED).items():
         out[f"transport {name} seed {TRANSPORT_SEED} repr"] = _sha256(repr(value))
+    out.update(cli_digests())
     return out
 
 
