@@ -33,7 +33,7 @@ from .rearrange import PreconditionError, rearrange_line
 from .rewire import RewireReport, rewire
 from .weak import stats_matrix
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 
 def _cmd_pipeline(args) -> int:
@@ -121,7 +121,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbit-forge")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import _as_int64, _as_permutation, _frozen
+from .spaces import CertificationError, _as_int64, _as_permutation, _frozen
 
 __all__ = [
     "CycleDecomposition",
@@ -202,16 +202,17 @@ def _node_minima(succ: np.ndarray, low: np.ndarray) -> np.ndarray:
     Doubling stops at the first round that changes nothing; that is exact,
     because then every value is at most the one 2^k nodes ahead, so values
     are constant along each cycle of ``succ^(2^k)``, whose windows cover the
-    cycle.
+    cycle.  Past ``k.bit_length() + 2`` rounds on k nodes it raises.
     """
     jump = succ
-    while True:
+    for _ in range(succ.shape[0].bit_length() + 2):
         ahead = low[jump]
         if not (ahead < low).any():
             return low
         np.minimum(low, ahead, out=low)
         del ahead
         jump = jump[jump]
+    raise CertificationError("cycle minima did not converge")
 
 
 def cycle_min_labels(p: np.ndarray) -> np.ndarray:
@@ -276,12 +277,15 @@ def _cycle_decomposition(t: np.ndarray) -> CycleDecomposition:
         dist = np.append(nodes.size, 0)
     dist[k] = 0
     del succ, nodes
-    while True:
+    # each node meets the sentinel within k steps; a headless cycle never
+    for _ in range(k.bit_length() + 2):
         further = ahead[ahead]
         if np.array_equal(further, ahead):
             break
         dist += dist[ahead]
         ahead = further
+    else:
+        raise CertificationError("cycle ranking did not converge: a cycle has no head")
     del ahead, further
     dist = dist[:k]
     heads = np.flatnonzero(head == np.arange(k))

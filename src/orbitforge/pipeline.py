@@ -34,6 +34,7 @@ from .rearrange import PreconditionError, _require_eps
 from .rewire import _bad_mass, _rewire_cycles
 from .spaces import (
     REAL_TOL,
+    CertificationError,
     Coupling,
     Dist,
     Observable,
@@ -45,7 +46,6 @@ from .spaces import (
 from .weak import _counted, _distance_from
 
 __all__ = [
-    "CertificationError",
     "ConfigError",
     "GoodObservableError",
     "PipelineConfig",
@@ -60,14 +60,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 KECHRIS_RADIUS = 2  # ball radius of the reported Kechris distance
-
-
-class CertificationError(RuntimeError):
-    """A certified inequality failed on a computed result.
-
-    Raised by explicit checks, never by ``assert``, so it also fires under
-    ``python -O``; the message names the certificate and its numbers.
-    """
 
 
 class GoodObservableError(RuntimeError):

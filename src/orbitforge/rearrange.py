@@ -19,13 +19,15 @@ Stages (each deterministic, each with its own certified drift):
                         component, producing a single line.
 
 The stages run on a segmented input: B labeled lines laid back to back,
-with counts and cells keyed by (segment, label pair).  ``rewire``
-rearranges all of its good cycles in one such pass; ``rearrange_line`` is
-the case B = 1, and ``_merge`` and ``_close`` run stages 3 and 4 alone on
-one line.  Everything but the merge loop over candidate edges is
-vectorized; the build and merge stages rank their points through
-``_stable_order``.  One line of N = 10^6 points with two labels takes
-about 0.15 s on one core of a 2-core x86 host (numpy 2.4).
+with one per-point segment index and counts keyed by (segment, label pair).
+A component is named by its least point; the merge returns the minima that
+survive and the close chains them.  ``rewire`` rearranges all of its good
+cycles in one such pass; ``rearrange_line`` is the case B = 1, and
+``_merge`` and ``_close`` run stages 3 and 4 alone on one line.  All but
+the merge loop over candidate edges is vectorized; the build and merge
+stages rank their points through ``_stable_order``.  One line of N = 10^6
+points with two labels takes about 0.15 s on one core of a 2-core x86 host
+(numpy 2.4).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 from .permutations import cycle_min_labels
 from .spaces import (
     _PACK_LIMIT,
+    CertificationError,
     Coupling,
     Dist,
     Observable,
@@ -83,7 +86,7 @@ class LineBijection:
         object.__setattr__(self, "sigma", _frozen(sigma))
 
     def is_connected(self) -> bool:
-        return _component_count(self.sigma) == 1
+        return _line_minima(np.append(self.sigma, 0)).shape[0] == 1
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,9 @@ class RearrangeReport:
     edges_changed_by_close: int
 
 
-def _line_components(tau: np.ndarray) -> np.ndarray:
-    # closing the missing edge (n-1 -> 0) turns the pair graph into a
-    # permutation whose cycles are exactly the components
-    return cycle_min_labels(np.append(_as_int64(tau, "line images"), 0))
-
-
-def _component_count(tau: np.ndarray) -> int:
-    # each component holds one cycle minimum, the point labelled by itself
-    labels = _line_components(tau)
-    return int(np.count_nonzero(labels == np.arange(labels.shape[0])))
+def _line_minima(ext: np.ndarray) -> np.ndarray:
+    # the components of a closed line ext, each named by its least point
+    return np.flatnonzero(cycle_min_labels(ext) == np.arange(ext.shape[0]))
 
 
 def _require_eps(eps: float) -> None:
@@ -120,10 +116,11 @@ def _repair_nonnegative(counts: np.ndarray) -> np.ndarray:
 
     Row and column sums are nonnegative, so a row or column holding a
     negative cell always holds a positive donor; every rotation reduces
-    total negativity by at least one count, so the loop terminates.  Only
-    reachable when the rounding preconditions were waived.
+    total negativity by at least one count, so past the starting negativity
+    it raises ``CertificationError``.  Only reachable when the rounding
+    preconditions were waived.
     """
-    while True:
+    for _ in range(int(-counts[counts < 0].sum()) + 1):
         neg = np.argwhere(counts < 0)
         if neg.size == 0:
             return counts
@@ -136,16 +133,17 @@ def _repair_nonnegative(counts: np.ndarray) -> np.ndarray:
         counts[r, cc] -= delta
         counts[rr, c] -= delta
         counts[rr, cc] += delta
+    raise CertificationError("negative rounded counts survived their rotations")
 
 
 # ---------------------------------------------------------------------------
 # segmented stages
 #
 # B lines are laid out back to back: segment s owns the flat points
-# offsets[s] .. offsets[s+1]-1, in its own order.  A line is held closed, as
-# the permutation ``ext`` with the missing edge from its last point back to
-# its first, so its components are exactly the cycles of ``ext``.  The
-# public single-line stages are the case B = 1.
+# offsets[s] .. offsets[s+1]-1, in its own order, and seg[x] is the segment
+# of point x.  A line is held closed, as the permutation ``ext`` with the
+# missing edge from its last point back to its first, so its components are
+# exactly the cycles of ``ext``.  The public single-line stages are B = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -260,18 +258,18 @@ def _build_lines(
     return beta
 
 
-def _merge_cycles(perm: np.ndarray, pairs: np.ndarray, offsets: np.ndarray):
+def _merge_cycles(perm: np.ndarray, pairs: np.ndarray, seg: np.ndarray):
     """Join cycles of ``perm`` by image swaps inside buckets.
 
-    A bucket is the points of one segment (``offsets[s] .. offsets[s+1]-1``,
-    which no cycle leaves) with one pair code; points with a negative code
-    keep their image.  In each bucket, in increasing (segment, code) order,
-    the smallest point of every cycle present is a candidate; the smallest
+    A bucket is the points of one segment (``seg`` names it, and no cycle
+    leaves it) with one pair code; points with a negative code keep their
+    image.  In each bucket, in increasing (segment, code) order, the
+    smallest point of every cycle present is a candidate; the smallest
     candidate is the anchor, and each later one swaps images with it if
     their cycles are still apart, which joins them.  Works in place on
-    ``perm``.  Returns ``perm`` and the minima of its cycles after merging,
-    in increasing order, read off the union-find: a joined cycle keeps the
-    least minimum of its parts.
+    ``perm``.  Returns the minima of its cycles after merging, in increasing
+    order, read off the union-find: a joined cycle keeps the least minimum
+    of its parts.
     """
     n = perm.shape[0]
     radix = int(pairs.max(initial=-1)) + 1
@@ -287,7 +285,7 @@ def _merge_cycles(perm: np.ndarray, pairs: np.ndarray, offsets: np.ndarray):
     points = order[head]
     del rank, order
     # bucket keys segment·radix + pair stay below n·radix
-    key = (np.searchsorted(offsets, points, side="right") - 1) * radix + pairs[points]
+    key = seg[points] * radix + pairs[points]
     # buckets that meet at least two cycles (the minima, so the segments,
     # ascend within one pair), candidates by point: the codes key·n + point
     # stay below radix·n², inside the bound _stable_order checked
@@ -300,11 +298,12 @@ def _merge_cycles(perm: np.ndarray, pairs: np.ndarray, offsets: np.ndarray):
     key, points = key[order], points[order]
     anchors = np.ones(key.shape[0], dtype=bool)
     anchors[1:] = key[1:] != key[:-1]
-    # union-find over the candidate cycles, numbered 0..k-1 by increasing
-    # minimum; each class is rooted at its smallest number, so the least
-    # minimum of its parts
-    mins, cyc = np.unique(comp[points], return_inverse=True)
-    parent = list(range(mins.shape[0]))
+    # union-find over the cycles, numbered by minimum; each class is rooted
+    # at its least number, so at the least minimum of its parts
+    minima = np.flatnonzero(comp == np.arange(n))
+    cyc = np.searchsorted(minima, comp[points])
+    del comp
+    parent = list(range(minima.shape[0]))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -321,29 +320,25 @@ def _merge_cycles(perm: np.ndarray, pairs: np.ndarray, offsets: np.ndarray):
             if root < anchor_root:
                 root, anchor_root = anchor_root, root
             parent[root] = anchor_root
-    # the minima of the absorbed cycles are no longer minima
-    absorbed = mins[np.array(parent, dtype=np.int64) != np.arange(mins.shape[0])]
-    minima = np.flatnonzero(comp == np.arange(n))
-    del comp
-    return perm, minima[~np.isin(minima, absorbed, assume_unique=True)]
+    # a cycle still its own root was absorbed by none
+    return minima[np.array(parent, dtype=np.int64) == np.arange(minima.shape[0])]
 
 
-def _close_cycles(perm: np.ndarray, offsets: np.ndarray, reps: np.ndarray):
+def _close_cycles(perm: np.ndarray, seg: np.ndarray, reps: np.ndarray):
     """Chain the cycles of each segment into one through their minima.
 
     ``reps`` are the minima of the cycles of ``perm`` in increasing order,
     as ``_merge_cycles`` returns them.  The minima of a segment take each
-    other's images cyclically.  Works in place on ``perm``; returns it and
-    the number of cycles each segment had.
+    other's images cyclically.  Works in place on ``perm`` and returns it.
     """
-    seg = np.searchsorted(offsets, reps, side="right") - 1
+    seg = seg[reps]
     # the next minimum of the same segment; the last one wraps to the first
     nxt = np.arange(1, reps.shape[0] + 1)
     is_tail = np.ones(reps.shape[0], dtype=bool)
     is_tail[:-1] = seg[1:] != seg[:-1]
     nxt[is_tail] = np.flatnonzero(np.roll(is_tail, 1))
     perm[reps] = perm[reps[nxt]]
-    return perm, np.bincount(seg, minlength=offsets.shape[0] - 1)
+    return perm
 
 
 def _rearrange_lines(
@@ -351,30 +346,29 @@ def _rearrange_lines(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build, merge and close B labeled segments against rounded counts.
 
-    Returns the closed lines (flat point -> flat point) and each segment's
-    component count after merging.  Images are checked to stay inside their
-    segment and to close each line; injectivity is checked by the callers,
-    where they hand the result out.
+    Returns the closed lines (flat point -> flat point) and the minima of
+    the components after merging, one per component.  Images are checked
+    to stay inside their segment and to close each line; injectivity is
+    checked by the callers, where they hand the result out.
     """
     b, a, _ = counts.shape
-    lengths = np.diff(offsets)
-    ext = _build_lines(labels, np.repeat(np.arange(b), lengths), offsets, counts)
+    seg = np.repeat(np.arange(b), np.diff(offsets))
+    ext = _build_lines(labels, seg, offsets, counts)
     # merge buckets: (segment, label pair) of each edge; the last point of
     # a segment has no edge
     pairs = labels * a
     pairs += labels[ext]
     pairs[offsets[1:] - 1] = -1
     del labels
-    ext, reps = _merge_cycles(ext, pairs, offsets)
+    reps = _merge_cycles(ext, pairs, seg)
     del pairs
-    ext, n_comp = _close_cycles(ext, offsets, reps)
-    seg = np.repeat(np.arange(b), lengths)
+    ext = _close_cycles(ext, seg, reps)
     if not (
         np.array_equal(seg[ext], seg)
         and np.array_equal(ext[offsets[1:] - 1], offsets[:-1])
     ):
         raise ValueError("rearranged lines are not bijections onto their segments")
-    return ext, n_comp
+    return ext, reps
 
 
 def build_tau(phi: Observable, j_prime: Coupling) -> np.ndarray:
@@ -417,7 +411,7 @@ def _merge(phi_labels: np.ndarray, a: int, tau: np.ndarray):
     pairs = phi_labels[: m + 1] * a
     pairs += phi_labels[ext]
     pairs[m] = -1
-    ext, reps = _merge_cycles(ext, pairs, np.array([0, m + 1]))
+    reps = _merge_cycles(ext, pairs, np.zeros(m + 1, dtype=np.int64))
     return ext[:m], int(reps.shape[0])
 
 
@@ -429,9 +423,9 @@ def _close(tau: np.ndarray):
     """
     m = tau.shape[0]
     ext = np.append(_as_int64(tau, "line images"), 0)
-    reps = np.flatnonzero(cycle_min_labels(ext) == np.arange(m + 1))
-    sigma, k = _close_cycles(ext, np.array([0, m + 1]), reps)
-    k = int(k[0])
+    reps = _line_minima(ext)
+    sigma = _close_cycles(ext, np.zeros(m + 1, dtype=np.int64), reps)
+    k = int(reps.shape[0])
     return sigma[:m], k, (k if k > 1 else 0)
 
 
@@ -452,8 +446,8 @@ def rearrange_line(
         raise ValueError("alphabet mismatch between labels and coupling")
     pi_prime = empirical_distribution(phi)
     j_rounded = round_coupling(j, pi_prime, eps, check=check)
-    ext, n_comp = _rearrange_lines(phi.labels, np.array([0, n]), j_rounded.counts[None])
-    k = int(n_comp[0])
+    ext, reps = _rearrange_lines(phi.labels, np.array([0, n]), j_rounded.counts[None])
+    k = int(reps.shape[0])
     sigma = LineBijection(n, ext[: n - 1])
     pairs = _cell_counts(phi.labels[: n - 1] * a, phi.labels[sigma.sigma], a)
     achieved = linf(Coupling.from_counts(pairs.reshape(a, a), n - 1), j)

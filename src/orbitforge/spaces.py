@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "CertificationError",
     "Observable",
     "Dist",
     "Coupling",
@@ -30,6 +31,14 @@ REAL_TOL = 1e-12
 
 # every packed int64 code stays below this bound, so no packing step wraps
 _PACK_LIMIT = 2**62
+
+
+class CertificationError(RuntimeError):
+    """A certified inequality or proven round count failed on a result.
+
+    Raised by explicit checks, never by ``assert``, so it also fires under
+    ``python -O``; the message names the certificate and its numbers.
+    """
 
 
 def _require_finite(values, what: str) -> None:

@@ -9,6 +9,7 @@ of ``_short_cycles`` on 2-cycles beside one long cycle.  Every output must
 equal ``reference_impl``'s byte for byte.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from orbitforge import cycle_decomposition, cycle_min_labels
+from orbitforge import CertificationError, cycle_decomposition, cycle_min_labels
 from orbitforge import permutations
+from orbitforge.cli import main
 from orbitforge.permutations import permutation_with_cycle_lengths
 
 GAP = permutations._RULER_GAP
@@ -226,3 +228,36 @@ def test_decomposition_allocation_peak():
         tracemalloc.stop()
     assert dec.n == n
     assert peak <= 6 * 8 * n, peak
+
+
+def test_a_kernel_that_gives_two_cycles_one_minimum_raises_in_time(
+    monkeypatch, tmp_path, capsys
+):
+    # the mutant hands the cycle with the largest minimum the least one, so
+    # no node of that cycle heads it and the ranking never reaches its end;
+    # uncapped, cycle_decomposition spun at this size
+    minima = permutations._node_minima
+
+    def one_minimum_for_two_cycles(succ, low):
+        low = minima(succ, low)
+        low[low == low.max()] = low.min()
+        return low
+
+    n = 5_000
+    t = permutation_with_cycle_lengths([n // 2, n // 2], np.random.default_rng(5))
+    assert contracted(t)
+    monkeypatch.setattr(permutations, "_node_minima", one_minimum_for_two_cycles)
+    message = "cycle ranking did not converge: a cycle has no head"
+    start = time.perf_counter()
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        cycle_decomposition(t)
+    assert time.perf_counter() - start < 1
+    perm, labels, coupling = (tmp_path / f for f in ("t.txt", "psi.txt", "j.csv"))
+    perm.write_text("".join(f"{v}\n" for v in t))
+    labels.write_text("a\nb\n" * (n // 2))
+    coupling.write_text("0.25,0.25\n0.25,0.25\n")
+    args = [f"--perm={perm}", f"--labels={labels}", f"--coupling={coupling}"]
+    start = time.perf_counter()
+    assert main(["rewire", *args, "--eps=0.05"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"pipeline failed: {message}\n"

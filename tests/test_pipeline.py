@@ -503,13 +503,13 @@ def test_each_construction_refuses_a_line_that_is_not_injective(monkeypatch):
     close = rearrange_module._close_cycles
     corrupted = []
 
-    def close_then_collide(perm, offsets, reps):
-        perm, n_comp = close(perm, offsets, reps)
+    def close_then_collide(perm, seg, reps):
+        perm = close(perm, seg, reps)
         # the first segment has at least three points (a rewired cycle does),
         # so neither of its first two points is its last
-        perm[offsets[0] + 1] = perm[offsets[0]]
-        corrupted.append(len(offsets) - 1)
-        return perm, n_comp
+        perm[1] = perm[0]
+        corrupted.append(int(seg[-1]) + 1)
+        return perm
 
     monkeypatch.setattr(rearrange_module, "_close_cycles", close_then_collide)
     n = 2000

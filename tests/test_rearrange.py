@@ -27,8 +27,7 @@ from orbitforge import (
 from orbitforge.rearrange import (
     _close,
     _close_cycles,
-    _component_count,
-    _line_components,
+    _line_minima,
     _merge,
     _merge_cycles,
     _round_counts,
@@ -36,6 +35,11 @@ from orbitforge.rearrange import (
 )
 
 rearrange_module = importlib.import_module("orbitforge.rearrange")
+
+
+def _component_count(tau):
+    """Components of the pair graph of the line ``tau``."""
+    return _line_minima(np.append(tau, 0)).shape[0]
 
 
 def random_target(rng, alphabet, eps, n, headroom=0.25):
@@ -319,11 +323,11 @@ def test_lines_that_leave_their_segment_are_refused(monkeypatch):
     close = rearrange_module._close_cycles
     segments = []
 
-    def close_then_leave(perm, offsets, reps):
-        perm, n_comp = close(perm, offsets, reps)
-        segments.append(len(offsets) - 1)
-        perm[offsets[0]] = offsets[1]  # the first point of the second segment
-        return perm, n_comp
+    def close_then_leave(perm, seg, reps):
+        perm = close(perm, seg, reps)
+        segments.append(int(seg[-1]) + 1)
+        perm[0] = np.argmax(seg == 1)  # the first point of the second segment
+        return perm
 
     monkeypatch.setattr(rearrange_module, "_close_cycles", close_then_leave)
     n = 2000
@@ -351,11 +355,10 @@ def test_line_bijection_validation():
 
 
 def test_line_components_path_plus_cycles():
-    # 0 -> 2, 2 -> 1, 1 -> 4 is the path; 3 is a fixed point cycle
+    # 0 -> 2, 2 -> 1, 1 -> 4 is the path; 3 is a fixed point cycle.  Each
+    # component is named by its least point
     tau = np.array([2, 4, 1, 3])
-    comps = _line_components(tau)
-    assert comps[0] == comps[1] == comps[2] == comps[4]
-    assert comps[3] != comps[0]
+    assert _line_minima(np.append(tau, 0)).tolist() == [0, 3]
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,12 +372,10 @@ def test_line_components_path_plus_cycles():
 )
 def test_merge_returns_cycle_minima_of_merged(perm_keys):
     perm, keys = perm_keys
-    perm = np.asarray(perm, dtype=np.int64)
-    one_line = np.array([0, perm.shape[0]])
-    merged, minima = _merge_cycles(
-        perm.copy(), np.asarray(keys, dtype=np.int64), one_line
-    )
-    want = np.flatnonzero(cycle_min_labels(merged) == np.arange(perm.shape[0]))
+    merged = np.asarray(perm, dtype=np.int64)
+    one_line = np.zeros(merged.shape[0], dtype=np.int64)
+    minima = _merge_cycles(merged, np.asarray(keys, dtype=np.int64), one_line)
+    want = np.flatnonzero(cycle_min_labels(merged) == np.arange(merged.shape[0]))
     assert minima.dtype == want.dtype and minima.tobytes() == want.tobytes()
 
 
@@ -436,7 +437,8 @@ def test_merge_keeps_bucket_pair_counts(shape):
         return np.bincount(cells, minlength=b * a * a).reshape(b, a * a)
 
     before = buckets(perm)
-    merged, _ = _merge_cycles(perm.copy(), labels * a + labels[perm], offsets)
+    merged = perm.copy()
+    _merge_cycles(merged, labels * a + labels[perm], seg)
     assert np.array_equal(np.sort(merged), np.arange(perm.shape[0]))
     assert np.array_equal(seg[merged], seg)
     assert np.array_equal(buckets(merged), before)
@@ -450,11 +452,11 @@ def test_merge_keeps_bucket_pair_counts(shape):
 @settings(max_examples=200, deadline=None)
 @given(segment_shapes)
 def test_close_leaves_one_cycle_per_segment(shape):
-    perm, _, offsets, seg, _ = _segmented(shape)
+    perm, _, _, seg, _ = _segmented(shape)
     before = _cycles_per_segment(perm, seg)
     reps = np.flatnonzero(cycle_min_labels(perm) == np.arange(perm.shape[0]))
-    closed, n_cycles = _close_cycles(perm.copy(), offsets, reps)
-    assert np.array_equal(n_cycles, before)
+    closed = _close_cycles(perm.copy(), seg, reps)
+    assert np.array_equal(np.bincount(seg[reps], minlength=seg[-1] + 1), before)
     assert np.array_equal(seg[closed], seg)
     assert np.all(_cycles_per_segment(closed, seg) == 1)
     # only the minima of segments with several cycles change their image
@@ -498,22 +500,25 @@ def test_merge_refuses_codes_past_the_limit(monkeypatch):
     perm = rng.permutation(50)
     pairs = rng.integers(0, 4, size=50)
     pairs[[0, 1]] = 3
-    offsets = np.array([0, 50])
-    want = _merge_cycles(perm.copy(), pairs.copy(), offsets)
+    seg = np.zeros(50, dtype=np.int64)
+    want = perm.copy()
+    want_minima = _merge_cycles(want, pairs.copy(), seg)
     monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 12_800)
-    got = _merge_cycles(perm.copy(), pairs.copy(), offsets)
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    got = perm.copy()
+    got_minima = _merge_cycles(got, pairs.copy(), seg)
+    assert got.tobytes() == want.tobytes()
+    assert got_minima.tobytes() == want_minima.tobytes()
     monkeypatch.setattr(rearrange_module, "_PACK_LIMIT", 12_799)
     merged = perm.copy()
     with pytest.raises(ValueError, match="200 keys on 50 points overflow"):
-        _merge_cycles(merged, pairs.copy(), offsets)
+        _merge_cycles(merged, pairs.copy(), seg)
     assert np.array_equal(merged, perm)
     monkeypatch.undo()
     # at the real limit: a pair code of 2^52 on 4,096 points would need 2^76
     pairs = np.zeros(4096, dtype=np.int64)
     pairs[7] = 2**52
     with pytest.raises(ValueError, match="overflow int64 codes"):
-        _merge_cycles(np.arange(4096), pairs, np.array([0, 4096]))
+        _merge_cycles(np.arange(4096), pairs, np.zeros(4096, dtype=np.int64))
 
 
 def test_public_line_stages_refuse_instead_of_wrapping(monkeypatch):
