@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
     except (GoodObservableError, CertificationError) as exc:
-        print(f"pipeline failed: {exc}", file=sys.stderr)
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,9 +45,9 @@ from .spaces import (
     Observable,
     _as_int64,
     _as_permutation,
-    _cell_counts,
     _frozen,
     _margin_gap,
+    _pair_coupling,
     empirical_distribution,
     linf,
 )
@@ -449,7 +449,6 @@ def rearrange_line(
     ext, reps = _rearrange_lines(phi.labels, np.array([0, n]), j_rounded.counts[None])
     k = int(reps.shape[0])
     sigma = LineBijection(n, ext[: n - 1])
-    pairs = _cell_counts(phi.labels[: n - 1] * a, phi.labels[sigma.sigma], a)
-    achieved = linf(Coupling.from_counts(pairs.reshape(a, a), n - 1), j)
+    achieved = linf(_pair_coupling(phi.labels[: n - 1], phi.labels[sigma.sigma], a), j)
     bound = 2 * a * eps + 3 * a * a / n
     return sigma, RearrangeReport(achieved, bound, k, k if k > 1 else 0)

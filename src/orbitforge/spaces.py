@@ -214,6 +214,13 @@ def _cell_counts(rows: np.ndarray, moved: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(rows + moved, minlength=k * k)
 
 
+def _pair_coupling(labels: np.ndarray, moved: np.ndarray, k: int) -> Coupling:
+    """Exact coupling of the pairs ``(labels[x], moved[x])`` over the listed
+    points: the one builder of pair statistics."""
+    counts = _cell_counts(labels * k, moved, k).reshape(k, k)
+    return Coupling.from_counts(counts, labels.shape[0])
+
+
 def _cell_rule(labels_p, labels_q, k: int, weight_p: int, weight_q: int):
     """``(tally, gap)``: ``gap(tally(moved_p), moved_q)`` is the exact
     ``max |c_p·weight_p - c_q·weight_q|`` over cells.
@@ -266,9 +273,7 @@ def joint_pair_distribution(phi: Observable, perm: np.ndarray) -> Coupling:
     perm = _as_permutation(perm, "perm")
     if perm.shape[0] != phi.n:
         raise ValueError("permutation size does not match observable")
-    a = phi.alphabet_size
-    counts = _cell_counts(phi.labels * a, phi.labels[perm], a).reshape(a, a)
-    return Coupling.from_counts(counts, phi.n)
+    return _pair_coupling(phi.labels, phi.labels[perm], phi.alphabet_size)
 
 
 def empirical_pair_distribution(phi: Observable, sigma) -> Coupling:
@@ -284,9 +289,7 @@ def empirical_pair_distribution(phi: Observable, sigma) -> Coupling:
     if n < 2:
         raise ValueError("need at least two points for a pair distribution")
     _as_permutation(np.append(images, 0), "closed line")
-    a = phi.alphabet_size
-    counts = _cell_counts(phi.labels[: n - 1] * a, phi.labels[images], a)
-    return Coupling.from_counts(counts.reshape(a, a), n - 1)
+    return _pair_coupling(phi.labels[: n - 1], phi.labels[images], phi.alphabet_size)
 
 
 def _count_view(p):

@@ -5,12 +5,14 @@ measures ``mu(P_i ∩ g·P_j)``; two actions are close in the weak sense when
 these numbers agree over a finite word set.  This module alone counts and
 compares them.  Compared statistics are read over one word of each inverse
 pair, and ``_kechris`` turns the word gaps into the distance.  A side read
-many times is tallied once (``_counted``) and read by ``_distance_from``.
-Each side's translates are one ``freegroup._Translates`` table.  Nearby
-sides, as in a transport, differ only at the few points near where their
-actions or partitions do (``_near_points``): the ``(w, Q)`` table is built
-on those points alone, with the ``(v, P)`` table behind it, and the
-comparisons count only those points.  Sides that differ widely
+many times is tallied once (``_counted``) and read by ``_distance_from``;
+its pair targets are counted off the same table by the builder that serves
+``stats_matrix``, ``spaces._pair_coupling``.  Each side's translates are
+one ``freegroup._Translates`` table.  Nearby sides, as in a transport,
+differ only at the few points near where their actions or partitions do
+(``_near_points``): the ``(w, Q)`` table is built on those points alone,
+with the ``(v, P)`` table behind it, and the comparisons count only those
+points.  Sides that differ widely
 (``_few_disagree``) are translated on every point and compared there.
 ``ball_transport_certificate`` carries a partition across an atom bijection
 on a ball refinement and measures, claim by claim, how much each
@@ -32,7 +34,7 @@ from .freegroup import (
     _Translates,
     ball,
 )
-from .spaces import Coupling, Observable, _as_permutation, _cell_counts, _cell_rule
+from .spaces import Coupling, Observable, _as_permutation, _cell_rule, _pair_coupling
 
 __all__ = [
     "TransportCertificate",
@@ -44,9 +46,7 @@ __all__ = [
 
 def stats_matrix(a: FiniteAction, p: Observable, g: ReducedWord) -> Coupling:
     """Exact intersection statistics: entry (i,j) is ``#(P_i ∩ g·P_j)/n``."""
-    k = p.alphabet_size
-    counts = _cell_counts(p.labels * k, _Translates(a, p, [g])[g], k)
-    return Coupling.from_counts(counts.reshape(k, k), p.n)
+    return _pair_coupling(p.labels, _Translates(a, p, [g])[g], p.alphabet_size)
 
 
 def kechris_distance(
@@ -151,24 +151,18 @@ def _counted(v: FiniteAction, p: Observable, words):
     """``(pair targets, tallies)`` of ``(v, P)``, read from one table.
 
     The pair target of generator s is the statistics of ``s^{-1}``, which
-    ``words`` must hold; ``tallies`` holds the ``_cell_rule`` tallies of one
-    word of each inverse pair, for ``_distance_from``.  When ``k^2 <= n``
-    the tally of ``s^{-1}`` is its cell counts, and the pair target reads
-    them; otherwise they are counted once more.
+    ``words`` must hold, counted off the table by the builder that serves
+    ``stats_matrix``; ``tallies`` holds the ``_cell_rule`` tallies of one
+    word of each inverse pair, for ``_distance_from``.
     """
     k = p.alphabet_size
     moved = _Translates(v, p, _one_per_inverse_pair(words))
     tally, _ = _cell_rule(p.labels, p.labels, k, p.n, p.n)
-    tallies = {g: tally(moved[g]) for g in moved.words}
-    pairs = []
-    for s in range(1, v.rank + 1):
-        letter = ReducedWord((-s,))
-        if k * k <= p.n:  # _cell_rule's dense tally: the cell counts themselves
-            counts = tallies[letter]
-        else:
-            counts = _cell_counts(p.labels * k, moved[letter], k)
-        pairs.append(Coupling.from_counts(counts.reshape(k, k), p.n))
-    return pairs, tallies
+    pairs = [
+        _pair_coupling(p.labels, moved[ReducedWord((-s,))], k)
+        for s in range(1, v.rank + 1)
+    ]
+    return pairs, {g: tally(moved[g]) for g in moved.words}
 
 
 def _distance_from(p: Observable, tallies: dict, w: FiniteAction, q: Observable):

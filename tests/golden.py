@@ -15,6 +15,8 @@ The digests cover:
   ``kechris_distance`` off the ``transport_ball_r3`` inputs, with sides
   compared on the points near where they differ and on every point, and
   one certificate at radius 2, whose refinement is not discrete;
+- the JSON records of the acceptance suite's criterion-1 instances of at
+  most 10^4 points and of its first twelve criterion-5 instances;
 - the exit code, stdout, stderr and written files of the four CLI commands
   on one 3,000-point input: ``lemma-rearrange`` and ``rewire`` with and
   without ``--no-check`` (``pipeline`` and ``stats`` have no such flag),
@@ -58,6 +60,10 @@ CRITERION_6_SEEDS = (42, 101)
 RANK_3 = dict(n=100_000, rank=3, alphabet=3, eps_schedule=(0.1, 0.03, 0.01))
 RANK_3_SEEDS = (0, 5, 42)
 TRANSPORT_SEED = 101
+# every criterion-1 instance up to this size (667 of the 1000), and these
+# criterion-5 instances, which cover each alphabet, eps and labelling kind
+CRITERION_1_MAX_POINTS = 10_000
+CRITERION_5_INSTANCES = range(12)
 CLI_POINTS = 3_000
 CLI_SEED = 7
 _CLI_INPUT = ["--labels=labels.txt", "--coupling=j.csv", "--eps=0.03"]
@@ -170,6 +176,24 @@ def _transport_variants(workload, seed: int) -> dict:
     return out
 
 
+def acceptance_digests() -> dict[str, str]:
+    """The digest of each pinned acceptance subset, records as its suite
+    writes them."""
+    import test_acceptance as acceptance
+
+    sizes = acceptance.CRIT1_SIZES
+    crit1 = [
+        acceptance._crit1_instance(i)
+        for i in range(acceptance.CRIT1_COUNT)
+        if sizes[i % len(sizes)] <= CRITERION_1_MAX_POINTS
+    ]
+    crit5 = [acceptance._crit5_instance(i) for i in CRITERION_5_INSTANCES]
+    return {
+        f"criterion {name} records": _sha256(json.dumps(records, sort_keys=True))
+        for name, records in (("1 n <= 10^4", crit1), ("5 first 12", crit5))
+    }
+
+
 def _write_cli_inputs(folder: Path) -> None:
     """Balanced labels, two permutations, two couplings and a pipeline config.
 
@@ -247,6 +271,7 @@ def digests() -> dict[str, str]:
     transport = workloads["transport_ball_r3"]
     for name, value in _transport_variants(transport, TRANSPORT_SEED).items():
         out[f"transport {name} seed {TRANSPORT_SEED} repr"] = _sha256(repr(value))
+    out.update(acceptance_digests())
     out.update(cli_digests())
     return out
 

@@ -260,4 +260,4 @@ def test_a_kernel_that_gives_two_cycles_one_minimum_raises_in_time(
     start = time.perf_counter()
     assert main(["rewire", *args, "--eps=0.05"]) == 2
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err == f"pipeline failed: {message}\n"
+    assert capsys.readouterr().err == f"rewire failed: {message}\n"

@@ -3,6 +3,7 @@ integer cast of an input outside ``_as_int64``, no permutation test outside
 ``_as_permutation``, no stable sort, no inverse table of a generator
 (the public ``inverse_permutation`` is the one caller of its kernel), no
 call of the word-statistics kernel ``_cell_rule`` outside ``weak.py``, no
+reference to the cell counter ``_cell_counts`` outside ``spaces.py``, no
 step of a word's translate by a letter outside ``freegroup.py``, no
 cache in an object's ``__dict__``,
 no file or stdout written outside ``cli._write_all``, the README calls only
@@ -333,6 +334,43 @@ def test_word_statistics_are_compared_only_in_weak():
         for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
         if path.name != "weak.py"
         for line in _cell_rule_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def _cell_count_uses(tree):
+    """Line of each reference to ``_cell_counts``: a name, an attribute or
+    an import.  ``spaces._pair_coupling`` builds every pair-statistics
+    coupling and ``spaces._cell_rule`` counts every comparison through it."""
+    for node in ast.walk(tree):
+        names = (getattr(node, "id", None), getattr(node, "attr", None))
+        if "_cell_counts" in (*names, getattr(node, "name", None)):
+            yield node.lineno
+
+
+_CELL_COUNT_SAMPLES = """
+from .spaces import Coupling, _cell_counts
+def flagged(p, q, k):
+    counts = _cell_counts(p * k, q, k).reshape(k, k)
+    return spaces._cell_counts, orbitforge.spaces._cell_counts(p, q, k)
+def kept(p, q, k):
+    name = "_cell_counts(p, q, k)"
+    return _pair_coupling(p, q, k), cell_counts(p), _cell_counts_of(p), a.counts
+"""
+
+
+def test_cell_count_walk_finds_each_form():
+    assert sorted(_cell_count_uses(ast.parse(_CELL_COUNT_SAMPLES))) == [2, 4, 5, 5]
+
+
+def test_pair_statistics_are_counted_only_in_spaces():
+    # one builder per idea: a module that needs pair statistics calls
+    # spaces._pair_coupling, or _cell_rule to compare them, never the counter
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        if path.name != "spaces.py"
+        for line in _cell_count_uses(ast.parse(path.read_text()))
     ]
     assert found == []
 
