@@ -177,7 +177,7 @@ class _Translates:
             self.slot = np.full(a.n, -1, dtype=np.int64)
             self.slot[points] = np.arange(points.size)
         self.table = {(): _frozen(labels)}
-        self.places = {}  # the _place of each letter at the table's points
+        self.before = {None: points}  # s^{-1} of the table's points, by letter s
 
     def __getitem__(self, g: ReducedWord) -> np.ndarray:
         return self.whole(g.letters)
@@ -195,7 +195,7 @@ class _Translates:
                 moved = np.empty_like(self.table[h])
                 moved[self.perms[s - 1]] = self.table[h]
             else:
-                moved = self._step(letters, self.points, self.places)
+                moved = self._step(letters, self.before)
             self.table[letters] = _frozen(moved)
         return self.table[letters]
 
@@ -212,45 +212,35 @@ class _Translates:
         or on the table's own points when ``points`` is ``None``."""
         if points is None:
             return self.__getitem__
-        places = {}
-        return lambda g: self._step(g.letters, points, places)
+        before = {None: points}
+        return lambda g: self._step(g.letters, before)
 
-    def _step(self, letters: tuple, points, places: dict) -> np.ndarray:
-        """The translate of ``letters`` at ``points``: read there if built,
-        otherwise, for ``s·h``, read off ``h``, built, at ``s^{-1}`` of the
-        points.  ``places`` keeps each ``_place`` for the next word."""
+    def _step(self, letters: tuple, before: dict) -> np.ndarray:
+        """The translate of ``letters`` at the points ``before[None]``: read
+        there if built, otherwise, for ``s·h``, read off ``h``, built, at
+        ``before[s]``, ``s^{-1}`` of the points, kept for the next word.
+        Every point (``None``) is stepped only by an inverse letter."""
         s = None if letters in self.table else letters[0]
-        if s not in places:
-            places[s] = self._place(s, points)
-        return self._read(letters if s is None else letters[1:], places[s])
+        if s not in before:
+            points = before[None]
+            if s > 0:
+                before[s] = _preimages(self.perms[s - 1], points)
+            else:
+                perm = self.perms[-s - 1]
+                before[s] = perm if points is None else perm[points]
+        return self._read(letters if s is None else letters[1:], before[s])
 
-    def _place(self, s, points):
-        """``(outside, order)`` for a read at ``s^{-1}`` of ``points``, or at
-        the points when ``s`` is ``None``: the targets off the table's points,
-        read from ``behind`` (none on every point), and each target's place in
-        the table's values followed by those.  Every point (``None``) is read
-        only through an inverse letter."""
-        if s is None:
-            targets = points
-        elif s > 0:
-            targets = _preimages(self.perms[s - 1], points)
-        else:
-            perm = self.perms[-s - 1]
-            targets = perm if points is None else perm[points]
-        if self.points is None:
-            return targets[:0], targets
-        order = self.slot[targets]
-        off = order < 0
-        size = self.points.size
-        order[off] = np.arange(size, size + np.count_nonzero(off))
-        return targets[off], order
-
-    def _read(self, letters: tuple, place) -> np.ndarray:
-        """The translate of ``letters`` at a ``_place``."""
-        outside, order = place
+    def _read(self, letters: tuple, targets) -> np.ndarray:
+        """The translate of ``letters`` at ``targets``, read from ``behind``
+        off the table's points."""
         own = self.whole(letters)
-        if outside.size:
-            own = np.concatenate((own, self.behind.whole(letters)[outside]))
+        if self.points is None:
+            return own[targets]
+        order = self.slot[targets]
+        off = np.flatnonzero(order < 0)
+        if off.size:
+            own = np.concatenate((own, self.behind.whole(letters)[targets[off]]))
+            order[off] = np.arange(self.points.size, own.size)
         return own[order]
 
 

@@ -168,18 +168,13 @@ class PipelineReport:
         return all(g.achieved_error <= g.bound for g in self.generators)
 
 
-def _target_side(b: FiniteAction, phi: Observable):
-    """``weak._counted`` of ``(b, phi)`` over the ball of radius
-    ``KECHRIS_RADIUS``: the pair targets and tallies, counted once per run."""
-    return _counted(b, phi, ball(b.rank, KECHRIS_RADIUS))
-
-
 def _oe_approximate(a, phi, eps, retries, seed, target):
     """Rewire ``a`` generator by generator toward the statistics of ``(b, phi)``.
 
-    ``target`` is ``_target_side(b, phi)``, for ``b`` of ``a``'s rank and
-    size and ``phi`` of its size.  The source observable is sampled by
-    ``good_observable`` from the label distribution of ``phi``.  Returns the
+    ``target`` is ``weak._counted(b, phi, ball(b.rank, KECHRIS_RADIUS))``:
+    the pair targets and tallies, counted once per run, for ``b`` of ``a``'s
+    rank and size and ``phi`` of its size.  The source observable is sampled
+    by ``good_observable`` from the label distribution of ``phi``.  Returns the
     rewired action (same orbits as ``a``, generator-wise), that observable,
     and a per-generator report with the Kechris distance over the ball of
     radius ``KECHRIS_RADIUS``.  The triangle decomposition achieved <=
@@ -531,7 +526,7 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
     # every schedule entry reads the statistics of (b, phi) and the cycles
     # of a; building both first leaves workers only reading.  Nothing else
     # reads b, so it goes first, and the cycles of a reuse its memory
-    target = _target_side(b, phi)
+    target = _counted(b, phi, ball(b.rank, KECHRIS_RADIUS))
     del b
     _ = a.cycle_decompositions
 

@@ -69,7 +69,8 @@ def kechris_distance(
     near = _near_points(v, w, p, q, radius)
     points = None if near is None else np.flatnonzero(near)
     moved_q = _Translates(w, q, compared, points, moved_p)
-    return _kechris(_gaps(p, q, compared, moved_p, moved_q, points), p.n * q.n)
+    gaps = _gaps(p, q, compared, moved_p.at(points), moved_q.at(None), points)
+    return _kechris(gaps, p.n * q.n)
 
 
 def _one_per_inverse_pair(words) -> list[ReducedWord]:
@@ -173,10 +174,10 @@ def _distance_from(p: Observable, tallies: dict, w: FiniteAction, q: Observable)
     return _kechris((gap(t, moved[g]) for g, t in tallies.items()), p.n * q.n)
 
 
-def _gaps(p, q, words, moved_p, moved_q, points) -> list[int]:
-    """Each word's ``_cell_rule`` gap of ``(P, moved_p)`` against
-    ``(Q, moved_q)``, two ``_Translates``, over the sorted ``points``, or
-    every point when ``points`` is ``None``.
+def _gaps(p, q, words, read_p, read_q, points) -> list[int]:
+    """Each word's ``_cell_rule`` gap of ``(P, read_p)`` against
+    ``(Q, read_q)``, two readers of ``_Translates`` at the sorted ``points``,
+    or at every point when ``points`` is ``None``.
 
     Off the points both sides, on the same n points, put each point in the
     same cell, adding ``+n`` and ``-n`` to it, so counting only the points
@@ -186,7 +187,6 @@ def _gaps(p, q, words, moved_p, moved_q, points) -> list[int]:
         return [0] * len(words)
     at = slice(None) if points is None else points
     tally, gap = _cell_rule(p.labels[at], q.labels[at], p.alphabet_size, q.n, p.n)
-    read_p, read_q = moved_p.at(points), moved_q.at(points)
     return [gap(tally(read_p(g)), read_q(g)) for g in words]
 
 
@@ -281,7 +281,8 @@ def ball_transport_certificate(
     otherwise it is read at the compared points from its parent.  Claim 2
     builds the ``(w, Q)`` table on the near points and those where ``Q'``
     and ``P'`` differ when those are few, and on every point otherwise; the
-    final discrepancy reads it at the near points whenever they are few.
+    final discrepancy reads it on those points, with claim 2's ``(v, P)``
+    reader when ``Q' = P'``, or at the near points when they alone are few.
     """
     if v.rank != w.rank or v.n != w.n:
         raise ValueError("actions must share rank and space")
@@ -322,11 +323,16 @@ def ball_transport_certificate(
         gained = np.bincount(moved_q[g][mismatch], minlength=p.alphabet_size)
         worst = int(np.max(lost + gained)) if mismatch.size else 0
         claim2[g] = worst / n
+    read_q = moved_q.at(None)  # on its points, which hold the near ones
+    if points is None and near is not None:  # only the near points are few
+        points = np.flatnonzero(near)
+        read_q = moved_q.at(points)
+    if moved_at.any():  # claim 2 read moved_p through pull
+        read = moved_p.at(points)
     compared = _one_per_inverse_pair(words)
-    near = None if near is None else np.flatnonzero(near)
-    final = _kechris(_gaps(p, q, compared, moved_p, moved_q, near), n * n)
+    final = _kechris(_gaps(p, q, compared, read, read_q, points), n * n)
     # freed before the hypothesis builds its own
-    del moved_p, moved_q, pull, moved_at, read
+    del moved_p, moved_q, pull, moved_at, read, read_q
 
     # Generator-level hypothesis over the symmetric letter set.
     hyp = kechris_distance(v, w, pprime, qprime, ball(v.rank, 1)[1:])

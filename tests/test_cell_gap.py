@@ -296,7 +296,8 @@ def _word_gap(p, moved_p, q, moved_q, points) -> Fraction:
         _Translates(FiniteAction.from_perms(np.arange(m.size)), Observable(m, k), [g])
         for m in (moved_p, moved_q)
     ]
-    return Fraction(weak._gaps(p, q, [g], *tables, points)[0], p.n * q.n)
+    readers = [t.at(points) for t in tables]
+    return Fraction(weak._gaps(p, q, [g], *readers, points)[0], p.n * q.n)
 
 
 @given(paired_sides())

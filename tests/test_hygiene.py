@@ -427,6 +427,45 @@ def test_word_translates_are_stepped_only_in_freegroup():
     assert found == []
 
 
+_TABLE_STATE = {"table", "slot", "before", "behind"}
+
+
+def _table_state_reads(tree):
+    """Line of each attribute read of a ``_Translates`` table's state: its
+    built ``table``, the ``slot`` of each point, the ``before`` of its points
+    under each letter and the table ``behind`` it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _TABLE_STATE:
+            yield node.lineno
+
+
+_TABLE_STATE_SAMPLES = """
+def flagged(moved_q, moved_p):
+    values = moved_q.table[()]
+    return moved_p.slot, moved_q.before[None], moved_q.behind.whole(())
+def kept(moved_q, table, before):
+    return table, before["behind"], moved_q.whole(()), moved_q.tables, "slot"
+"""
+
+
+def test_table_state_walk_finds_each_form():
+    tree = ast.parse(_TABLE_STATE_SAMPLES)
+    assert sorted(_table_state_reads(tree)) == [3, 4, 4, 4]
+
+
+def test_word_translates_are_read_only_through_their_table():
+    # a translate is read at points by _Translates itself, which places the
+    # points against its own and reads the rest behind it: no other module
+    # reads a table's state
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(orbitforge.__file__).parent.glob("*.py"))
+        if path.name != "freegroup.py"
+        for line in _table_state_reads(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
 def _dict_uses(tree):
     """Line of each read or write of an object's ``__dict__``, also by name."""
     for node in ast.walk(tree):

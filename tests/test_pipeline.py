@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import orbitforge
-from orbitforge import freegroup, pipeline
+from orbitforge import freegroup, pipeline, weak
 from orbitforge import (
     CertificationError,
     Coupling,
@@ -44,7 +44,7 @@ from orbitforge.pipeline import (
 
 def _oe_approximate(a, b, phi, eps, retries, seed):
     """The pipeline's rewiring of ``a`` toward the statistics of ``(b, phi)``."""
-    target = pipeline._target_side(b, phi)
+    target = weak._counted(b, phi, orbitforge.ball(b.rank, pipeline.KECHRIS_RADIUS))
     return pipeline._oe_approximate(a, phi, eps, retries, seed, target)
 
 
@@ -366,7 +366,7 @@ CERTIFICATION_SCRIPT = """
 import dataclasses
 import numpy as np
 import orbitforge as of
-from orbitforge import pipeline
+from orbitforge import pipeline, weak
 
 if __debug__:
     raise SystemExit("assertions are on; run under python -O")
@@ -381,7 +381,7 @@ phi = of.Observable(np.arange(n) % 2, 2)
 
 def run(name, target):
     try:
-        side = pipeline._target_side(target, phi)
+        side = weak._counted(target, phi, of.ball(target.rank, pipeline.KECHRIS_RADIUS))
         pipeline._oe_approximate(a, phi, 0.05, 5, 0, side)
     except of.CertificationError as exc:
         print(name, "raised:", exc)

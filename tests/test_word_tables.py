@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 import reference_impl as ref
 from orbitforge import (
     FiniteAction,
@@ -427,6 +428,62 @@ def test_certificate_translates_only_the_v_side_of_nearby_actions(monkeypatch):
     assert calls == Counter()
     assert list(map(id, tables)) == list(map(id, [v, v]))
     assert repr(cert) == repr(ref.ball_transport_certificate(v, w, p, 3, beta, 0.2))
+
+
+def _count_preimages(monkeypatch):
+    """Calls of ``freegroup._preimages``, by the bytes of the generator and
+    of the points it takes."""
+    calls = Counter()
+    preimages = freegroup._preimages
+
+    def counted(perm, points):
+        calls[perm.tobytes(), points.tobytes()] += 1
+        return preimages(perm, points)
+
+    monkeypatch.setattr(freegroup, "_preimages", counted)
+    return calls
+
+
+def test_each_point_set_takes_each_generators_preimages_once(monkeypatch):
+    # w is v with 3 transpositions: the (w, P) table on the points near
+    # them, with (v, P) behind it, builds every word of the ball; then one
+    # reader off a fresh table reads every word at points that repeat and
+    # partly leave the table's.  Each point set steps back through each
+    # generator once
+    rng = np.random.default_rng(9)
+    n = 5000
+    v = FiniteAction.from_perms([rng.permutation(n), rng.permutation(n)])
+    w = _transposed(v, rng, 3)
+    p = Observable(rng.integers(0, 3, size=n), 3)
+    words = ball(2, 3)
+    points = np.flatnonzero(weak._near_points(v, w, p, p, 3))
+    assert 0 < points.size < n // 5
+    behind, whole = _Translates(v, p, words), _Translates(w, p, words)
+    listed = np.r_[points[::3], rng.integers(0, n, size=200), points[:20]]
+    calls = _count_preimages(monkeypatch)
+    table = _Translates(w, p, words, points, behind)
+    for g in words:
+        assert np.array_equal(table[g], whole[g][points])
+    assert sorted(calls.values()) == [1, 1]
+    calls.clear()
+    table = _Translates(w, p, words, points, behind)
+    read = table.at(listed)
+    for g in words:
+        assert np.array_equal(read(g), whole[g][listed])
+    # at the listed points, and at the table's own for the parents it builds
+    assert sorted(calls.values()) == [1, 1, 1, 1]
+
+
+def test_certificate_steps_the_workload_points_back_four_times(monkeypatch):
+    # on the transport_ball_r3 input the near points hold every point where
+    # Q' and P' differ: the (w, Q) table and claim 2's (v, P) reader each
+    # take the preimages of both generators there, and the final
+    # discrepancy reads with those two
+    transport = golden._workloads().WORKLOADS["transport_ball_r3"]
+    args = transport.generate(golden.TRANSPORT_SEED).args
+    calls = _count_preimages(monkeypatch)
+    ball_transport_certificate(*args)
+    assert sum(calls.values()) == 4
 
 
 @st.composite
